@@ -32,8 +32,13 @@ from .activeset_qp import (
     empty_s_tuple,
     inner_gi_step,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_start, as_vector
 from .solvers import SolveReport, TraceRow, fill_measures
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+# above this bound on |A||x| a partial sum of a row dot could overflow
+_SCREEN_LIMIT = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,12 @@ class HyperslabSystem:
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        # the screen in ``contains``: slack = c ||a_j||_1 max|x| + t
+        row_l1 = np.abs(a).sum(axis=1)
+        n = a.shape[1]
+        object.__setattr__(self, "_slack_rows", (4.0 * (n + 2) * _EPS) * row_l1)
+        object.__setattr__(self, "_slack_t", 4.0 * (n + 2) * _TINY)
+        object.__setattr__(self, "_row_l1_max", float(row_l1.max()))
 
     @property
     def m(self) -> int:
@@ -70,10 +81,37 @@ class HyperslabSystem:
         return self.a_mat.shape[1]
 
     def contains(self, x: np.ndarray) -> bool:
-        # per-row dots, not a gemv: membership must agree bit-for-bit with
-        # the per-row tests the update and classification rules perform
-        for j in range(self.a_mat.shape[0]):
-            s = float(self.a_mat[j] @ x)
+        # Exact membership: L_j <= float(a_j @ x) <= U_j for every row j,
+        # bit-for-bit as the update and classification rules compute it,
+        # although a gemv may sum a row in another order.  Every order obeys
+        # |fl(a.x) - a.x| <= gamma_n |a|.|x| <= gamma_n ||a||_1 max|x|, with
+        # gamma_n = n u / (1 - n u) and u = eps / 2 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, sec. 3.1), plus n
+        # half-subnormals when products underflow; the gemv value and the
+        # per-row dot differ by at most twice that.  slack = c ||a_j||_1
+        # max|x| + t, with c = 4 (n + 2) eps and t = 4 (n + 2) times the
+        # smallest subnormal, covers it with room for the rounding of the
+        # row norms, of the slack and of the margins, so a row whose gemv
+        # margin min(ax - L, U - ax) is at least slack is inside by the
+        # per-row dot too.  Every other row gets the per-row test, and so
+        # does every row when |x| is so large that a partial sum could
+        # overflow and void the bound.  Only row norms are kept: a copy of
+        # |A| would double the system's memory.
+        x = np.asarray(x, dtype=float)
+        big = float(np.abs(x).max())
+        if not math.isfinite(big):  # NaN would compare false on every face
+            return False
+        a_mat = self.a_mat
+        if big * self._row_l1_max <= _SCREEN_LIMIT:
+            ax = a_mat @ x
+            slack = self._slack_rows * big
+            slack += self._slack_t
+            margin = np.minimum(ax - self.lower, self.upper - ax)
+            rows = (margin < slack).nonzero()[0].tolist()
+        else:
+            rows = range(a_mat.shape[0])
+        for j in rows:
+            s = float(a_mat[j] @ x)
             if s < self.lower[j] or s > self.upper[j]:
                 return False
         return True
@@ -191,7 +229,7 @@ def art3_solve(
     covers the first pass (the literal j = k initialization could stop one
     row early before anything has been verified).
     """
-    x = as_vector(x0, "x0").copy()
+    x = as_start(x0, system.n).copy()
     ref = None if reference is None else as_vector(reference, "reference")
     rows_trace: list[TraceRow] = []
     if record_trace or ref is not None:
@@ -215,11 +253,12 @@ def art3_solve(
         if clean >= m:
             status = "solved"
             break
-    if status == "solved" and not system.contains(x):
+    membership = system.contains(x)
+    if status == "solved" and not membership:
         status = "iteration_limit"  # cannot happen for clean passes; belt and braces
     fill_measures(rows_trace)
     return SolveReport(status=status, x=x, rows=rows_trace,
-                       counts={"iterations": i}, extras={"membership": system.contains(x)})
+                       counts={"iterations": i}, extras={"membership": membership})
 
 
 def extrapolate_plus(x_circ, x_times, system: HyperslabSystem, active) -> np.ndarray:
@@ -305,7 +344,7 @@ class _FaceView:
 def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Unit-normal face halfspace of slab j violated at x, if any."""
     a = system.a_mat[j]
-    na = float(np.linalg.norm(a))
+    na = math.sqrt(float(a.dot(a)))
     s = float(a @ x)
     if s < system.lower[j]:
         return a / na, system.lower[j] / na
@@ -315,15 +354,11 @@ def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.n
 
 
 def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+    # an infinite bound is never tight: for finite ax, |ax -+ inf| = inf
     ax = system.a_mat @ x
-    out = []
-    for j in range(system.m):
-        scale = tol * (1.0 + abs(ax[j]))
-        if (math.isfinite(system.lower[j]) and abs(ax[j] - system.lower[j]) <= scale) or (
-            math.isfinite(system.upper[j]) and abs(ax[j] - system.upper[j]) <= scale
-        ):
-            out.append(j)
-    return tuple(out)
+    scale = tol * (1.0 + np.abs(ax))
+    tight = (np.abs(ax - system.lower) <= scale) | (np.abs(ax - system.upper) <= scale)
+    return tuple(tight.nonzero()[0].tolist())
 
 
 def extended_art_solve(
@@ -345,7 +380,7 @@ def extended_art_solve(
     inside S, its worst Fejer-monotonicity violation.
     """
     pol = policy or ArtPolicy()
-    x0 = as_vector(x0, "x0")
+    x0 = as_start(x0, system.n)
     ref = None if reference is None else as_vector(reference, "reference")
     wit = None if witness is None else as_vector(witness, "witness")
 
@@ -374,7 +409,8 @@ def extended_art_solve(
         nonlocal wit_dist, fejer_max_increase, fejer_events
         if wit is None:
             return
-        d = float(np.linalg.norm(new_tilde - wit))
+        diff = new_tilde - wit
+        d = math.sqrt(float(diff.dot(diff)))
         fejer_events += 1
         if d > wit_dist:
             fejer_max_increase = max(fejer_max_increase, d - wit_dist)
@@ -389,11 +425,18 @@ def extended_art_solve(
         return max(system.lower[jj] - s_val, s_val - system.upper[jj])
 
     nudge_tol = 1e-12
+    # membership of x_plus is tested only when x_plus is a new array: every
+    # update rebinds it, and the case-1 visits in between leave it alone
+    tested = None
+    in_s = False
 
     while i < max_iters:
-        if system.contains(x_plus):
-            status = "solved"
-            break
+        if x_plus is not tested:
+            tested = x_plus
+            in_s = system.contains(x_plus)
+            if in_s:
+                status = "solved"
+                break
         case = classify_case(x_times, x_plus, system.a_mat[j], system.lower[j], system.upper[j])
         events: list[str] = []
         if case != 1:
@@ -451,7 +494,7 @@ def extended_art_solve(
                     a = system.a_mat[j]
                     width = system.upper[j] - system.lower[j]
                     resid = max(system.lower[j] - float(a @ x_times), float(a @ x_times) - system.upper[j])
-                    resid /= float(np.linalg.norm(a))
+                    resid /= math.sqrt(float(a.dot(a)))
                     if math.isfinite(width) and resid < pol.case2_close_frac * width and case == 2:
                         choice = "plus"
                     elif consecutive_circ >= pol.circ_cap_factor * (s.q + 1):
@@ -544,7 +587,7 @@ def extended_art_solve(
         s_tuple=s,
     )
     extras = {
-        "membership": system.contains(x_plus),
+        "membership": in_s if x_plus is tested else system.contains(x_plus),
         "fejer_events": fejer_events,
         "fejer_max_increase": fejer_max_increase,
         "forbidden_p_times": forbidden_times,

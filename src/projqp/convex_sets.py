@@ -50,6 +50,10 @@ class Ball:
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
 
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
+
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -62,6 +66,10 @@ class Halfspace:
         object.__setattr__(self, "c", as_vector(self.c, "c"))
         if float(np.linalg.norm(self.c)) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+
+    @property
+    def dim(self) -> int:
+        return self.c.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,10 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
+    @property
+    def dim(self) -> int:
+        return self.lower.shape[0]
+
 
 @dataclass(frozen=True)
 class Hyperslab:
@@ -97,6 +109,10 @@ class Hyperslab:
         if not self.lower <= self.upper:
             raise ValueError("hyperslab requires lower <= upper")
 
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
 
 @dataclass(frozen=True)
 class Polyhedron:
@@ -110,6 +126,10 @@ class Polyhedron:
         object.__setattr__(self, "b", as_vector(self.b, "b"))
         if self.c_mat.shape[1] != self.b.shape[0]:
             raise ValueError("C and b sizes disagree")
+
+    @property
+    def dim(self) -> int:
+        return self.c_mat.shape[0]
 
 
 ConvexSet = Union[Ball, Halfspace, Box, Hyperslab, Polyhedron]

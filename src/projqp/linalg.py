@@ -58,6 +58,22 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_start(x, dim: int, name: str = "x0") -> np.ndarray:
+    """``as_vector`` for a solver's start point in R^dim.
+
+    Stopping tests scale with 1 + ||x||, so a start whose squared norm
+    overflows would pass every one of them; it is rejected here.
+    """
+    v = as_vector(x, name)
+    if v.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {v.shape[0]}, but the problem has dimension {dim}")
+    with np.errstate(over="ignore"):
+        sq = float(v.dot(v))
+    if not math.isfinite(sq):
+        raise ValueError(f"{name} is too large: the square of its norm overflows")
+    return v
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     m = np.asarray(x, dtype=float)
     if m.ndim != 2:

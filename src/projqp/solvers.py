@@ -38,7 +38,7 @@ from .activeset_qp import (
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
 from .convex_sets import Box, ConvexSet, project_set
-from .linalg import RANK_TOL, as_vector, qr_append_column, qr_delete_column
+from .linalg import RANK_TOL, as_start, qr_append_column, qr_delete_column
 
 
 class DegenerateAggregate(ValueError):
@@ -248,6 +248,16 @@ def _dist_to(reference: np.ndarray | None, x: np.ndarray) -> float | None:
     return math.sqrt(float(d.dot(d)))
 
 
+def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
+    """The validated start of a solve over ``sets``."""
+    if not sets:
+        raise ValueError("need at least one set")
+    dims = {k.dim for k in sets}
+    if len(dims) > 1:
+        raise ValueError(f"the sets have different dimensions {sorted(dims)}")
+    return as_start(x0, dims.pop())
+
+
 def _solved_status(x, sets, tol) -> bool:
     return all(
         float(np.linalg.norm(x - project_set(k, x))) <= tol * (1.0 + float(np.linalg.norm(x)))
@@ -383,9 +393,7 @@ def _report(status, x, rows, counts, reference, certificate=None, cert_system=No
 
 
 def _outer_gi_loop(x0, sets: Sequence[ConvexSet], opts: SolverOptions, mode: str) -> SolveReport:
-    x0 = as_vector(x0, "x0")
-    if not sets:
-        raise ValueError("need at least one set")
+    x0 = _start(x0, sets)
     r = len(sets)
     store = HalfspaceStore()
     s = empty_s_tuple(x0)
@@ -533,7 +541,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
 
 
 def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> SolveReport:
-    x0 = as_vector(x0, "x0")
+    x0 = _start(x0, sets)
     box = next(k for k in sets if isinstance(k, Box))
     others = [(i, k) for i, k in enumerate(sets) if not isinstance(k, Box)]
     r = len(others)
@@ -591,10 +599,8 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> So
 def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Cyclic alternating projections; each visit is one trace row."""
     opts = options or SolverOptions()
-    x = as_vector(x0, "x0").copy()
+    x = _start(x0, sets).copy()
     r = len(sets)
-    if r == 0:
-        raise ValueError("need at least one set")
     rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
                      x.copy() if opts.record_iterates else None)]
     counts = {"projections": 0}
@@ -629,10 +635,8 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     termination is checked after each full cycle.
     """
     opts = options or SolverOptions()
-    x = as_vector(x0, "x0").copy()
+    x = _start(x0, sets).copy()
     r = len(sets)
-    if r == 0:
-        raise ValueError("need at least one set")
     corrections = [np.zeros_like(x) for _ in range(r)]
     rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
                      x.copy() if opts.record_iterates else None)]
@@ -672,11 +676,9 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     active-set engine.
     """
     opts = options or SolverOptions()
-    x0 = as_vector(x0, "x0")
+    x0 = _start(x0, sets)
     x = x0.copy()
     r = len(sets)
-    if r == 0:
-        raise ValueError("need at least one set")
     rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
                      x.copy() if opts.record_iterates else None)]
     counts = {"projections": 0, "inner_steps": 0}

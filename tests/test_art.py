@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from projqp import art
 from projqp.art import (
     ArtPolicy,
     HyperslabSystem,
@@ -19,6 +22,61 @@ from projqp.convex_sets import problem_from_dict
 
 def slab(a, lo, up):
     return HyperslabSystem(np.atleast_2d(np.asarray(a, float)), np.array([lo]), np.array([up]))
+
+
+def generated_system(n, slabs, seed):
+    sets, x0, extras = problem_from_dict(generate_problem("hyperslabs-with-interior", n, slabs, seed))
+    return hyperslab_system_from_sets(sets), x0, np.asarray(extras["witness"])
+
+
+# The scalar loops that the screened ``contains`` and the masked
+# ``_tight_slabs`` replace, kept as oracles.
+
+def contains_loop(system, x):
+    for j in range(system.a_mat.shape[0]):
+        s = float(system.a_mat[j] @ x)
+        if s < system.lower[j] or s > system.upper[j]:
+            return False
+    return True
+
+
+def tight_slabs_loop(system, x, tol=1e-9):
+    ax = system.a_mat @ x
+    out = []
+    for j in range(system.m):
+        scale = tol * (1.0 + abs(ax[j]))
+        if (math.isfinite(system.lower[j]) and abs(ax[j] - system.lower[j]) <= scale) or (
+            math.isfinite(system.upper[j]) and abs(ax[j] - system.upper[j]) <= scale
+        ):
+            out.append(j)
+    return tuple(out)
+
+
+def ulps(v, k):
+    """v moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        v = np.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def edge_cases(rng, n, m):
+    """(system, x) pairs that probe the screen's band: random points, points
+    exactly on a face or 1-4 ulps either side of it, infinite bounds."""
+    a = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+    x = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e4])
+    s = np.array([float(a[j] @ x) for j in range(m)])
+    width = np.abs(s) * rng.uniform(1e-3, 1.0, size=m) + 1e-300
+    bounds = [(s - width * rng.uniform(-0.5, 1.5, size=m), s + width * rng.uniform(-0.5, 1.5, size=m))]
+    for k in range(-4, 5):
+        face = np.array([ulps(v, k) for v in s])
+        bounds += [(face, np.maximum(face, s + width)), (np.minimum(face, s - width), face),
+                   (face, np.full(m, np.inf)), (np.full(m, -np.inf), face)]
+    # one row near its face, the others well inside or unbounded
+    lo, up = s - width, np.where(rng.random(m) < 0.3, np.inf, s + width)
+    j = int(rng.integers(m))
+    lo[j] = ulps(s[j], int(rng.integers(-4, 5)))
+    bounds.append((lo, np.maximum(up, lo)))
+    return [(HyperslabSystem(a, np.minimum(lo, up), up), x) for lo, up in bounds]
 
 
 class TestArt3Update:
@@ -218,3 +276,115 @@ class TestTextFormat:
             HyperslabSystem(np.array([[0.0, 0.0]]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             HyperslabSystem(np.array([[1.0, 0.0]]), np.array([2.0]), np.array([1.0]))
+
+
+class TestScreenedMembership:
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 8), (10, 40), (50, 200)])
+    def test_contains_and_tight_slabs_match_the_loops(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        for _ in range(20):
+            for system, x in edge_cases(rng, n, m):
+                assert system.contains(x) == contains_loop(system, x)
+                assert art._tight_slabs(system, x) == tight_slabs_loop(system, x)
+
+    def test_tight_slabs_at_the_tolerance_edge(self):
+        # powers of two make |ax - bound| == tol (1 + |ax|) exact at k = 0
+        tol = 2.0**-30
+        x = np.array([1.0, 4.0, 0.5, -2.0])
+        ax = x.copy()
+        scale = tol * (1.0 + np.abs(ax))
+        for k in (-1, 0, 1):
+            lo = np.array([ulps(v, k) for v in ax - scale])
+            up = np.array([ulps(v, k) for v in ax + scale])
+            for system, tight in ((HyperslabSystem(np.eye(4), lo, np.full(4, np.inf)), k >= 0),
+                                  (HyperslabSystem(np.eye(4), np.full(4, -np.inf), up), k <= 0)):
+                assert tight_slabs_loop(system, x, tol) == ((0, 1, 2, 3) if tight else ())
+                assert art._tight_slabs(system, x, tol) == tight_slabs_loop(system, x, tol)
+
+    def test_overflowing_slack_rechecks_every_row(self):
+        class RowSpy(np.ndarray):
+            def __getitem__(self, j):
+                rows.append(j)
+                return np.ndarray.__getitem__(self, j)
+
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(12, 4))
+        for scale in (1e307, 1e308, 1.7e308):
+            x = rng.choice([-1.0, 1.0], size=4) * scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.array([float(a[j] @ x) for j in range(12)])
+                half = 0.5 * np.abs(s)
+                fin = np.isfinite(s)  # every row well inside
+                system = HyperslabSystem(a, np.where(fin, s - half, -np.inf), np.where(fin, s + half, np.inf))
+                assert np.abs(x).max() * system._row_l1_max > art._SCREEN_LIMIT
+                expected = contains_loop(system, x)
+                rows = []
+                object.__setattr__(system, "a_mat", system.a_mat.view(RowSpy))
+                assert system.contains(x) == expected
+            assert rows == list(range(12))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])
+    def test_non_finite_point_is_outside(self, bad):
+        system = HyperslabSystem(np.eye(2), np.array([-np.inf, 0.0]), np.array([np.inf, 1.0]))
+        assert system.contains([0.5, 0.5])
+        assert not system.contains(bad)
+
+    @pytest.mark.parametrize("n,slabs,seeds", [(2, 8, range(40)), (10, 40, range(6)), (50, 200, range(2))])
+    def test_extended_art_matches_the_loops(self, monkeypatch, n, slabs, seeds):
+        for seed in seeds:
+            system, x0, witness = generated_system(n, slabs, 500 + seed)
+            fast = extended_art_solve(x0, system, witness=witness)
+            with monkeypatch.context() as mp:
+                mp.setattr(HyperslabSystem, "contains", contains_loop)
+                mp.setattr(art, "_tight_slabs", tight_slabs_loop)
+                slow = extended_art_solve(x0, system, witness=witness)
+            assert fast.status == slow.status == "solved"
+            assert fast.x.tobytes() == slow.x.tobytes()
+            assert fast.counts == slow.counts
+            assert fast.rows == slow.rows
+            for key in ("membership", "fejer_events", "fejer_max_increase", "forbidden_p_times"):
+                assert fast.extras[key] == slow.extras[key]
+            ft, st = fast.extras["triple"], slow.extras["triple"]
+            assert ft.active_slabs == st.active_slabs
+            for f in ("x_circ", "x_times", "x_plus"):
+                assert getattr(ft, f).tobytes() == getattr(st, f).tobytes()
+
+    def test_unchanged_x_plus_is_not_retested(self, monkeypatch):
+        system, x0, witness = generated_system(10, 40, 77)
+        seen = []
+
+        def spy(self, x):
+            seen.append(x)
+            return contains_loop(self, x)
+
+        monkeypatch.setattr(HyperslabSystem, "contains", spy)
+        rep = extended_art_solve(x0, system, witness=witness)
+        assert rep.status == "solved"
+        assert all(a is not b for a, b in zip(seen, seen[1:]))
+        assert len(seen) < rep.counts["iterations"]
+
+
+class TestEntryPoints:
+    SYSTEM = HyperslabSystem(np.eye(2), np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("solver", [art3_solve, extended_art_solve])
+    def test_dimension_mismatch_names_both(self, solver):
+        with pytest.raises(ValueError, match="x0 has dimension 3, but the problem has dimension 2"):
+            solver(np.zeros(3), self.SYSTEM)
+
+    @pytest.mark.parametrize("solver", [art3_solve, extended_art_solve])
+    def test_overflowing_start_rejected(self, solver):
+        with pytest.raises(ValueError, match="x0 is too large"):
+            solver(np.array([1e300, 1e300]), self.SYSTEM)
+
+    def test_art3_membership_computed_once(self, monkeypatch):
+        calls = []
+
+        def spy(self, x):
+            calls.append(x)
+            return contains_loop(self, x)
+
+        monkeypatch.setattr(HyperslabSystem, "contains", spy)
+        rep = art3_solve(np.array([1.4, 2.0]), self.SYSTEM)
+        assert rep.status == "solved" and rep.extras["membership"]
+        assert len(calls) == 1

@@ -13,6 +13,7 @@ from projqp.solvers import (
     SolverOptions,
     aggregate_columns,
     aggregate_halfspace_pair,
+    solve,
     solve_bap,
     solve_dykstra,
     solve_haugazeau,
@@ -280,3 +281,51 @@ class TestBapDykstraAgreement:
         dyk = solve_dykstra(x0, sets, SolverOptions(feas_tol=1e-11, max_outer_iters=300_000))
         assert bap.status == "solved"
         assert float(np.linalg.norm(bap.x - dyk.x)) <= 1e-6
+
+
+class TestStartValidation:
+    """Every entry point checks x0 once, against the dimension of the sets."""
+
+    ENTRY_POINTS = {
+        "solve": lambda x0, sets: solve("bap-gi", x0, sets),
+        "solve_bap": solve_bap,
+        "solve_sip": solve_sip,
+        "solve_sip_one_box": lambda x0, sets: solve_sip(
+            x0, sets + [Box(np.full(2, -10.0), np.full(2, 10.0))]),
+        "solve_map": solve_map,
+        "solve_dykstra": solve_dykstra,
+        "solve_haugazeau": solve_haugazeau,
+    }
+    METHODS = ("bap-gi", "sip-gi", "map", "dykstra", "haugazeau")
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_dimension_mismatch_names_both(self, entry):
+        with pytest.raises(ValueError, match="x0 has dimension 3, but the problem has dimension 2"):
+            self.ENTRY_POINTS[entry](np.zeros(3), two_circles_sets())
+
+    def test_sets_of_different_dimensions(self):
+        sets = [Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)]
+        with pytest.raises(ValueError, match=r"different dimensions \[2, 3\]"):
+            solve_map(np.zeros(2), sets)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x0", [[1e300, 1e300], [1e154, -1e154], [-1e200, 0.0]])
+    def test_overflowing_start_rejected(self, entry, x0):
+        with pytest.raises(ValueError, match="x0 is too large"):
+            self.ENTRY_POINTS[entry](np.array(x0), two_circles_sets())
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x0", [[1e300, 1e300], [1e154, 1e154], [1e6, -1e6], [0.0, 1e6]])
+    def test_solved_lies_in_every_set(self, method, x0):
+        sets = two_circles_sets()
+        opts = SolverOptions()
+        try:
+            rep = solve(method, np.array(x0), sets, opts)
+        except ValueError as exc:
+            assert "too large" in str(exc)
+            return
+        if rep.status == "solved":
+            norm = float(np.linalg.norm(rep.x))
+            assert math.isfinite(norm)
+            for k in sets:
+                assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= opts.feas_tol * (1.0 + norm)
