@@ -344,7 +344,7 @@ class _FaceView:
 def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Unit-normal face halfspace of slab j violated at x, if any."""
     a = system.a_mat[j]
-    na = math.sqrt(float(a.dot(a)))
+    na = float(np.linalg.norm(a))
     s = float(a @ x)
     if s < system.lower[j]:
         return a / na, system.lower[j] / na
@@ -409,8 +409,7 @@ def extended_art_solve(
         nonlocal wit_dist, fejer_max_increase, fejer_events
         if wit is None:
             return
-        diff = new_tilde - wit
-        d = math.sqrt(float(diff.dot(diff)))
+        d = float(np.linalg.norm(new_tilde - wit))
         fejer_events += 1
         if d > wit_dist:
             fejer_max_increase = max(fejer_max_increase, d - wit_dist)
@@ -494,7 +493,7 @@ def extended_art_solve(
                     a = system.a_mat[j]
                     width = system.upper[j] - system.lower[j]
                     resid = max(system.lower[j] - float(a @ x_times), float(a @ x_times) - system.upper[j])
-                    resid /= math.sqrt(float(a.dot(a)))
+                    resid /= float(np.linalg.norm(a))
                     if math.isfinite(width) and resid < pol.case2_close_frac * width and case == 2:
                         choice = "plus"
                     elif consecutive_circ >= pol.circ_cap_factor * (s.q + 1):

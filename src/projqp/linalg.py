@@ -58,19 +58,19 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_start(x, dim: int, name: str = "x0") -> np.ndarray:
-    """``as_vector`` for a solver's start point in R^dim.
+def as_start(x, dim: int) -> np.ndarray:
+    """``as_vector`` for a solver's start point x0 in R^dim.
 
-    Stopping tests scale with 1 + ||x||, so a start whose squared norm
-    overflows would pass every one of them; it is rejected here.
+    A start whose squared norm overflows is rejected: the solvers' vector
+    arithmetic on it (projections, constraint normals) would overflow too.
     """
-    v = as_vector(x, name)
+    v = as_vector(x, "x0")
     if v.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {v.shape[0]}, but the problem has dimension {dim}")
+        raise ValueError(f"x0 has dimension {v.shape[0]}, but the problem has dimension {dim}")
     with np.errstate(over="ignore"):
         sq = float(v.dot(v))
     if not math.isfinite(sq):
-        raise ValueError(f"{name} is too large: the square of its norm overflows")
+        raise ValueError("x0 is too large: the square of its norm overflows")
     return v
 
 

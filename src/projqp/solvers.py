@@ -258,9 +258,23 @@ def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
     return as_start(x0, dims.pop())
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x|| for the stopping tests: sqrt(x.x), as ``np.linalg.norm`` computes it.
+
+    Past about 1.3e154 x.x overflows to inf, which would make every
+    ``tol * (1 + ||x||)`` test pass; there the norm is computed scaled.
+    """
+    sq = float(x.dot(x))
+    if sq == math.inf:
+        big = float(np.abs(x).max())
+        y = x / big
+        return big * math.sqrt(float(y.dot(y)))
+    return math.sqrt(sq)
+
+
 def _solved_status(x, sets, tol) -> bool:
     return all(
-        float(np.linalg.norm(x - project_set(k, x))) <= tol * (1.0 + float(np.linalg.norm(x)))
+        float(np.linalg.norm(x - project_set(k, x))) <= tol * (1.0 + _norm(x))
         for k in sets
     )
 
@@ -428,7 +442,7 @@ def _outer_gi_loop(x0, sets: Sequence[ConvexSet], opts: SolverOptions, mode: str
         p_point = project_set(k_set, x)
         counts["projections"] += 1
         dist = float(np.linalg.norm(x - p_point))
-        if dist <= opts.feas_tol * (1.0 + float(np.linalg.norm(x))):
+        if dist <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
             continue
         clean = 0
@@ -473,7 +487,7 @@ def _outer_gi_loop(x0, sets: Sequence[ConvexSet], opts: SolverOptions, mode: str
             resid = np.array([store.rhs(j) - float(store.column(j) @ s.x) for j in range(store.m)])
             resid[list(s.j_set)] = -np.inf
             pbest = int(np.argmax(resid))
-            if resid[pbest] <= opts.feas_tol * (1.0 + float(np.linalg.norm(s.x))):
+            if resid[pbest] <= opts.feas_tol * (1.0 + _norm(s.x)):
                 break
             outcome = inner_gi_step(s, pbest, view, opts.gi_tols)
             counts["inner_steps"] += 1
@@ -565,7 +579,7 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> So
         p_point = project_set(k_set, x)
         counts["projections"] += 1
         dist = float(np.linalg.norm(x - p_point))
-        if dist <= opts.feas_tol * (1.0 + float(np.linalg.norm(x))):
+        if dist <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
             continue
         clean = 0
@@ -615,7 +629,7 @@ def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         p = project_set(sets[l], x)
         counts["projections"] += 1
         l = (l + 1) % r
-        if float(np.linalg.norm(x - p)) <= opts.feas_tol * (1.0 + float(np.linalg.norm(x))):
+        if float(np.linalg.norm(x - p)) <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
             continue
         clean = 0
@@ -659,7 +673,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
                              x.copy() if opts.record_iterates else None))
         if i == r - 1:
             counts["cycles"] += 1
-            if moved <= opts.feas_tol * (1.0 + float(np.linalg.norm(x))) and _solved_status(
+            if moved <= opts.feas_tol * (1.0 + _norm(x)) and _solved_status(
                 x, sets, opts.feas_tol
             ):
                 status = "solved"
@@ -697,7 +711,7 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
         counts["projections"] += 1
         diff = x - p
         dist = math.sqrt(float(diff.dot(diff)))
-        if dist <= opts.feas_tol * (1.0 + math.sqrt(float(x.dot(x)))):
+        if dist <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
             continue
         clean = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projqp.activeset_qp import STuple, verify_certificate
+from projqp.activeset_qp import PreconditionViolated, STuple, verify_certificate
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, problem_from_dict, project_set
 from projqp.linalg import qr_factorize
@@ -314,18 +314,32 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="x0 is too large"):
             self.ENTRY_POINTS[entry](np.array(x0), two_circles_sets())
 
+    # sets centred 1e200 out: the iterates' x.x overflows although x0's does not
+    FAR_SETS = {
+        "far-pair": [Ball(np.array([1e200, 0.0]), 1.0), Ball(np.array([1e200, 5.0]), 1.0)],
+        "far-and-origin": [Ball(np.array([1e200, 0.0]), 1.0), Ball(np.zeros(2), 1.0)],
+        "origin-and-far": [Ball(np.zeros(2), 1.0), Ball(np.array([1e200, 0.0]), 1.0)],
+    }
+    SOLVED_CASES = [("two-circles", x0) for x0 in
+                    ([1e300, 1e300], [1e154, 1e154], [1e6, -1e6], [0.0, 1e6])]
+    SOLVED_CASES += [(name, [0.0, 0.0]) for name in sorted(FAR_SETS)] + [("origin-and-far", [3.0, 0.0])]
+
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("x0", [[1e300, 1e300], [1e154, 1e154], [1e6, -1e6], [0.0, 1e6]])
-    def test_solved_lies_in_every_set(self, method, x0):
-        sets = two_circles_sets()
-        opts = SolverOptions()
+    @pytest.mark.parametrize("case,x0", SOLVED_CASES)
+    def test_solved_lies_in_every_set(self, method, case, x0):
+        sets = two_circles_sets() if case == "two-circles" else self.FAR_SETS[case]
+        opts = SolverOptions(max_outer_iters=2000)
         try:
             rep = solve(method, np.array(x0), sets, opts)
+        except PreconditionViolated:
+            # the active-set methods reject the zero normals these sets give
+            assert case in self.FAR_SETS and method in ("bap-gi", "sip-gi", "haugazeau")
+            return
         except ValueError as exc:
             assert "too large" in str(exc)
             return
         if rep.status == "solved":
-            norm = float(np.linalg.norm(rep.x))
-            assert math.isfinite(norm)
+            # feas_tol is relative to 1 + ||x||, computed here without overflow
+            tol = opts.feas_tol * (1.0 + math.hypot(*rep.x))
             for k in sets:
-                assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= opts.feas_tol * (1.0 + norm)
+                assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= tol
