@@ -46,16 +46,13 @@ from .convex_sets import (
     Ball,
     Box,
     ConvexSet,
-    GeneratedHalfspace,
     Halfspace,
     Hyperslab,
-    PointInsideSet,
     Polyhedron,
     contains,
     load_problem,
     project_set,
     save_problem,
-    separating_halfspace,
 )
 from .linalg import (
     DependentColumn,

@@ -19,7 +19,7 @@ subsequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .linalg import as_matrix, as_start, as_vector
-from .solvers import SolveReport, TraceRow, fill_measures
+from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _dist_to, _report
+from .solvers import _check_fields, _is_count, _is_tol
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
@@ -132,13 +133,27 @@ class HyperslabSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "HyperslabSystem":
+        """Parse ``to_text``'s format: a line "m n", m rows of n entries, then
+        the m lower and the m upper bounds.  Malformed text raises ``ValueError``."""
         tokens = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln and not ln.startswith("#")]
-        m, n = (int(v) for v in tokens[0].split())
+        if not tokens:
+            raise ValueError("the hyperslab text is empty")
+        header = tokens[0].split()
+        if len(header) != 2 or not all(v.isdigit() and int(v) > 0 for v in header):
+            raise ValueError(f"the first line must give the row and column counts m n, got {tokens[0]!r}")
+        m, n = int(header[0]), int(header[1])
         if len(tokens) != 1 + m + 2:
             raise ValueError(f"expected {1 + m + 2} lines, got {len(tokens)}")
-        rows = [[float(v) for v in tokens[1 + i].split()] for i in range(m)]
-        lo = [float(v) for v in tokens[1 + m].split()]
-        up = [float(v) for v in tokens[2 + m].split()]
+
+        def entries(i: int, count: int, what: str) -> list[float]:
+            values = tokens[i].split()
+            if len(values) != count:
+                raise ValueError(f"{what} has {len(values)} entries, expected {count}")
+            return [float(v) for v in values]
+
+        rows = [entries(1 + i, n, f"row {i + 1}") for i in range(m)]
+        lo = entries(1 + m, m, "the lower-bound line")
+        up = entries(2 + m, m, "the upper-bound line")
         return cls(np.array(rows), np.array(lo), np.array(up))
 
 
@@ -177,6 +192,15 @@ class ArtPolicy:
     case5: str = "times"
     case2_close_frac: float = 0.1
     circ_cap_factor: int = 3
+
+    def __post_init__(self):
+        _check_fields(self, (
+            ("case2", self.case2 in ("circ", "plus"), '"circ" or "plus"'),
+            ("case4", self.case4 in ("times", "circ", "plus"), '"times", "circ" or "plus"'),
+            ("case5", self.case5 in ("times", "plus"), '"times" or "plus"'),
+            ("case2_close_frac", _is_tol(self.case2_close_frac), "a finite number >= 0"),
+            ("circ_cap_factor", _is_count(self.circ_cap_factor, 0), "an integer >= 0"),
+        ))
 
 
 def tilde_bounds(lower: float, upper: float) -> tuple[float, float]:
@@ -233,7 +257,7 @@ def art3_solve(
     ref = None if reference is None else as_vector(reference, "reference")
     rows_trace: list[TraceRow] = []
     if record_trace or ref is not None:
-        rows_trace.append(TraceRow(0, None if ref is None else float(np.linalg.norm(x - ref)), None, None, ()))
+        rows_trace.append(TraceRow(0, _dist_to(ref, x), None, None, ()))
     a_mat, lo, up = system.a_mat, system.lower, system.upper
     m = system.m
     clean = 0
@@ -248,17 +272,14 @@ def art3_solve(
         i += 1
         j = (j + 1) % m
         if record_trace or ref is not None:
-            rows_trace.append(TraceRow(i, None if ref is None else float(np.linalg.norm(x - ref)),
-                                       None, None, ("update",) if changed else ()))
+            rows_trace.append(TraceRow(i, _dist_to(ref, x), None, None, ("update",) if changed else ()))
         if clean >= m:
             status = "solved"
             break
     membership = system.contains(x)
     if status == "solved" and not membership:
         status = "iteration_limit"  # cannot happen for clean passes; belt and braces
-    fill_measures(rows_trace)
-    return SolveReport(status=status, x=x, rows=rows_trace,
-                       counts={"iterations": i}, extras={"membership": membership})
+    return _report(status, x, rows_trace, {"iterations": i}, extras={"membership": membership})
 
 
 def extrapolate_plus(x_circ, x_times, system: HyperslabSystem, active) -> np.ndarray:
@@ -298,47 +319,6 @@ def classify_case(x_times, x_plus, a_j, lower: float, upper: float) -> int:
     if in_band:
         return 3 if times_in else 2
     return 5 if times_in else 4
-
-
-@dataclass
-class _FaceStore:
-    """Face halfspaces {y : c^T y >= b} collected by the extended ART."""
-
-    cols: list[np.ndarray] = field(default_factory=list)
-    b: list[float] = field(default_factory=list)
-    slab: list[int] = field(default_factory=list)
-
-    def add(self, c, bval: float, slab: int) -> int:
-        self.cols.append(np.asarray(c, dtype=float))
-        self.b.append(float(bval))
-        self.slab.append(slab)
-        return len(self.cols) - 1
-
-    def column(self, p: int) -> np.ndarray:
-        return self.cols[p]
-
-    def rhs(self, p: int) -> float:
-        return self.b[p]
-
-    @property
-    def m(self) -> int:
-        return len(self.cols)
-
-
-@dataclass
-class _FaceView:
-    x_star: np.ndarray
-    store: _FaceStore
-
-    def column(self, p: int) -> np.ndarray:
-        return self.store.column(p)
-
-    def rhs(self, p: int) -> float:
-        return self.store.rhs(p)
-
-    @property
-    def m(self) -> int:
-        return self.store.m
 
 
 def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -384,7 +364,7 @@ def extended_art_solve(
     ref = None if reference is None else as_vector(reference, "reference")
     wit = None if witness is None else as_vector(witness, "witness")
 
-    store = _FaceStore()
+    store = HalfspaceStore()
     s = empty_s_tuple(x0)
     x_circ = s.x
     x_times = s.x
@@ -393,15 +373,13 @@ def extended_art_solve(
 
     counts = {"iterations": 0, "p_circ": 0, "p_times": 0, "p_plus": 0, "inner_steps": 0,
               "reanchor": 0}
-    rows: list[TraceRow] = [TraceRow(0, None if ref is None else float(np.linalg.norm(x0 - ref)), None, None, ())]
+    rows: list[TraceRow] = [TraceRow(0, _dist_to(ref, x0), None, None, ())]
     fejer_max_increase = 0.0
     fejer_events = 0
     wit_dist = None if wit is None else float(np.linalg.norm(x_circ - wit))
     forbidden_times = 0  # P_times attempts in cases 2/3; must stay zero
     consecutive_circ = 0
     status = "iteration_limit"
-    certificate = None
-    cert_system = None
     j = 0
     i = 0
 
@@ -423,11 +401,17 @@ def extended_art_solve(
         s_val = float(system.a_mat[jj] @ point)
         return max(system.lower[jj] - s_val, s_val - system.upper[jj])
 
+    def face_step(step, s_from: STuple, face, anchor_pt: np.ndarray):
+        """Store slab j's violated face and take the engine step onto it."""
+        counts["inner_steps"] += 1
+        return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store), tols)
+
     nudge_tol = 1e-12
     # membership of x_plus is tested only when x_plus is a new array: every
     # update rebinds it, and the case-1 visits in between leave it alone
     tested = None
     in_s = False
+    outcome = None
 
     while i < max_iters:
         if x_plus is not tested:
@@ -450,39 +434,7 @@ def extended_art_solve(
             feed_viol = raw_violation(feed, j)
             if choice != "times" or case != 5:
                 if feed_viol <= nudge_tol * (1.0 + abs(float(system.a_mat[j] @ feed))):
-                    if raw_violation(x_plus, j) > nudge_tol:
-                        choice = "plus"
-                    else:
-                        counts["p_plus"] += 1
-                        consecutive_circ = 0
-                        fejer_step(x_plus)
-                        anchor = x_plus.copy()
-                        x_circ = x_plus
-                        a = system.a_mat[j]
-                        s_val = float(a @ x_plus)
-                        # project onto the slab inset by eta: a round-off
-                        # violation needs an x-move large enough to register
-                        # in the dot product, and any interior point with a
-                        # larger margin stays closer afterwards
-                        lo, up = system.lower[j], system.upper[j]
-                        eta = nudge_tol * 10.0 * (1.0 + abs(s_val))
-                        if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
-                            target = 0.5 * (lo + up)
-                        elif s_val < lo:
-                            target = lo + eta
-                        else:
-                            target = up - eta
-                        x_times = x_plus + ((target - s_val) / float(a @ a)) * a
-                        s = empty_s_tuple(x_times)
-                        x_plus = rebuild_plus()
-                        events.append(f"plus-nudge:{j}")
-                        i += 1
-                        counts["iterations"] = i
-                        j = (j + 1) % system.m
-                        if ref is not None or events:
-                            rows.append(TraceRow(len(rows), None if ref is None else float(np.linalg.norm(x_plus - ref)),
-                                                 None, None, tuple(events)))
-                        continue
+                    choice = "plus" if raw_violation(x_plus, j) > nudge_tol else "nudge"
             if choice == "circ":
                 face = _violated_face(system, j, x_times)
                 if face is None:
@@ -490,27 +442,43 @@ def extended_art_solve(
                 else:
                     # reflect instead when x_times is nearly inside the slab,
                     # or when the slide refinement has run too long
-                    a = system.a_mat[j]
                     width = system.upper[j] - system.lower[j]
-                    resid = max(system.lower[j] - float(a @ x_times), float(a @ x_times) - system.upper[j])
-                    resid /= float(np.linalg.norm(a))
+                    resid = raw_violation(x_times, j) / float(np.linalg.norm(system.a_mat[j]))
                     if math.isfinite(width) and resid < pol.case2_close_frac * width and case == 2:
                         choice = "plus"
                     elif consecutive_circ >= pol.circ_cap_factor * (s.q + 1):
                         choice = "plus" if case == 2 else ("times" if case == 4 else "plus")
 
-            if choice == "circ":
-                c, bv = _violated_face(system, j, x_times)
-                idx = store.add(c, bv, j)
-                outcome = inner_gi_step(s, idx, _FaceView(anchor, store), tols)
-                counts["inner_steps"] += 1
+            if choice == "nudge":
+                counts["p_plus"] += 1
+                consecutive_circ = 0
+                fejer_step(x_plus)
+                anchor = x_plus.copy()
+                x_circ = x_plus
+                a = system.a_mat[j]
+                s_val = float(a @ x_plus)
+                # project onto the slab inset by eta: a round-off violation
+                # needs an x-move large enough to register in the dot
+                # product, and any interior point with a larger margin stays
+                # closer afterwards
+                lo, up = system.lower[j], system.upper[j]
+                eta = nudge_tol * 10.0 * (1.0 + abs(s_val))
+                if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
+                    target = 0.5 * (lo + up)
+                elif s_val < lo:
+                    target = lo + eta
+                else:
+                    target = up - eta
+                x_times = x_plus + ((target - s_val) / float(a @ a)) * a
+                s = empty_s_tuple(x_times)
+                x_plus = rebuild_plus()
+                events.append(f"plus-nudge:{j}")
+            elif choice == "circ":
+                outcome = face_step(inner_gi_step, s, face, anchor)
                 counts["p_circ"] += 1
                 consecutive_circ += 1
                 events.append(f"circ:{j}")
                 if isinstance(outcome, Infeasible):
-                    status = "infeasible"
-                    certificate = outcome.certificate
-                    cert_system = (np.column_stack(store.cols), np.asarray(store.b))
                     break
                 s = outcome.s_tuple
                 x_times = s.x
@@ -529,16 +497,10 @@ def extended_art_solve(
                     x_circ = x_times
                     x_plus = x_times.copy()
                 else:
-                    c, bv = face
-                    idx = store.add(c, bv, j)
                     s_zero = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-                    outcome = degenerate_inner_gi_step(s_zero, idx, _FaceView(x_times.copy(), store), tols)
-                    counts["inner_steps"] += 1
+                    outcome = face_step(degenerate_inner_gi_step, s_zero, face, x_times.copy())
                     events.append(f"times:{j}")
                     if isinstance(outcome, Infeasible):
-                        status = "infeasible"
-                        certificate = outcome.certificate
-                        cert_system = (np.column_stack(store.cols), np.asarray(store.b))
                         break
                     fejer_step(x_times)
                     anchor = x_times.copy()
@@ -555,15 +517,9 @@ def extended_art_solve(
                 x_circ = x_plus
                 s = empty_s_tuple(x_plus)
                 if face is not None:
-                    c, bv = face
-                    idx = store.add(c, bv, j)
-                    outcome = degenerate_inner_gi_step(s, idx, _FaceView(anchor, store), tols)
-                    counts["inner_steps"] += 1
+                    outcome = face_step(degenerate_inner_gi_step, s, face, anchor)
                     events.append(f"plus:{j}")
                     if isinstance(outcome, Infeasible):
-                        status = "infeasible"
-                        certificate = outcome.certificate
-                        cert_system = (np.column_stack(store.cols), np.asarray(store.b))
                         break
                     s = outcome.s_tuple
                     x_times = s.x
@@ -574,10 +530,12 @@ def extended_art_solve(
         counts["iterations"] = i
         j = (j + 1) % system.m
         if ref is not None or events:
-            rows.append(TraceRow(len(rows), None if ref is None else float(np.linalg.norm(x_plus - ref)),
-                                 None, None, tuple(events)))
+            rows.append(TraceRow(len(rows), _dist_to(ref, x_plus), None, None, tuple(events)))
 
-    fill_measures(rows)
+    certificate = cert_system = None
+    if isinstance(outcome, Infeasible):
+        status = "infeasible"
+        certificate, cert_system = outcome.certificate, (store.matrix(), store.rhs_vector())
     triple = ArtTriple(
         x_circ=x_circ.copy(),
         x_times=x_times.copy(),
@@ -592,5 +550,4 @@ def extended_art_solve(
         "forbidden_p_times": forbidden_times,
         "triple": triple,
     }
-    return SolveReport(status=status, x=x_plus, rows=rows, counts=counts,
-                       certificate=certificate, cert_system=cert_system, extras=extras)
+    return _report(status, x_plus, rows, counts, certificate, cert_system, extras)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -30,59 +31,14 @@ from .activeset_qp import (
 )
 from .art import HyperslabSystem, art3_solve, extended_art_solve
 from .box_qp import BoxQp, solve_box_qp
-from .convex_sets import Ball, Box, Hyperslab, problem_to_dict
+from .convex_sets import Ball, Box, Hyperslab, problem_from_dict, problem_to_dict
 from .linalg import qr_factorize
 from .oracles import cone_project_enum, project_polyhedron_enum
-from .solvers import SolveReport, SolverOptions, solve_bap, solve_dykstra, solve_haugazeau, solve_map, solve_sip
+from .solvers import SolveReport, SolverOptions, TraceRow, fill_measures, solve
 
 
 class NonPositiveDistance(ValueError):
     """Distances must be positive; a zero row terminates the table."""
-
-
-@dataclass(frozen=True)
-class MeasureRow:
-    """One benchmark table row; measures are None at iteration 0."""
-
-    iteration: int
-    dist: float
-    measure1: float | None
-    measure2: float | None
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A benchmark run: method id plus problem source and caps."""
-
-    method: str
-    problem: str = "builtin:two-circles"
-    reference: np.ndarray | None = None
-    max_iter: int | None = None
-    seed: int = 0
-
-
-def run_experiment(spec: ExperimentSpec) -> tuple[SolveReport, list["MeasureRow"]]:
-    """Run a spec; the builtin problem tabulates measures against x-bar."""
-    if spec.problem == "builtin:two-circles":
-        return run_two_circles(spec.method, max_iter=spec.max_iter)
-    from .convex_sets import load_problem
-
-    sets, x0, extras = load_problem(spec.problem)
-    opts = SolverOptions(
-        max_outer_iters=spec.max_iter if spec.max_iter is not None else 1000,
-        reference=spec.reference,
-    )
-    solver = {
-        "bap-gi": solve_bap,
-        "sip-gi": solve_sip,
-        "map": solve_map,
-        "dykstra": solve_dykstra,
-        "haugazeau": solve_haugazeau,
-    }[spec.method]
-    report = solver(x0, sets, opts)
-    dists = [r.dist for r in report.rows]
-    rows = compute_measures(dists) if spec.reference is not None and dists[0] else []
-    return report, rows
 
 
 TWO_CIRCLES_XBAR = np.array([0.0, math.sqrt(0.59)])
@@ -101,33 +57,21 @@ def two_circles_sets() -> list[Ball]:
     return [Ball(np.array([2.9, 0.0]), 3.0), Ball(np.array([-2.9, 0.0]), 3.0)]
 
 
-def compute_measures(dists) -> list[MeasureRow]:
-    """Measure 1 = [ln d_i - ln d_0]/i, Measure 2 = ln d_i - ln d_{i-1}.
+def compute_measures(dists) -> list[TraceRow]:
+    """Measure 1 = [ln d_i - ln d_0]/i, Measure 2 = ln d_i - ln d_{i-1}, as
+    ``solvers.fill_measures`` computes them.
 
     A zero distance terminates the table; negative distances are an error.
     """
-    rows: list[MeasureRow] = []
-    prev = None
-    d0 = None
+    rows: list[TraceRow] = []
     for i, d in enumerate(dists):
         d = float(d)
         if d < 0.0:
             raise NonPositiveDistance(f"distance at row {i} is negative")
         if d == 0.0:
             break
-        if i == 0:
-            d0 = d
-            rows.append(MeasureRow(0, d, None, None))
-        else:
-            rows.append(
-                MeasureRow(
-                    i,
-                    d,
-                    (math.log(d) - math.log(d0)) / i,
-                    math.log(d) - math.log(prev),
-                )
-            )
-        prev = d
+        rows.append(TraceRow(i, d, None, None))
+    fill_measures(rows)
     return rows
 
 
@@ -135,25 +79,19 @@ def run_two_circles(
     method: str,
     max_iter: int | None = None,
     feas_tol: float = 1e-15,
-) -> tuple[SolveReport, list[MeasureRow]]:
-    """Run one method on the two-circles instance and tabulate measures."""
+) -> tuple[SolveReport, list[TraceRow]]:
+    """Run one method on the two-circles instance; the table is the report's
+    trace up to the first zero distance (the measures need a logarithm)."""
     if method not in METHOD_DEFAULT_ITERS:
         raise ValueError(f"method {method!r} does not apply to the two-circles problem")
     cap = max_iter if max_iter is not None else METHOD_DEFAULT_ITERS[method]
     opts = SolverOptions(feas_tol=feas_tol, max_outer_iters=cap, reference=TWO_CIRCLES_XBAR)
-    solver = {
-        "bap-gi": solve_bap,
-        "sip-gi": solve_sip,
-        "map": solve_map,
-        "dykstra": solve_dykstra,
-        "haugazeau": solve_haugazeau,
-    }[method]
-    report = solver(TWO_CIRCLES_X0, two_circles_sets(), opts)
-    rows = compute_measures([r.dist for r in report.rows])
-    return report, rows
+    report = solve(method, TWO_CIRCLES_X0, two_circles_sets(), opts)
+    return report, list(takewhile(lambda r: r.dist != 0.0, report.rows))
 
 
-def measure_rows_to_csv(rows: list[MeasureRow]) -> list[str]:
+def measure_rows_to_csv(rows: list[TraceRow]) -> list[str]:
+    """The table as CSV; the event column stays empty."""
     def fmt(v):
         return "" if v is None else f"{v:.5e}"
 
@@ -470,8 +408,6 @@ def suite_art(seed: int = 0, count: int = 100) -> SuiteResult:
         n = int(rng.integers(2, 11))
         m = int(rng.integers(2, 21))
         doc = generate_problem("hyperslabs-with-interior", n, m, seed * 100_003 + k)
-        from .convex_sets import problem_from_dict
-
         sets, x0, extras = problem_from_dict(doc)
         system = hyperslab_system_from_sets(sets)
         witness = np.asarray(extras["witness"], dtype=float)

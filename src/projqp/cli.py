@@ -16,7 +16,7 @@ import numpy as np
 from . import bench
 from .art import HyperslabSystem, extended_art_solve, art3_solve, load_system
 from .convex_sets import load_problem, save_problem, problem_from_dict
-from .solvers import SolveReport, SolverOptions, solve as solve_dispatch
+from .solvers import _METHODS, SolveReport, SolverOptions, solve as solve_dispatch
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,7 +26,6 @@ EXIT_ITERATION_LIMIT = 3
 STATUS_EXIT = {"solved": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "iteration_limit": EXIT_ITERATION_LIMIT}
 
 ART_METHODS = ("art3", "ext-art")
-SET_METHODS = ("map", "dykstra", "haugazeau", "bap-gi", "sip-gi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,14 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tc = sub.add_parser("two-circles", help="reproduce the two-circles benchmark")
-    p_tc.add_argument("--method", required=True, choices=SET_METHODS)
+    p_tc.add_argument("--method", required=True, choices=list(_METHODS))
     p_tc.add_argument("--max-iter", type=int, default=None)
     p_tc.add_argument("--out", default=None, help="write the measure table as CSV")
     p_tc.add_argument("--json", dest="json_out", default=None, help="write the full report as JSON")
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--method", required=True, choices=SET_METHODS + ART_METHODS)
+    p_solve.add_argument("--method", required=True, choices=[*_METHODS, *ART_METHODS])
     p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--out", default=None, help="write the trace as CSV")
@@ -87,16 +86,13 @@ def _cmd_two_circles(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(bench.measure_rows_to_csv(rows)) + "\n")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+    _emit_report(report, None, args.json_out)
     return STATUS_EXIT[report.status]
 
 
 def _load_any_problem(path: str):
     if path.endswith(".json"):
-        sets, x0, extras = load_problem(path)
-        return sets, x0, extras
+        return load_problem(path)
     system = load_system(path)
     return system, None, {}
 
@@ -129,7 +125,9 @@ def _cmd_solve(args) -> int:
             max_outer_iters=max_iter if max_iter is not None else 1000,
         )
         report = solve_dispatch(args.method, x0, loaded, opts)
-    print(f"method={args.method} status={report.status} iters={len(report.rows) - 1}")
+    # the ART solvers count their iterations; a set solver's trace has a row per step
+    iters = report.counts.get("iterations", len(report.rows) - 1)
+    print(f"method={args.method} status={report.status} iters={iters}")
     print("x =", np.array2string(np.asarray(report.x), precision=9))
     _emit_report(report, args.out, args.json_out)
     return STATUS_EXIT[report.status]

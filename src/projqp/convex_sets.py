@@ -4,8 +4,8 @@ Each descriptor is an immutable dataclass with a cheap exact projection,
 except ``Polyhedron`` which delegates to the active-set engine (through the
 dimension reduction when the constraint count is small relative to the
 ambient dimension).  Projecting an outside point yields a supporting
-halfspace {y : c^T y >= b} that contains the set but not the point; those
-halfspaces are what the outer solvers accumulate.
+halfspace {y : c^T y >= b} that contains the set but not the point; the
+outer solvers (``projqp.solvers``) accumulate those halfspaces.
 
 Bounds use IEEE infinities for unbounded sides; arithmetic paths mask
 non-finite bounds explicitly rather than computing with them.
@@ -34,10 +34,6 @@ import numpy as np
 
 from .activeset_qp import GiOptions, Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
 from .linalg import as_matrix, as_vector
-
-
-class PointInsideSet(ValueError):
-    """Raised when asked to separate a point that already lies in the set."""
 
 
 @dataclass(frozen=True)
@@ -135,16 +131,6 @@ class Polyhedron:
 ConvexSet = Union[Ball, Halfspace, Box, Hyperslab, Polyhedron]
 
 
-@dataclass(frozen=True)
-class GeneratedHalfspace:
-    """A supporting halfspace {y : c^T y >= b} with unit normal."""
-
-    c: np.ndarray
-    b: float
-    source: int = -1
-    birth_iteration: int = 0
-
-
 def project_set(k: ConvexSet, x) -> np.ndarray:
     """Projection of x onto k; idempotent and nonexpansive."""
     x = as_vector(x, "x")
@@ -181,28 +167,6 @@ def project_set(k: ConvexSet, x) -> np.ndarray:
 def contains(k: ConvexSet, x, tol: float = 1e-9) -> bool:
     x = as_vector(x, "x")
     return float(np.linalg.norm(x - project_set(k, x))) <= tol
-
-
-def separating_halfspace(
-    k: ConvexSet,
-    x,
-    source: int = -1,
-    birth_iteration: int = 0,
-    feas_tol: float = 1e-9,
-) -> GeneratedHalfspace:
-    """Supporting halfspace of k at P_k(x) that excludes x.
-
-    With p = P_k(x) and c = (p - x)/||p - x||, the halfspace c^T y >= c^T p
-    contains k (supporting hyperplane of a convex set at the projection)
-    while c^T x - b = -||p - x|| < 0.
-    """
-    x = as_vector(x, "x")
-    p = project_set(k, x)
-    dist = float(np.linalg.norm(p - x))
-    if dist <= feas_tol * (1.0 + float(np.linalg.norm(x))):
-        raise PointInsideSet(f"distance {dist:.3e} below tolerance")
-    c = (p - x) / dist
-    return GeneratedHalfspace(c=c, b=float(c @ p), source=source, birth_iteration=birth_iteration)
 
 
 # ---------------------------------------------------------------------------

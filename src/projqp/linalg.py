@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-QR_TOL = 1e-10
 RANK_TOL = 1e-12
 REFRESH_EVERY = 64
 SMALL_SIZE = 4

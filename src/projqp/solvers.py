@@ -9,8 +9,11 @@ kept active halfspaces via the degenerate inner step.  ``solve_map``,
 ``solve_dykstra`` and ``solve_haugazeau`` are the projection baselines the
 benchmark compares against.
 
-All solvers visit sets cyclically by default and declare success once a
-full pass finds every set satisfied within ``feas_tol * (1 + ||x||)``.
+All solvers but Dykstra run on one cyclic driver, ``_cyclic``: it visits
+the sets in turn and declares success once a full pass finds every set
+satisfied within ``feas_tol * (1 + ||x||)``; each method supplies the step
+it takes from a set that x violates.  Dykstra tests for a stop once per
+full cycle instead, so it keeps its own loop.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ class DegenerateAggregate(ValueError):
 class HalfspaceStore:
     """Growing collection of halfspaces {y : c^T y >= b} with provenance.
 
-    Column indices are positions in the store; removing a column shifts
-    later indices down, so callers remap their index sets with the map
-    returned by ``remove``.
+    ``source`` is the set (or slab) a halfspace was generated from and
+    ``birth`` the visit that generated it.  Column indices are positions in
+    the store; removing a column shifts every later index down by one.
     """
 
     def __init__(self):
@@ -88,17 +91,11 @@ class HalfspaceStore:
     def rhs_vector(self) -> np.ndarray:
         return np.asarray(self.b, dtype=float)
 
-    def remove(self, j: int) -> dict[int, int]:
+    def remove(self, j: int) -> None:
         del self.cols[j]
         del self.b[j]
         del self.source[j]
         del self.birth[j]
-        remap = {}
-        for old in range(self.m + 1):
-            if old == j:
-                continue
-            remap[old] = old if old < j else old - 1
-        return remap
 
     def clear(self) -> None:
         self.cols.clear()
@@ -107,18 +104,19 @@ class HalfspaceStore:
         self.birth.clear()
 
 
-@dataclass
+def _after_remove(j_set, j: int) -> tuple[int, ...]:
+    """Indices of ``j_set`` renumbered after column j left the store."""
+    return tuple(k - (k > j) for k in j_set)
+
+
 class _StoreView:
     """Adapts (anchor point, halfspace store) to the engine's problem view."""
 
-    x_star: np.ndarray
-    store: HalfspaceStore
-
-    def column(self, p: int) -> np.ndarray:
-        return self.store.column(p)
-
-    def rhs(self, p: int) -> float:
-        return self.store.rhs(p)
+    def __init__(self, x_star: np.ndarray, store: HalfspaceStore):
+        self.x_star = x_star
+        self.store = store
+        self.column = store.column
+        self.rhs = store.rhs
 
     @property
     def m(self) -> int:
@@ -129,15 +127,43 @@ class _StoreView:
 # Options and reports
 
 
+def _check_fields(obj, checks) -> None:
+    """Raise a ``ValueError`` naming the first (field, ok, wanted) check that fails."""
+    for name, ok, want in checks:
+        if not ok:
+            raise ValueError(f"{type(obj).__name__}.{name} must be {want}, got {getattr(obj, name)!r}")
+
+
+def _is_count(v, least: int) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
+def _is_tol(v) -> bool:
+    return isinstance(v, (float, int, np.floating)) and not isinstance(v, bool) and 0.0 <= v < math.inf
+
+
+def _is_vector(v) -> bool:
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return a.ndim == 1 and bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """Options of the set solvers; every field is checked on construction.
+
+    ``inner_steps_per_outer`` is a count or "to-optimality" (BAP and SIP
+    then step into violated stored halfspaces after each new one), and
+    ``set_visit_order`` is "cyclic" or "most-violated" (BAP and SIP only).
+    """
+
     feas_tol: float = 1e-9
     max_outer_iters: int = 1000
-    inner_steps_per_outer: int | str = 1  # count, or "to-optimality"
-    set_visit_order: str = "cyclic"  # or "most-violated"
+    inner_steps_per_outer: int | str = 1
+    set_visit_order: str = "cyclic"
     max_store: int | None = None
-    aggregation_policy: str = "oldest-active-pair"
-    revisit_old_constraints: bool = False
     reference: np.ndarray | None = None
     record_iterates: bool = False
     sip_aplus_rounds: int = 0
@@ -145,8 +171,23 @@ class SolverOptions:
     gi_tols: GiTolerances = DEFAULT_TOLS
 
     def __post_init__(self):
-        if self.feas_tol < 0 or self.max_outer_iters <= 0:
-            raise ValueError("tolerances and limits must be positive")
+        steps = self.inner_steps_per_outer
+        _check_fields(self, (
+            ("feas_tol", _is_tol(self.feas_tol), "a finite number >= 0"),
+            ("max_outer_iters", _is_count(self.max_outer_iters, 1), "an integer >= 1"),
+            ("inner_steps_per_outer", steps == "to-optimality" or _is_count(steps, 1),
+             'an integer >= 1 or "to-optimality"'),
+            ("set_visit_order", self.set_visit_order in ("cyclic", "most-violated"),
+             '"cyclic" or "most-violated"'),
+            ("max_store", self.max_store is None or _is_count(self.max_store, 0),
+             "None or an integer >= 0"),
+            ("reference", self.reference is None or _is_vector(self.reference),
+             "None or a finite vector"),
+            ("record_iterates", isinstance(self.record_iterates, bool), "a bool"),
+            ("sip_aplus_rounds", _is_count(self.sip_aplus_rounds, 0), "an integer >= 0"),
+            ("use_box_fast_path", isinstance(self.use_box_fast_path, bool), "a bool"),
+            ("gi_tols", isinstance(self.gi_tols, GiTolerances), "a GiTolerances"),
+        ))
 
 
 @dataclass
@@ -168,9 +209,6 @@ class SolveReport:
     certificate: InfeasibilityCertificate | None = None
     cert_system: tuple[np.ndarray, np.ndarray] | None = None
     extras: dict = field(default_factory=dict)
-
-    def distances(self) -> list[float | None]:
-        return [row.dist for row in self.rows]
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -248,6 +286,11 @@ def _dist_to(reference: np.ndarray | None, x: np.ndarray) -> float | None:
     return math.sqrt(float(d.dot(d)))
 
 
+def _trace_row(index: int, x: np.ndarray, events: tuple[str, ...], opts: SolverOptions) -> TraceRow:
+    return TraceRow(index, _dist_to(opts.reference, x), None, None, events,
+                    x.copy() if opts.record_iterates else None)
+
+
 def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
     """The validated start of a solve over ``sets``."""
     if not sets:
@@ -277,6 +320,17 @@ def _solved_status(x, sets, tol) -> bool:
         float(np.linalg.norm(x - project_set(k, x))) <= tol * (1.0 + _norm(x))
         for k in sets
     )
+
+
+def _cut(x: np.ndarray, p: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
+    """The supporting halfspace {y : c^T y >= b} of a set at p = P(x).
+
+    With dist = ||p - x|| > 0 and c = (p - x) / dist, the halfspace
+    contains the set (it supports it at the projection) while
+    c^T x - b = -dist < 0.
+    """
+    c = (p - x) / dist
+    return c, float(c.dot(p))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +374,10 @@ def aggregate_columns(store: HalfspaceStore, s: STuple, i: int, j: int) -> tuple
     )
 
     new_idx = store.add(m_hat, b_hat, source=-1, birth=max(store.birth[i], store.birth[j]))
-    # remove in descending index order and compose the remaps
+    # remove in descending index order, renumbering after each removal
     first, second = max(i, j), min(i, j)
-    remap1 = store.remove(first)
-    remap2 = store.remove(second)
-
-    def remap(idx: int) -> int:
-        return remap2[remap1[idx]]
+    store.remove(first)
+    store.remove(second)
 
     # rebuild the s-tuple: drop both positions, append the aggregate
     hi, lo = max(pi, pj), min(pi, pj)
@@ -334,47 +385,46 @@ def aggregate_columns(store: HalfspaceStore, s: STuple, i: int, j: int) -> tuple
     qr = qr_delete_column(qr, lo)
     u = np.delete(s.u, hi)
     u = np.delete(u, lo)
-    j_kept = [jj for k, jj in enumerate(s.j_set) if k not in (pi, pj)]
+    j_kept = tuple(jj for k, jj in enumerate(s.j_set) if k not in (pi, pj))
     qr = qr_append_column(qr, m_hat)
     u = np.append(u, u_hat)
-    j_new = tuple(remap(jj) for jj in j_kept) + (remap(new_idx),)
+    j_new = _after_remove(_after_remove(j_kept + (new_idx,), first), second)
     return store, STuple(s.x, j_new, u, qr)
+
+
+def _oldest_inactive(store: HalfspaceStore, s: STuple) -> list[int]:
+    return sorted((j for j in range(store.m) if j not in s.j_set), key=lambda j: store.birth[j])
 
 
 def _compact_bap(store: HalfspaceStore, s: STuple, max_store: int, events: list[str]) -> STuple:
     while store.m > max_store:
         active = sorted(s.j_set, key=lambda j: store.birth[j])
-        pair = None
-        for a in range(len(active) - 1):
-            ui = s.u[s.j_set.index(active[a])]
-            uj = s.u[s.j_set.index(active[a + 1])]
-            if ui + uj > 0.0:
-                pair = (active[a], active[a + 1])
-                break
-        if pair is not None and len(active) >= 2:
+        u = dict(zip(s.j_set, s.u))
+        pair = next(((a, b) for a, b in zip(active, active[1:]) if u[a] + u[b] > 0.0), None)
+        if pair is not None:
             try:
                 _, s = aggregate_columns(store, s, pair[0], pair[1])
                 events.append(f"agg:{pair[0]},{pair[1]}")
                 continue
             except DegenerateAggregate:
                 pass
-        inactive = sorted((j for j in range(store.m) if j not in s.j_set), key=lambda j: store.birth[j])
+        inactive = _oldest_inactive(store, s)
         if not inactive:
             break
-        remap = store.remove(inactive[0])
+        store.remove(inactive[0])
         events.append(f"evict:{inactive[0]}")
-        s = STuple(s.x, tuple(remap[j] for j in s.j_set), s.u, s.qr)
+        s = STuple(s.x, _after_remove(s.j_set, inactive[0]), s.u, s.qr)
     return s
 
 
 def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[str]) -> STuple:
     while store.m > max_store:
-        inactive = sorted((j for j in range(store.m) if j not in s.j_set), key=lambda j: store.birth[j])
+        inactive = _oldest_inactive(store, s)
         if inactive:
             target = inactive[0]
-            remap = store.remove(target)
+            store.remove(target)
             events.append(f"evict:{target}")
-            s = STuple(s.x, tuple(remap[j] for j in s.j_set), s.u, s.qr)
+            s = STuple(s.x, _after_remove(s.j_set, target), s.u, s.qr)
             continue
         # all stored columns are active: drop the oldest active one (u = 0
         # in the SIP makes any active column removable without breaking KKT)
@@ -383,17 +433,17 @@ def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[
         qr = qr_delete_column(s.qr, pos)
         u = np.delete(s.u, pos)
         j_set = tuple(j for j in s.j_set if j != target)
-        remap = store.remove(target)
+        store.remove(target)
         events.append(f"evict-active:{target}")
-        s = STuple(s.x, tuple(remap[j] for j in j_set), u, qr)
+        s = STuple(s.x, _after_remove(j_set, target), u, qr)
     return s
 
 
 # ---------------------------------------------------------------------------
-# Shared outer loop for the GI-based solvers
+# The cyclic driver
 
 
-def _report(status, x, rows, counts, reference, certificate=None, cert_system=None, extras=None):
+def _report(status, x, rows, counts, certificate=None, cert_system=None, extras=None):
     fill_measures(rows)
     return SolveReport(
         status=status,
@@ -406,126 +456,96 @@ def _report(status, x, rows, counts, reference, certificate=None, cert_system=No
     )
 
 
-def _outer_gi_loop(x0, sets: Sequence[ConvexSet], opts: SolverOptions, mode: str) -> SolveReport:
-    x0 = _start(x0, sets)
+def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated: bool = False) -> SolveReport:
+    """Visit ``sets`` from x until a full pass leaves x in every one of them.
+
+    Each visit projects x onto one set, cyclically or, with
+    ``most_violated``, onto the farthest.  A set x satisfies within
+    ``feas_tol * (1 + ||x||)`` counts toward the clean pass; from any other
+    ``step(x, p, dist, index, visit)`` moves x and returns the new iterate,
+    the trace row's events and, when the sets are proven disjoint, the
+    certificate and the system it certifies (x is then left where it was).
+    Row 0 is x0, and every step adds a row.
+    """
     r = len(sets)
-    store = HalfspaceStore()
-    s = empty_s_tuple(x0)
-    x = s.x
-    rows = [TraceRow(0, _dist_to(opts.reference, x0), None, None, (),
-                     x0.copy() if opts.record_iterates else None)]
-    counts = {"projections": 0, "inner_steps": 0, "outer_iterations": 0}
+    rows = [_trace_row(0, x0, (), opts)]
     clean = 0
     visits = 0
     l = 0
     status = "iteration_limit"
-    certificate = None
-    cert_system = None
-
+    proof = None
     while clean < r:
         if visits >= opts.max_outer_iters:
             break
         visits += 1
-        if opts.set_visit_order == "most-violated":
+        if most_violated:
             dists = [float(np.linalg.norm(x - project_set(k, x))) for k in sets]
             counts["projections"] += r
             l = int(np.argmax(dists))
-        k_set = sets[l]
-        set_index = l
+        index = l
         l = (l + 1) % r
-
-        if mode == "sip" and opts.max_store == 0:
-            # keeping no normals reduces the method to alternating projections
-            store.clear()
-            s = empty_s_tuple(x)
-
-        p_point = project_set(k_set, x)
+        p = project_set(sets[index], x)
         counts["projections"] += 1
-        dist = float(np.linalg.norm(x - p_point))
+        diff = x - p
+        dist = math.sqrt(float(diff.dot(diff)))
         if dist <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
             continue
         clean = 0
-        counts["outer_iterations"] += 1
-        events: list[str] = []
-
-        c = (p_point - x) / dist
-        idx = store.add(c, float(c @ p_point), source=set_index, birth=visits)
-        events.append(f"H+{idx}")
-
-        if mode == "bap":
-            view = _StoreView(x_star=x0, store=store)
-            outcome = inner_gi_step(s, idx, view, opts.gi_tols)
-        else:
-            view = _StoreView(x_star=x.copy(), store=store)
-            s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
-            aplus = (
-                AplusOptions(rounds=opts.sip_aplus_rounds)
-                if opts.sip_aplus_rounds
-                else None
-            )
-            outcome = degenerate_inner_gi_step(s_zero, idx, view, opts.gi_tols, aplus)
-        counts["inner_steps"] += 1
-
-        if isinstance(outcome, Infeasible):
-            certificate = outcome.certificate
-            cert_system = (store.matrix(), store.rhs_vector())
+        x, events, proof = step(x, p, dist, index, visits)
+        rows.append(_trace_row(len(rows), x, events, opts))
+        if proof is not None:
             status = "infeasible"
-            rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None,
-                                 tuple(events) + outcome.events,
-                                 x.copy() if opts.record_iterates else None))
             break
-
-        s = outcome.s_tuple
-        events.extend(outcome.events)
-
-        # optional extra inner steps against violated stored halfspaces
-        # (this revisits old constraints; the default single step never does)
-        extra = opts.inner_steps_per_outer
-        budget = 10 * store.m if extra == "to-optimality" else int(extra) - 1
-        while budget > 0:
-            resid = np.array([store.rhs(j) - float(store.column(j) @ s.x) for j in range(store.m)])
-            resid[list(s.j_set)] = -np.inf
-            pbest = int(np.argmax(resid))
-            if resid[pbest] <= opts.feas_tol * (1.0 + _norm(s.x)):
-                break
-            outcome = inner_gi_step(s, pbest, view, opts.gi_tols)
-            counts["inner_steps"] += 1
-            if isinstance(outcome, Infeasible):
-                certificate = outcome.certificate
-                cert_system = (store.matrix(), store.rhs_vector())
-                status = "infeasible"
-                break
-            s = outcome.s_tuple
-            events.extend(outcome.events)
-            budget -= 1
-        if status == "infeasible":
-            rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None,
-                                 tuple(events), x.copy() if opts.record_iterates else None))
-            break
-
-        x = s.x
-
-        if opts.max_store is not None and store.m > opts.max_store:
-            if mode == "bap":
-                s = _compact_bap(store, s, opts.max_store, events)
-            else:
-                s = _compact_sip(store, s, opts.max_store, events)
-            view_check = _StoreView(x_star=x0 if mode == "bap" else x, store=store)
-            check_s_tuple(s, view_check, opts.gi_tols, f"{mode}-compaction")
-
-        rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None,
-                             tuple(events), x.copy() if opts.record_iterates else None))
     else:
         status = "solved"
+    certificate, cert_system = proof or (None, None)
+    return _report(status, x, rows, counts, certificate, cert_system)
 
-    extras = {
+
+def _gi_counts() -> dict:
+    return {"projections": 0, "inner_steps": 0, "outer_iterations": 0}
+
+
+def _settle(s: STuple, outcome, view: _StoreView, events: list[str], opts: SolverOptions, counts: dict):
+    """The s-tuple after a new halfspace's engine step, and the proof of
+    disjointness if the stored halfspaces have none in common.
+
+    With ``inner_steps_per_outer`` above 1 (or "to-optimality"), further
+    inner steps enter the most violated stored halfspace.
+    """
+    store = view.store
+    counts["inner_steps"] += 1
+    if isinstance(outcome, Infeasible):
+        events.extend(outcome.events)
+        return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
+    s = outcome.s_tuple
+    events.extend(outcome.events)
+    extra = opts.inner_steps_per_outer
+    budget = 10 * store.m if extra == "to-optimality" else extra - 1
+    while budget > 0:
+        resid = np.array([store.rhs(j) - float(store.column(j) @ s.x) for j in range(store.m)])
+        resid[list(s.j_set)] = -np.inf
+        pbest = int(np.argmax(resid))
+        if resid[pbest] <= opts.feas_tol * (1.0 + _norm(s.x)):
+            break
+        outcome = inner_gi_step(s, pbest, view, opts.gi_tols)
+        counts["inner_steps"] += 1
+        if isinstance(outcome, Infeasible):
+            return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
+        s = outcome.s_tuple
+        events.extend(outcome.events)
+        budget -= 1
+    return s, None
+
+
+def _store_extras(store: HalfspaceStore, s: STuple) -> dict:
+    return {
         "store_normals": store.matrix(),
         "store_rhs": store.rhs_vector(),
         "active_set": list(s.j_set),
         "multipliers": s.u.copy(),
     }
-    return _report(status, x, rows, counts, opts.reference, certificate, cert_system, extras)
 
 
 def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
@@ -535,7 +555,29 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     certificate for the generated halfspaces certifies an empty
     intersection.
     """
-    return _outer_gi_loop(x0, sets, options or SolverOptions(), "bap")
+    opts = options or SolverOptions()
+    x0 = _start(x0, sets)
+    store = HalfspaceStore()
+    view = _StoreView(x0, store)
+    s = empty_s_tuple(x0)
+    counts = _gi_counts()
+
+    def step(x, p, dist, index, visit):
+        nonlocal s
+        counts["outer_iterations"] += 1
+        idx = store.add(*_cut(x, p, dist), source=index, birth=visit)
+        events = [f"H+{idx}"]
+        s, proof = _settle(s, inner_gi_step(s, idx, view, opts.gi_tols), view, events, opts, counts)
+        if proof is not None:
+            return x, tuple(events), proof
+        if opts.max_store is not None and store.m > opts.max_store:
+            s = _compact_bap(store, s, opts.max_store, events)
+            check_s_tuple(s, view, opts.gi_tols, "bap-compaction")
+        return s.x, tuple(events), None
+
+    report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")
+    report.extras = _store_extras(store, s)
+    return report
 
 
 def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
@@ -548,62 +590,60 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     optimality.
     """
     opts = options or SolverOptions()
+    x0 = _start(x0, sets)
     boxes = [k for k in sets if isinstance(k, Box)]
     if opts.use_box_fast_path and len(boxes) == 1 and len(sets) >= 2:
-        return _solve_sip_one_box(x0, sets, opts)
-    return _outer_gi_loop(x0, sets, opts, "sip")
+        return _solve_sip_one_box(x0, sets, boxes[0], opts)
+    store = HalfspaceStore()
+    s = empty_s_tuple(x0)
+    counts = _gi_counts()
+    aplus = AplusOptions(rounds=opts.sip_aplus_rounds) if opts.sip_aplus_rounds else None
 
-
-def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> SolveReport:
-    x0 = _start(x0, sets)
-    box = next(k for k in sets if isinstance(k, Box))
-    others = [(i, k) for i, k in enumerate(sets) if not isinstance(k, Box)]
-    r = len(others)
-    x = np.clip(x0, box.lower, box.upper)
-    rows = [TraceRow(0, _dist_to(opts.reference, x0), None, None, (),
-                     x0.copy() if opts.record_iterates else None)]
-    counts = {"projections": 0, "inner_steps": 0, "outer_iterations": 0, "box_solves": 0}
-    clean = 0
-    visits = 0
-    l = 0
-    status = "iteration_limit"
-    certificate = None
-    cert_system = None
-
-    while clean < r:
-        if visits >= opts.max_outer_iters:
-            break
-        visits += 1
-        set_index, k_set = others[l]
-        l = (l + 1) % r
-        p_point = project_set(k_set, x)
-        counts["projections"] += 1
-        dist = float(np.linalg.norm(x - p_point))
-        if dist <= opts.feas_tol * (1.0 + _norm(x)):
-            clean += 1
-            continue
-        clean = 0
+    def step(x, p, dist, index, visit):
+        nonlocal s
         counts["outer_iterations"] += 1
-        c = (p_point - x) / dist
-        problem = BoxQp(x, box.lower, box.upper, c, float(c @ p_point))
+        if opts.max_store == 0:
+            # keeping no normals reduces the method to alternating projections
+            store.clear()
+            s = empty_s_tuple(x)
+        idx = store.add(*_cut(x, p, dist), source=index, birth=visit)
+        events = [f"H+{idx}"]
+        view = _StoreView(x.copy(), store)
+        s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
+        outcome = degenerate_inner_gi_step(s_zero, idx, view, opts.gi_tols, aplus)
+        s, proof = _settle(s, outcome, view, events, opts, counts)
+        if proof is not None:
+            return x, tuple(events), proof
+        if opts.max_store is not None and store.m > opts.max_store:
+            s = _compact_sip(store, s, opts.max_store, events)
+            # the next step re-anchors at s.x with zero multipliers: check that state
+            s_next = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
+            check_s_tuple(s_next, _StoreView(s.x, store), opts.gi_tols, "sip-compaction")
+        return s.x, tuple(events), None
+
+    report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")
+    report.extras = _store_extras(store, s)
+    return report
+
+
+def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], box: Box, opts: SolverOptions) -> SolveReport:
+    """SIP with one box: each step projects onto box and new halfspace exactly."""
+    index = [i for i, k in enumerate(sets) if not isinstance(k, Box)]
+    counts = {"projections": 0, "inner_steps": 0, "outer_iterations": 0, "box_solves": 0}
+
+    def step(x, p, dist, l, visit):
+        counts["outer_iterations"] += 1
+        problem = BoxQp(x, box.lower, box.upper, *_cut(x, p, dist))
         result = solve_box_qp(problem)
         counts["box_solves"] += 1
         if not result.feasible:
             c_mat, b_vec, lam = box_infeasibility_system(problem, result.trace[-1][0])
             certificate = InfeasibilityCertificate(tuple(range(c_mat.shape[1])), lam)
-            cert_system = (c_mat, b_vec)
-            status = "infeasible"
-            rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None,
-                                 (f"H+{set_index}", "box-infeasible"),
-                                 x.copy() if opts.record_iterates else None))
-            break
-        x = result.x
-        rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None,
-                             (f"H+{set_index}", f"box-qp:{len(result.trace) - 1}"),
-                             x.copy() if opts.record_iterates else None))
-    else:
-        status = "solved"
-    return _report(status, x, rows, counts, opts.reference, certificate, cert_system)
+            return x, (f"H+{index[l]}", "box-infeasible"), (certificate, (c_mat, b_vec))
+        return result.x, (f"H+{index[l]}", f"box-qp:{len(result.trace) - 1}"), None
+
+    x = np.clip(x0, box.lower, box.upper)
+    return _cyclic(x0, x, [sets[i] for i in index], opts, counts, step)
 
 
 # ---------------------------------------------------------------------------
@@ -611,34 +651,11 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> So
 
 
 def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
-    """Cyclic alternating projections; each visit is one trace row."""
+    """Cyclic alternating projections; each visit that moves x is one trace row."""
     opts = options or SolverOptions()
-    x = _start(x0, sets).copy()
-    r = len(sets)
-    rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
-                     x.copy() if opts.record_iterates else None)]
-    counts = {"projections": 0}
-    clean = 0
-    visits = 0
-    l = 0
-    status = "iteration_limit"
-    while clean < r:
-        if visits >= opts.max_outer_iters:
-            break
-        visits += 1
-        p = project_set(sets[l], x)
-        counts["projections"] += 1
-        l = (l + 1) % r
-        if float(np.linalg.norm(x - p)) <= opts.feas_tol * (1.0 + _norm(x)):
-            clean += 1
-            continue
-        clean = 0
-        x = p
-        rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None, ("project",),
-                             x.copy() if opts.record_iterates else None))
-    else:
-        status = "solved"
-    return _report(status, x, rows, counts, opts.reference)
+    x0 = _start(x0, sets)
+    return _cyclic(x0, x0.copy(), sets, opts, {"projections": 0},
+                   lambda x, p, *_: (p, ("project",), None))
 
 
 def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
@@ -652,8 +669,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     x = _start(x0, sets).copy()
     r = len(sets)
     corrections = [np.zeros_like(x) for _ in range(r)]
-    rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
-                     x.copy() if opts.record_iterates else None)]
+    rows = [_trace_row(0, x, (), opts)]
     counts = {"projections": 0, "cycles": 0}
     status = "iteration_limit"
     visits = 0
@@ -669,8 +685,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
         moved = max(moved, float(np.linalg.norm(x - p)))
         x = p
         visits += 1
-        rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None, ("project",),
-                             x.copy() if opts.record_iterates else None))
+        rows.append(_trace_row(len(rows), x, ("project",), opts))
         if i == r - 1:
             counts["cycles"] += 1
             if moved <= opts.feas_tol * (1.0 + _norm(x)) and _solved_status(
@@ -678,7 +693,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
             ):
                 status = "solved"
                 break
-    return _report(status, x, rows, counts, opts.reference)
+    return _report(status, x, rows, counts)
 
 
 def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
@@ -691,33 +706,13 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     """
     opts = options or SolverOptions()
     x0 = _start(x0, sets)
-    x = x0.copy()
-    r = len(sets)
-    rows = [TraceRow(0, _dist_to(opts.reference, x), None, None, (),
-                     x.copy() if opts.record_iterates else None)]
-    counts = {"projections": 0, "inner_steps": 0}
-    clean = 0
-    visits = 0
-    l = 0
-    status = "iteration_limit"
     x0_norm = math.sqrt(float(x0.dot(x0)))
-    while clean < r:
-        if visits >= opts.max_outer_iters:
-            break
-        visits += 1
-        k_set = sets[l]
-        l = (l + 1) % r
-        p = project_set(k_set, x)
-        counts["projections"] += 1
-        diff = x - p
-        dist = math.sqrt(float(diff.dot(diff)))
-        if dist <= opts.feas_tol * (1.0 + _norm(x)):
-            clean += 1
-            continue
-        clean = 0
-        c1 = (p - x) / dist
+    counts = {"projections": 0, "inner_steps": 0}
+
+    def step(x, p, dist, index, visit):
+        c1, b1 = _cut(x, p, dist)
         cols = [c1]
-        rhs = [float(c1.dot(p))]
+        rhs = [b1]
         w = x0 - x
         wn = math.sqrt(float(w.dot(w)))
         if wn > opts.feas_tol * (1.0 + x0_norm):
@@ -728,12 +723,9 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
         if isinstance(res, Infeasible):  # the two halfspaces always intersect
             raise RuntimeError("unexpected infeasibility in Haugazeau subproblem")
         counts["inner_steps"] += res.inner_steps
-        x = res.x
-        rows.append(TraceRow(len(rows), _dist_to(opts.reference, x), None, None, ("qp",),
-                             x.copy() if opts.record_iterates else None))
-    else:
-        status = "solved"
-    return _report(status, x, rows, counts, opts.reference)
+        return res.x, ("qp",), None
+
+    return _cyclic(x0, x0.copy(), sets, opts, counts, step)
 
 
 _METHODS = {

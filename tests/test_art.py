@@ -277,6 +277,50 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             HyperslabSystem(np.array([[1.0, 0.0]]), np.array([2.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty"),
+        ("# only a comment\n\n", "empty"),
+        ("2\n1.0\n0.0\n1.0\n", "row and column counts"),
+        ("2 x\n1.0 0.0\n0.0 1.0\n0 0\n1 1\n", "row and column counts"),
+        ("0 2\n\n\n", "row and column counts"),
+        ("2 3\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n", "row 1 has 2 entries, expected 3"),
+        ("2 2\n1.0 0.0\n0.0 1.0 5.0\n0.0 0.0\n1.0 1.0\n", "row 2 has 3 entries, expected 2"),
+        ("2 2\n1.0 0.0\n0.0 1.0\n0.0\n1.0 1.0\n", "lower-bound line has 1 entries, expected 2"),
+        ("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0 2.0\n", "upper-bound line has 3 entries, expected 2"),
+        ("1 2\n1.0 abc\n0.0\n1.0\n", "could not convert"),
+    ])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            HyperslabSystem.from_text(text)
+
+
+class TestArtPolicyValidation:
+    """Each field is checked on construction; a bad value names its field."""
+
+    BAD = {
+        "case2": ["times", "bogus", None],
+        "case4": ["bogus", "P_plus", 4],
+        "case5": ["circ", "bogus"],
+        "case2_close_frac": [-0.1, math.nan, math.inf, "0.1", True],
+        "circ_cap_factor": [-1, 1.5, None, True],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_bad_value_names_field(self, name):
+        for value in self.BAD[name]:
+            with pytest.raises(ValueError, match=f"ArtPolicy.{name} must be"):
+                ArtPolicy(**{name: value})
+
+    def test_every_field_is_checked(self):
+        assert set(self.BAD) == set(ArtPolicy.__dataclass_fields__)
+
+    def test_documented_values_accepted(self):
+        for case2 in ("circ", "plus"):
+            for case4 in ("times", "circ", "plus"):
+                for case5 in ("times", "plus"):
+                    ArtPolicy(case2=case2, case4=case4, case5=case5)
+        ArtPolicy(case2_close_frac=0.0, circ_cap_factor=0)
+
 
 class TestScreenedMembership:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 8), (10, 40), (50, 200)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from projqp import cli
+from projqp.art import art3_solve, extended_art_solve
 from projqp.bench import (
     NonPositiveDistance,
     compute_measures,
@@ -91,6 +92,14 @@ class TestRunTwoCircles:
         again = run_two_circles("bap-gi")[1]
         assert measure_rows_to_csv(rows) == measure_rows_to_csv(again)
 
+    @pytest.mark.parametrize("method", ["bap-gi", "sip-gi", "map", "dykstra"])
+    def test_table_is_the_measures_of_the_report(self, two_circles_runs, method):
+        report, rows = two_circles_runs[method]
+        table = compute_measures([r.dist for r in report.rows])
+        assert len(rows) == len(table) > 10
+        for r, t in zip(rows, table):
+            assert (r.iteration, r.dist, r.measure1, r.measure2) == (t.iteration, t.dist, t.measure1, t.measure2)
+
 
 class TestCli:
     def test_two_circles_csv(self, tmp_path, capsys):
@@ -139,6 +148,34 @@ class TestCli:
         path = tmp_path / "system.txt"
         path.write_text("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n")
         assert cli.main(["solve", "--problem", str(path), "--method", "art3"]) == 0
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "2 3\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n",
+        "2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n",
+    ])
+    def test_solve_malformed_text_file_exit_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert cli.main(["solve", "--problem", str(path), "--method", "art3"]) == 1
+        assert "projqp: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["art3", "ext-art"])
+    def test_solve_art_prints_iterations(self, tmp_path, capsys, method):
+        problem = tmp_path / "slabs.json"
+        cli.main(["gen", "--kind", "hyperslabs-with-interior", "--n", "3", "--count", "5",
+                  "--seed", "2", "--out", str(problem)])
+        capsys.readouterr()
+        assert cli.main(["solve", "--problem", str(problem), "--method", method]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        sets, x0, extras = problem_from_dict(json.loads(problem.read_text()))
+        system = hyperslab_system_from_sets(sets)
+        if method == "art3":
+            rep = art3_solve(x0, system)
+        else:
+            rep = extended_art_solve(x0, system, witness=extras["witness"])
+        assert rep.counts["iterations"] > 0
+        assert printed == f"method={method} status=solved iters={rep.counts['iterations']}"
 
     def test_usage_error_exit_one(self):
         assert cli.main(["two-circles", "--method", "bogus"]) == 1

@@ -9,7 +9,6 @@ from projqp.convex_sets import (
     Box,
     Halfspace,
     Hyperslab,
-    PointInsideSet,
     Polyhedron,
     contains,
     load_problem,
@@ -17,8 +16,8 @@ from projqp.convex_sets import (
     problem_to_dict,
     project_set,
     save_problem,
-    separating_halfspace,
 )
+from projqp.solvers import SolverOptions, solve_bap
 
 ALL_SETS = [
     Ball(np.array([0.5, -0.25]), 1.25),
@@ -96,48 +95,59 @@ class TestContains:
         assert not contains(Ball(np.zeros(2), 1.0), np.array([1.001, 0.0]), tol=1e-9)
 
 
-class TestSeparatingHalfspace:
+def first_cut(k, x):
+    """The supporting halfspace (c, b) that BAP stores on its first visit
+    to k from x, or None when x lies in k."""
+    rep = solve_bap(x, [k], SolverOptions(max_outer_iters=1))
+    c_mat, b_vec = rep.extras["store_normals"], rep.extras["store_rhs"]
+    if b_vec.shape[0] == 0:
+        return None
+    return c_mat[:, 0], float(b_vec[0])
+
+
+class TestSupportingCut:
+    """The halfspace {y : c^T y >= b} the solvers generate at P_k(x)."""
+
     def test_ball_support(self):
-        h = separating_halfspace(Ball(np.zeros(2), 1.0), np.array([2.0, 0.0]))
-        np.testing.assert_allclose(h.c, [-1.0, 0.0], atol=1e-14)
-        assert h.b == pytest.approx(-1.0)
+        c, b = first_cut(Ball(np.zeros(2), 1.0), np.array([2.0, 0.0]))
+        np.testing.assert_allclose(c, [-1.0, 0.0], atol=1e-14)
+        assert b == pytest.approx(-1.0)
         # contains the ball: min over boundary of c^T y - b >= 0
         theta = np.linspace(0, 2 * math.pi, 512)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        assert float(np.min(pts @ h.c - h.b)) >= -1e-10
+        assert float(np.min(pts @ c - b)) >= -1e-10
 
     def test_halfspace_returns_itself(self):
         k = Halfspace(np.array([2.0, 0.0]), 2.0)  # x1 >= 1 scaled
-        h = separating_halfspace(k, np.array([-1.0, 0.5]))
-        np.testing.assert_allclose(h.c, [1.0, 0.0], atol=1e-14)
-        assert h.b == pytest.approx(1.0)
+        c, b = first_cut(k, np.array([-1.0, 0.5]))
+        np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-14)
+        assert b == pytest.approx(1.0)
 
     def test_box_corner_support(self):
-        h = separating_halfspace(Box(np.zeros(2), np.ones(2)), np.array([2.0, 2.0]))
-        np.testing.assert_allclose(h.c, -np.ones(2) / math.sqrt(2.0), atol=1e-14)
-        assert h.b == pytest.approx(-math.sqrt(2.0))
+        c, b = first_cut(Box(np.zeros(2), np.ones(2)), np.array([2.0, 2.0]))
+        np.testing.assert_allclose(c, -np.ones(2) / math.sqrt(2.0), atol=1e-14)
+        assert b == pytest.approx(-math.sqrt(2.0))
         corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
-        assert float(np.min(corners @ h.c - h.b)) >= -1e-10
+        assert float(np.min(corners @ c - b)) >= -1e-10
 
-    def test_point_inside_rejected(self):
-        with pytest.raises(PointInsideSet):
-            separating_halfspace(Ball(np.zeros(2), 1.0), np.array([0.2, 0.1]))
+    def test_point_inside_gives_no_cut(self):
+        assert first_cut(Ball(np.zeros(2), 1.0), np.array([0.2, 0.1])) is None
 
     def test_unit_normal_and_negative_gap(self):
         rng = np.random.default_rng(2)
         for k in ALL_SETS:
             for _ in range(6):
                 x = rng.uniform(-4, 4, 2)
-                try:
-                    h = separating_halfspace(k, x)
-                except PointInsideSet:
+                cut = first_cut(k, x)
+                if cut is None:
                     continue
-                assert abs(np.linalg.norm(h.c) - 1.0) <= 1e-12
-                assert float(h.c @ x) - h.b < 0.0
+                c, b = cut
+                assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+                assert float(c @ x) - b < 0.0
                 # sampled points of the set satisfy the halfspace
                 for _ in range(20):
                     y = project_set(k, rng.uniform(-4, 4, 2))
-                    assert float(h.c @ y) - h.b >= -1e-9
+                    assert float(c @ y) - b >= -1e-9
 
 
 class TestJsonSchema:

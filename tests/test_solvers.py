@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projqp.activeset_qp import PreconditionViolated, STuple, verify_certificate
+from projqp.activeset_qp import DEFAULT_TOLS, PreconditionViolated, STuple, verify_certificate
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, problem_from_dict, project_set
 from projqp.linalg import qr_factorize
@@ -89,8 +89,7 @@ class TestBap:
     def test_to_optimality_mode(self):
         sets = two_circles_sets()
         opts = SolverOptions(feas_tol=1e-12, max_outer_iters=100,
-                             inner_steps_per_outer="to-optimality",
-                             revisit_old_constraints=True)
+                             inner_steps_per_outer="to-optimality")
         rep = solve_bap(np.array([0.0, 10.0]), sets, opts)
         assert rep.status == "solved"
         assert float(np.linalg.norm(rep.x - TWO_CIRCLES_XBAR)) <= 1e-6
@@ -343,3 +342,58 @@ class TestStartValidation:
             tol = opts.feas_tol * (1.0 + math.hypot(*rep.x))
             for k in sets:
                 assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= tol
+
+
+class TestOptionValidation:
+    """Each field is checked on construction; a bad value names its field."""
+
+    BAD = {
+        "feas_tol": [-1e-9, math.nan, math.inf, "1e-9", True],
+        "max_outer_iters": [0, -5, 10.0, "100", True],
+        "inner_steps_per_outer": [0, -1, "to_optimality", "all", 1.5],
+        "set_visit_order": ["most_violated", "random", None],
+        "max_store": [-1, 2.5, "4"],
+        "reference": [np.array([0.0, math.nan]), np.zeros((2, 2)), "origin"],
+        "record_iterates": ["yes", 1, None],
+        "sip_aplus_rounds": [-1, 0.5, None],
+        "use_box_fast_path": ["no", 0, None],
+        "gi_tols": [None, 1e-9],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_bad_value_names_field(self, name):
+        for value in self.BAD[name]:
+            with pytest.raises(ValueError, match=f"SolverOptions.{name} must be"):
+                SolverOptions(**{name: value})
+
+    def test_every_field_is_checked(self):
+        assert set(self.BAD) == set(SolverOptions.__dataclass_fields__)
+
+    def test_documented_values_accepted(self):
+        SolverOptions(feas_tol=0.0, max_outer_iters=1, inner_steps_per_outer="to-optimality",
+                      set_visit_order="most-violated", max_store=0, reference=[0.0, 1.0],
+                      record_iterates=True, sip_aplus_rounds=3, use_box_fast_path=False,
+                      gi_tols=DEFAULT_TOLS)
+        SolverOptions(max_outer_iters=np.int64(5), inner_steps_per_outer=4, max_store=np.int64(2))
+
+
+class TestStoreCompaction:
+    """Removing a stored halfspace renumbers the later ones; the kept
+    active set must still name stored halfspaces, and the invariant
+    monitor (checked by the conftest guard) must stay quiet."""
+
+    @pytest.mark.parametrize("method", ["bap-gi", "sip-gi"])
+    @pytest.mark.parametrize("max_store", [0, 1, 2])
+    def test_capped_store_keeps_active_set_consistent(self, method, max_store):
+        doc = generate_problem("balls-with-common-point", 3, 4, 5)
+        sets, x0, _ = problem_from_dict(doc)
+        rep = solve(method, x0, sets, SolverOptions(feas_tol=1e-9, max_outer_iters=3000,
+                                                    max_store=max_store))
+        assert rep.status == "solved"
+        m = rep.extras["store_rhs"].shape[0]
+        # BAP keeps an active halfspace it cannot aggregate away
+        assert m <= max_store or (method == "bap-gi" and m == len(rep.extras["active_set"]))
+        assert all(0 <= j < m for j in rep.extras["active_set"])
+        assert len(set(rep.extras["active_set"])) == len(rep.extras["active_set"])
+        for k in sets:
+            assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= 1e-9 * (1.0 + np.linalg.norm(rep.x))
