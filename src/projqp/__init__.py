@@ -26,7 +26,6 @@ from .activeset_qp import (
     degenerate_inner_gi_step,
     empty_s_tuple,
     gi_solve,
-    improve_step_direction,
     inner_gi_step,
     project_polyhedron_reduced,
     verify_certificate,

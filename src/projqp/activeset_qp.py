@@ -534,24 +534,11 @@ class AplusOptions:
     """Controls the primal refinement of the degenerate step direction.
 
     The stopping criterion for "good enough" directions is not prescribed,
-    so it is exposed as a round budget plus an optional target residual.
+    so it is exposed as a round budget; each round enters the lowest
+    eligible index among the dropped candidates.
     """
 
     rounds: int = 1
-    pool: tuple[int, ...] | None = None  # defaults to the dropped candidates
-    rule: str = "lowest"  # or "greedy" (largest improvement first)
-    target_norm: float | None = None
-
-
-@dataclass(frozen=True)
-class DirectionState:
-    """State threaded through the primal direction refinement."""
-
-    j_set: tuple[int, ...]
-    qr: QrFactors
-    r: np.ndarray
-    y: np.ndarray
-    events: tuple[str, ...] = ()
 
 
 def _refine_direction(
@@ -561,25 +548,21 @@ def _refine_direction(
     c_p: np.ndarray,
     qp: ConstraintView,
     pool: list[int],
-    opt: AplusOptions,
-) -> tuple[list[int], QrFactors, np.ndarray, np.ndarray, list[str]]:
+    max_rounds: int,
+) -> tuple[list[int], QrFactors, np.ndarray, list[str]]:
     events: list[str] = []
     n = c_p.shape[0]
     y = qr.mat @ r if r.size else np.zeros(n)
     enter_tol = 1e-12 * (1.0 + float(np.linalg.norm(c_p)))
     pool_left = [j for j in pool if j not in j_work]
     rounds = 0
-    max_rounds = opt.rounds if opt.rounds is not None else len(pool_left) + 1
 
     while rounds < max_rounds:
         gains = [(j, float(-(qp.column(j) @ (c_p - y)))) for j in pool_left]
         eligible = [(j, g) for j, g in gains if g > enter_tol]
         if not eligible:
             break  # y is the cone projection over the full candidate set
-        if opt.rule == "greedy":
-            j_in = max(eligible, key=lambda jg: jg[1])[0]
-        else:
-            j_in = min(j for j, _ in eligible)
+        j_in = min(j for j, _ in eligible)
         c_in = qp.column(j_in)
         try:
             qr_plus = qr_append_column(qr, c_in)
@@ -618,34 +601,7 @@ def _refine_direction(
             events.append("warn-positive-entering-coefficient")
         y = qr.mat @ r
         rounds += 1
-        if opt.target_norm is not None and float(np.linalg.norm(c_p - y)) <= opt.target_norm:
-            break
-    return j_work, qr, r, y, events
-
-
-def improve_step_direction(
-    s: STuple,
-    p: int,
-    qp: ConstraintView,
-    j_pool,
-    max_rounds: int | None = None,
-    rule: str = "lowest",
-) -> DirectionState:
-    """Primal active-set refinement of the degenerate step direction.
-
-    ``s`` is the state after the drop loop of the degenerate step (so its
-    span coefficients for ``c_p`` satisfy r <= 0); ``j_pool`` holds the
-    dropped candidate indices.  With an unlimited round budget the result
-    satisfies ``c_p - y = P_cone(-N0)(c_p)`` over the original column set.
-    """
-    c_p = qp.column(p)
-    r = solve_upper(s.qr.r_mat, s.qr.q_mat.T @ c_p)
-    opt = AplusOptions(
-        rounds=max_rounds if max_rounds is not None else len(tuple(j_pool)) + 1,
-        rule=rule,
-    )
-    j_work, qr, r, y, events = _refine_direction(list(s.j_set), s.qr, r, c_p, qp, list(j_pool), opt)
-    return DirectionState(tuple(j_work), qr, r, y, tuple(events))
+    return j_work, qr, r, events
 
 
 def degenerate_inner_gi_step(
@@ -690,8 +646,8 @@ def degenerate_inner_gi_step(
         qr = qr_delete_column(qr, l)
 
     if aplus is not None and aplus.rounds:
-        pool = list(aplus.pool) if aplus.pool is not None else [j for j in j0 if j not in j_work]
-        j_work, qr, r, _, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus)
+        pool = [j for j in j0 if j not in j_work]
+        j_work, qr, r, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus.rounds)
         events += ev
 
     z = c_p - qr.q_mat.dot(qr.q_mat.T.dot(c_p))

@@ -32,14 +32,9 @@ from .activeset_qp import (
     empty_s_tuple,
     inner_gi_step,
 )
-from .linalg import as_matrix, as_start, as_vector
+from .linalg import RowScreen, as_matrix, as_start, as_vector
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _dist_to, _report
 from .solvers import _check_fields, _is_count, _is_tol
-
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
-# above this bound on |A||x| a partial sum of a row dot could overflow
-_SCREEN_LIMIT = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,7 @@ class HyperslabSystem:
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        # the screen in ``contains``: slack = c ||a_j||_1 max|x| + t
-        row_l1 = np.abs(a).sum(axis=1)
-        n = a.shape[1]
-        object.__setattr__(self, "_slack_rows", (4.0 * (n + 2) * _EPS) * row_l1)
-        object.__setattr__(self, "_slack_t", 4.0 * (n + 2) * _TINY)
-        object.__setattr__(self, "_row_l1_max", float(row_l1.max()))
+        object.__setattr__(self, "_screen", RowScreen(a, lo, up))
 
     @property
     def m(self) -> int:
@@ -83,34 +73,19 @@ class HyperslabSystem:
 
     def contains(self, x: np.ndarray) -> bool:
         # Exact membership: L_j <= float(a_j @ x) <= U_j for every row j,
-        # bit-for-bit as the update and classification rules compute it,
-        # although a gemv may sum a row in another order.  Every order obeys
-        # |fl(a.x) - a.x| <= gamma_n |a|.|x| <= gamma_n ||a||_1 max|x|, with
-        # gamma_n = n u / (1 - n u) and u = eps / 2 (Higham, Accuracy and
-        # Stability of Numerical Algorithms, sec. 3.1), plus n
-        # half-subnormals when products underflow; the gemv value and the
-        # per-row dot differ by at most twice that.  slack = c ||a_j||_1
-        # max|x| + t, with c = 4 (n + 2) eps and t = 4 (n + 2) times the
-        # smallest subnormal, covers it with room for the rounding of the
-        # row norms, of the slack and of the margins, so a row whose gemv
-        # margin min(ax - L, U - ax) is at least slack is inside by the
-        # per-row dot too.  Every other row gets the per-row test, and so
-        # does every row when |x| is so large that a partial sum could
-        # overflow and void the bound.  Only row norms are kept: a copy of
-        # |A| would double the system's memory.
+        # bit-for-bit as the update and classification rules compute it.
+        # ``RowScreen`` clears the rows inside by a margin its rounding
+        # bound covers; every other row gets the per-row test, and so does
+        # every row where the screen decides nothing.
         x = np.asarray(x, dtype=float)
-        big = float(np.abs(x).max())
-        if not math.isfinite(big):  # NaN would compare false on every face
+        inside = self._screen.inside(x)
+        if inside is not None:
+            rows = (~inside).nonzero()[0].tolist()
+        elif not math.isfinite(float(np.abs(x).max())):  # NaN would compare false on every face
             return False
-        a_mat = self.a_mat
-        if big * self._row_l1_max <= _SCREEN_LIMIT:
-            ax = a_mat @ x
-            slack = self._slack_rows * big
-            slack += self._slack_t
-            margin = np.minimum(ax - self.lower, self.upper - ax)
-            rows = (margin < slack).nonzero()[0].tolist()
         else:
-            rows = range(a_mat.shape[0])
+            rows = range(self.m)
+        a_mat = self.a_mat
         for j in rows:
             s = float(a_mat[j] @ x)
             if s < self.lower[j] or s > self.upper[j]:

@@ -343,7 +343,7 @@ def suite_thm73(seed: int = 0, count: int = 100) -> SuiteResult:
             for j in dropped
             if float(qp.column(j) @ s1.x) - qp.rhs(j) < -1e-12 * (1.0 + abs(qp.rhs(j)))
         ]
-        refined = degenerate_inner_gi_step(s0, p, qp, aplus=AplusOptions(rounds=1, rule="lowest"))
+        refined = degenerate_inner_gi_step(s0, p, qp, aplus=AplusOptions(rounds=1))
         if not violated:
             if isinstance(refined, Infeasible):
                 failures.append(f"case {k}: refinement reported infeasible")

@@ -29,6 +29,11 @@ RANK_TOL = 1e-12
 REFRESH_EVERY = 64
 SMALL_SIZE = 4
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+# above this bound on ||a_j||_1 max|x| a partial sum of a row dot could overflow
+_SCREEN_LIMIT = 2.0**1020
+
 
 class LinalgError(Exception):
     """Base class for factorization failures."""
@@ -80,6 +85,47 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not _all_finite(m):
         raise ValueError(f"{name} has non-finite entries")
     return m
+
+
+class RowScreen:
+    """Which rows x provably satisfies, L_j <= float(a_j @ x) <= U_j, from one gemv.
+
+    The per-row dot ``float(a_j @ x)`` is the exact test; a gemv may sum a
+    row in another order.  Every order obeys |fl(a.x) - a.x| <= gamma_n
+    |a|.|x| <= gamma_n ||a||_1 max|x|, with gamma_n = n u / (1 - n u) and
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1), plus n half-subnormals when products underflow; the gemv
+    value and the per-row dot differ by at most twice that.  slack = c
+    ||a_j||_1 max|x| + t, with c = 4 (n + 2) eps and t = 4 (n + 2) times the
+    smallest subnormal, covers it with room for the rounding of the row
+    norms, of the slack and of the margins, so a row whose gemv margin
+    min(ax - L, U - ax) is at least slack is inside by the per-row dot too.
+    The bound fails when |x| is so large that a partial sum could overflow;
+    there, and for a non-finite x, the screen decides nothing.  Only row
+    norms are kept: a copy of |A| would double the rows' memory.
+    """
+
+    def __init__(self, a_mat: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        self.a_mat = a_mat
+        self.lower = lower
+        self.upper = upper
+        row_l1 = np.abs(a_mat).sum(axis=1)
+        n = a_mat.shape[1]
+        self._slack_rows = (4.0 * (n + 2) * _EPS) * row_l1
+        self._slack_t = 4.0 * (n + 2) * _TINY
+        self._row_l1_max = float(row_l1.max())
+
+    def inside(self, x: np.ndarray) -> np.ndarray | None:
+        """Mask of the rows x is provably inside, or None where the screen
+        decides nothing (x non-finite or too large for the bound)."""
+        big = float(np.abs(x).max())
+        if not big * self._row_l1_max <= _SCREEN_LIMIT:  # NaN and inf fail too
+            return None
+        ax = self.a_mat @ x
+        slack = self._slack_rows * big
+        slack += self._slack_t
+        # a NaN margin (a NaN bound) compares false: never provably inside
+        return np.minimum(ax - self.lower, self.upper - ax) >= slack
 
 
 @dataclass(frozen=True)

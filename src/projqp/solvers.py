@@ -40,8 +40,8 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
-from .convex_sets import Box, ConvexSet, project_set
-from .linalg import RANK_TOL, as_start, qr_append_column, qr_delete_column
+from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, project_set
+from .linalg import RANK_TOL, RowScreen, as_start, qr_append_column, qr_delete_column
 
 
 class DegenerateAggregate(ValueError):
@@ -157,6 +157,10 @@ class SolverOptions:
     ``inner_steps_per_outer`` is a count or "to-optimality" (BAP and SIP
     then step into violated stored halfspaces after each new one), and
     ``set_visit_order`` is "cyclic" or "most-violated" (BAP and SIP only).
+    ``max_store`` caps the halfspace store of BAP and SIP.  For SIP the cap
+    is hard.  For BAP it is soft: compaction merges pairs of active
+    halfspaces and evicts inactive ones, but an active halfspace it cannot
+    merge stays, so the store may end above the cap.
     """
 
     feas_tol: float = 1e-9
@@ -456,6 +460,61 @@ def _report(status, x, rows, counts, certificate=None, cert_system=None, extras=
     )
 
 
+def _bound(v) -> float | None:
+    """v as a float when the conversion is exact (never for NaN), else None:
+    ``project_set`` compares with the bound as given, an int included."""
+    try:
+        f = float(v)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return f if f == v else None
+
+
+class _LinearScreen:
+    """One ``RowScreen`` over the hyperslab and halfspace sets of a solve.
+
+    ``flags(x)`` lists, per set, whether x is provably inside it: then
+    ``project_set`` would return x itself, so the visit's distance is 0.
+    Other sets, and sets whose bounds are not exact floats, read False.
+    """
+
+    def __init__(self, sets: Sequence[ConvexSet]):
+        self.r = len(sets)
+        self.pos: list[int] = []
+        rows, lower, upper = [], [], []
+        for i, k in enumerate(sets):
+            if isinstance(k, Hyperslab):
+                a, lo, up = k.a, _bound(k.lower), _bound(k.upper)
+            elif isinstance(k, Halfspace):
+                a, lo, up = k.c, _bound(k.b), math.inf
+            else:
+                continue
+            if lo is not None and up is not None:
+                self.pos.append(i)
+                rows.append(a)
+                lower.append(lo)
+                upper.append(up)
+        self.screen = RowScreen(np.vstack(rows), np.array(lower), np.array(upper)) if rows else None
+
+    def flags(self, x: np.ndarray) -> list[bool] | None:
+        inside = None if self.screen is None else self.screen.inside(x)
+        if inside is None:
+            return None
+        if len(self.pos) == self.r:
+            return inside.tolist()
+        full = np.zeros(self.r, dtype=bool)
+        full[self.pos] = inside
+        return full.tolist()
+
+
+def _screen_due(run: int, exact_clean: int, r: int) -> bool:
+    """Whether an exact clean visit refreshes the screen: at the second in a
+    row since x moved, once the solve has made r of them.  Short clean
+    runs, and solves that end within one pass, would not repay the gemv or
+    the stacking of the rows."""
+    return run == 2 and exact_clean >= r
+
+
 def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated: bool = False) -> SolveReport:
     """Visit ``sets`` from x until a full pass leaves x in every one of them.
 
@@ -465,7 +524,14 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     ``step(x, p, dist, index, visit)`` moves x and returns the new iterate,
     the trace row's events and, when the sets are proven disjoint, the
     certificate and the system it certifies (x is then left where it was).
-    Row 0 is x0, and every step adds a row.
+    Row 0 is x0, and every step adds a row.  ``counts["projections"]``
+    counts set visits.
+
+    Cyclic visits skip the projection onto a hyperslab or halfspace that
+    ``_LinearScreen`` shows x to be inside: its distance would be 0, and
+    the exact visit that refreshed the screen at this x passed, so the
+    threshold is a number >= 0 and the visit is clean, with the same
+    counts.  ``_screen_due`` says when to refresh.
     """
     r = len(sets)
     rows = [_trace_row(0, x0, (), opts)]
@@ -474,6 +540,10 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     l = 0
     status = "iteration_limit"
     proof = None
+    screen = None
+    exact_clean = 0  # exact clean visits so far
+    run = 0  # exact clean visits in a row since x last moved
+    inside = None  # per-set flags at the current x
     while clean < r:
         if visits >= opts.max_outer_iters:
             break
@@ -484,14 +554,26 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
             l = int(np.argmax(dists))
         index = l
         l = (l + 1) % r
+        if inside is not None and inside[index]:
+            counts["projections"] += 1
+            clean += 1
+            continue
         p = project_set(sets[index], x)
         counts["projections"] += 1
         diff = x - p
         dist = math.sqrt(float(diff.dot(diff)))
         if dist <= opts.feas_tol * (1.0 + _norm(x)):
             clean += 1
+            exact_clean += 1
+            run += 1
+            if not most_violated and _screen_due(run, exact_clean, r):
+                if screen is None:
+                    screen = _LinearScreen(sets)
+                inside = screen.flags(x)
             continue
         clean = 0
+        run = 0
+        inside = None
         x, events, proof = step(x, p, dist, index, visits)
         rows.append(_trace_row(len(rows), x, events, opts))
         if proof is not None:
@@ -703,6 +785,13 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     generated at the current iterate and the halfspace with normal x0 - x_i
     whose boundary passes through x_i; the tiny QP runs through the
     active-set engine.
+
+    When those two halfspaces have no point in common the sets do not
+    intersect, and the report ends ``infeasible`` with the engine's
+    certificate for the two-halfspace system.  It certifies C = {} because
+    a nonempty C would lie in both: the first contains the set it was
+    generated from, and the second contains C, since x_i is the
+    projection of x0 onto an intersection of halfspaces that contain C.
     """
     opts = options or SolverOptions()
     x0 = _start(x0, sets)
@@ -719,9 +808,10 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
             c2 = -w / wn
             cols.append(c2)
             rhs.append(float(c2.dot(x)))
-        res = gi_solve(QpProblem(x0, np.column_stack(cols), np.asarray(rhs)))
-        if isinstance(res, Infeasible):  # the two halfspaces always intersect
-            raise RuntimeError("unexpected infeasibility in Haugazeau subproblem")
+        c_mat, b_vec = np.column_stack(cols), np.asarray(rhs)
+        res = gi_solve(QpProblem(x0, c_mat, b_vec))
+        if isinstance(res, Infeasible):
+            return x, ("qp", "infeasible"), (res.certificate, (c_mat, b_vec))
         counts["inner_steps"] += res.inner_steps
         return res.x, ("qp",), None
 

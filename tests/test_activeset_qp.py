@@ -28,7 +28,6 @@ from projqp.activeset_qp import (
     degenerate_inner_gi_step,
     empty_s_tuple,
     gi_solve,
-    improve_step_direction,
     inner_gi_step,
     project_polyhedron_reduced,
     v_value,
@@ -193,13 +192,20 @@ class TestDegenerateStep:
             degenerate_inner_gi_step(s, 1, qp)
 
 
-class TestImproveStepDirection:
+class TestDirectionRefinement:
+    """The primal refinement of the degenerate step's direction, through
+    ``degenerate_inner_gi_step(..., aplus=AplusOptions(...))``."""
+
     def test_empty_pool_unchanged(self):
+        # no column drops, so the refinement has no candidate: the working
+        # set stays (0, 1) and the step ends as the plain one does
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), [[0.0], [-1.0]]]), np.array([0.0, 0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        state = improve_step_direction(s, 2, qp, j_pool=())
-        assert state.j_set == (0, 1)
-        assert state.events == ()
+        out = degenerate_inner_gi_step(s, 2, qp, aplus=AplusOptions(rounds=4))
+        assert isinstance(out, Infeasible)
+        assert out.events == ("infeasible",)
+        assert out.certificate.j_prime == (0, 1, 2)
+        assert verify_certificate(out.certificate, qp.c_mat, qp.b)
 
     def test_opposite_orthant_gives_zero(self):
         # dropping both axes leaves y = 0, and no candidate re-enters since
@@ -216,16 +222,26 @@ class TestImproveStepDirection:
         np.testing.assert_allclose(y_expected, [0.0, 0.0], atol=1e-14)
 
     def test_entering_improves_direction(self):
-        cols = np.column_stack([np.array([1.0, 0.0]), np.array([1.0, 1.0]) / R2])
-        c_p = np.array([0.0, -1.0])
-        qp = QpProblem(np.zeros(2), np.column_stack([cols, c_p]), np.array([0.0, 0.0, 0.5]))
-        s = tight_s_tuple([0.0, 0.0], (0,), [0.0], qp)
-        state = improve_step_direction(s, 2, qp, j_pool=(1,))
+        # the lowest-index drop rule drops columns 1 and 2; column 1 then
+        # re-enters, and the step runs along c_p - y with y the projection
+        # of c_p onto the cone of the negated starting normals
+        cols = np.column_stack([np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0),
+                                np.array([0.0, -1.0, 1.0]) / R2,
+                                np.array([1.0, 1.0, 0.0]) / R2])
+        c_p = np.array([0.0, 1.0, 0.0])
+        qp = QpProblem(np.zeros(3), np.column_stack([cols, c_p]), np.array([0.0, 0.0, 0.0, 1.0]))
+        s = tight_s_tuple([0.0, 0.0, 0.0], (0, 1, 2), [0.0, 0.0, 0.0], qp)
+        plain = degenerate_inner_gi_step(s, 3, qp)
+        assert "enter:1" not in plain.events
+        out = degenerate_inner_gi_step(s, 3, qp, aplus=AplusOptions(rounds=3))
+        assert out.events == ("drop:1", "drop:2", "enter:1", "full", "add:3")
         y_oracle = cone_project_enum(-cols, c_p)
-        np.testing.assert_allclose(state.y, y_oracle, atol=1e-12)
-        np.testing.assert_allclose(state.y, [-0.5, -0.5], atol=1e-12)
-        assert "enter:1" in state.events
-        assert np.all(state.r <= 1e-12)
+        direction = c_p - y_oracle
+        step = out.s_tuple.x
+        np.testing.assert_allclose(step, (1.0 / float(direction @ c_p)) * direction, atol=1e-12)
+        np.testing.assert_allclose(step, [0.0, 1.0, 1.0], atol=1e-12)
+        assert out.s_tuple.j_set == (0, 1, 3)
+        assert not np.allclose(plain.s_tuple.x, step)
 
 
 class TestGiSolve:

@@ -360,7 +360,7 @@ class TestScreenedMembership:
                 half = 0.5 * np.abs(s)
                 fin = np.isfinite(s)  # every row well inside
                 system = HyperslabSystem(a, np.where(fin, s - half, -np.inf), np.where(fin, s + half, np.inf))
-                assert np.abs(x).max() * system._row_l1_max > art._SCREEN_LIMIT
+                assert system._screen.inside(x) is None
                 expected = contains_loop(system, x)
                 rows = []
                 object.__setattr__(system, "a_mat", system.a_mat.view(RowSpy))

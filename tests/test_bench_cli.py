@@ -14,7 +14,9 @@ from projqp.bench import (
     measure_rows_to_csv,
     run_two_circles,
 )
-from projqp.convex_sets import Ball, problem_from_dict, project_set
+from projqp.convex_sets import Ball, problem_from_dict, project_set, save_problem
+
+from test_solvers import disjoint_on_axis
 
 
 class TestComputeMeasures:
@@ -136,6 +138,18 @@ class TestCli:
         code = cli.main(["solve", "--problem", str(problem), "--method", "bap-gi",
                          "--max-iter", "500"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_haugazeau_on_disjoint_sets_exit_code(self, tmp_path, n, seed):
+        problem = tmp_path / "gap.json"
+        save_problem(problem, *disjoint_on_axis(n, seed))
+        report = tmp_path / "report.json"
+        code = cli.main(["solve", "--problem", str(problem), "--method", "haugazeau",
+                         "--json", str(report)])
+        assert code == cli.EXIT_INFEASIBLE == 2
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "infeasible" and len(doc["certificate"]["j"]) == 2
 
     def test_solve_art_on_hyperslab_json(self, tmp_path):
         problem = tmp_path / "slabs.json"

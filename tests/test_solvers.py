@@ -5,8 +5,9 @@ import pytest
 
 from projqp.activeset_qp import DEFAULT_TOLS, PreconditionViolated, STuple, verify_certificate
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
-from projqp.convex_sets import Ball, Box, Halfspace, problem_from_dict, project_set
-from projqp.linalg import qr_factorize
+from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
+from projqp import solvers
+from projqp.linalg import RowScreen, qr_factorize
 from projqp.solvers import (
     DegenerateAggregate,
     HalfspaceStore,
@@ -217,6 +218,31 @@ class TestHaugazeau:
                                             reference=TWO_CIRCLES_XBAR))
         assert rep.rows[500].dist < rep.rows[1].dist
 
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_disjoint_sets_end_infeasible(self, n, seed):
+        sets, x0 = disjoint_on_axis(n, seed)
+        rep = solve_haugazeau(x0, sets)
+        assert rep.status == "infeasible"
+        assert rep.rows[-1].events == ("qp", "infeasible")
+        c_mat, b_vec = rep.cert_system
+        assert c_mat.shape == (n, 2) and b_vec.shape == (2,)
+        assert verify_certificate(rep.certificate, c_mat, b_vec)
+        # the generated halfspace holds a ball whole: c.center - r >= b
+        assert any(float(c_mat[:, 0] @ k.center) - k.radius >= b_vec[0] - 1e-12 for k in sets)
+
+
+def disjoint_on_axis(n: int, seed: int):
+    """Two disjoint balls on the first axis, as the ``infeasible-balls``
+    generator draws them, with x0 on the same axis.  Off the axis,
+    Haugazeau's iterates run off to |x| ~ 1e11 before the subproblem is
+    empty, and the invariant monitor flags the engine's KKT residuals there
+    (the engine at large offsets)."""
+    rng = np.random.default_rng(seed)
+    r1, r2, gap = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)
+    e = np.eye(n)[0]
+    return [Ball(e * (r1 + gap / 2.0), r1), Ball(-e * (r2 + gap / 2.0), r2)], 3.0 * e
+
 
 def make_stuple_for_aggregation():
     store = HalfspaceStore()
@@ -397,3 +423,161 @@ class TestStoreCompaction:
         assert len(set(rep.extras["active_set"])) == len(rep.extras["active_set"])
         for k in sets:
             assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= 1e-9 * (1.0 + np.linalg.norm(rep.x))
+
+    def test_bap_cap_is_soft(self):
+        # the one stored halfspace is active and has no partner to merge with
+        sets, x0, _ = problem_from_dict(generate_problem("balls-with-common-point", 3, 4, 5))
+        rep = solve_bap(x0, sets, SolverOptions(max_store=0))
+        assert rep.status == "solved"
+        assert rep.extras["store_rhs"].shape == (1,)
+        assert rep.extras["active_set"] == [0]
+
+
+def _outcome(method, x0, sets, opts):
+    """Everything a solve reports, in comparable form (a raise included)."""
+    try:
+        rep = solve(method, x0, sets, opts)
+    except Exception as exc:  # noqa: BLE001 - the raise itself is compared
+        return ("raise", type(exc).__name__, str(exc))
+    extras = {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in rep.extras.items()}
+    return (rep.status, rep.x.tobytes(), list(rep.counts.items()), rep.rows, extras,
+            rep.certificate and (rep.certificate.j_prime, rep.certificate.lam.tobytes()))
+
+
+def _slab_file(n, count, seed):
+    sets, x0, _ = problem_from_dict(generate_problem("hyperslabs-with-interior", n, count, seed))
+    return sets, x0
+
+
+def _mixed(seed, box=False):
+    """Hyperslabs, halfspaces and balls around a common point."""
+    rng = np.random.default_rng(seed)
+    slabs, x0 = _slab_file(6, 12, seed)
+    w = np.asarray(generate_problem("hyperslabs-with-interior", 6, 12, seed)["witness"])
+    sets = []
+    for k in slabs:
+        sets.append(k)
+        c = rng.normal(size=6)
+        sets.append(Halfspace(c, float(c @ w) - float(rng.uniform(0.1, 1.0))))
+        if len(sets) % 5 == 0:
+            sets.append(Ball(w + rng.uniform(-0.5, 0.5, 6), 1.5))
+    if box:
+        sets.append(Box(w - 2.0, w + 2.0))
+    return sets, x0
+
+
+# near 1.5e308 the iterates' norm overflows; the first pair also puts
+# max|x| ||a||_1 above 2**1020, where the screen decides nothing
+_HUGE = [Hyperslab(np.array([1.0, 0.0]), 1.5e308, 1.6e308),
+         Hyperslab(np.array([0.0, 1.0]), 1.5e308, 1.6e308),
+         Halfspace(np.array([1.0, 1.0]), 1e308)]
+_TINY_ROWS = [Hyperslab(np.array([1e-10, 0.0]), 1.5e298, 1.6e298),
+              Hyperslab(np.array([0.0, 1e-10]), 1.5e298, 1.6e298),
+              Halfspace(np.array([1e-10, 1e-10]), 1e298)]
+
+
+class TestLinearScreen:
+    """The cyclic driver skips the visits the gemv screen proves clean; its
+    outputs must be those of the exact path, bit for bit."""
+
+    METHODS = ("map", "bap-gi", "sip-gi", "haugazeau")
+    CASES = {
+        "slabs2": lambda: _slab_file(2, 8, 3),
+        "slabs10": lambda: _slab_file(10, 40, 4),
+        "slabs50": lambda: _slab_file(50, 200, 5),
+        "mixed": lambda: _mixed(6),
+        "mixed-box": lambda: _mixed(7, box=True),
+        "huge": lambda: (_HUGE, np.zeros(2)),
+        "tiny-rows": lambda: (_TINY_ROWS, np.zeros(2)),
+    }
+    OPTIONS = {
+        "default": SolverOptions(max_outer_iters=20_000),
+        "tol0": SolverOptions(feas_tol=0.0, max_outer_iters=1500),
+    }
+
+    @staticmethod
+    def _off(mp):
+        mp.setattr(solvers._LinearScreen, "flags", lambda self, x: None)
+
+    @staticmethod
+    def _eager(mp, checked):
+        """Refresh at every exact clean visit, and check every flag there
+        against the exact projection."""
+        init, flags = solvers._LinearScreen.__init__, solvers._LinearScreen.flags
+
+        def spy_init(self, sets):
+            init(self, sets)
+            self.sets = list(sets)
+
+        def spy_flags(self, x):
+            out = flags(self, x)
+            for k, inside in zip(self.sets, out or ()):
+                if inside:
+                    assert project_set(k, x).tobytes() == x.tobytes()
+                    checked.append(k)
+            return out
+
+        mp.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
+        mp.setattr(solvers._LinearScreen, "__init__", spy_init)
+        mp.setattr(solvers._LinearScreen, "flags", spy_flags)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("options", sorted(OPTIONS))
+    def test_matches_the_exact_path(self, monkeypatch, method, case, options):
+        sets, x0 = self.CASES[case]()
+        opts = self.OPTIONS[options]
+        if method == "haugazeau":  # slow to converge: a capped run shows the same
+            opts = SolverOptions(feas_tol=opts.feas_tol, max_outer_iters=600)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lazy = _outcome(method, x0, sets, opts)
+            checked = []
+            with monkeypatch.context() as mp:
+                self._eager(mp, checked)
+                eager = _outcome(method, x0, sets, opts)
+            with monkeypatch.context() as mp:
+                self._off(mp)
+                exact = _outcome(method, x0, sets, opts)
+        assert lazy == exact
+        assert eager == exact
+        if case.startswith(("slabs", "mixed")) and options == "default":
+            assert checked  # the screen skipped visits here
+
+    def test_screen_skips_most_clean_visits(self, monkeypatch):
+        sets, x0 = _slab_file(10, 40, 4)
+        calls = []
+        monkeypatch.setattr(solvers, "project_set", lambda k, x: calls.append(k) or project_set(k, x))
+        rep = solve_map(x0, sets, SolverOptions(max_outer_iters=100_000))
+        assert rep.status == "solved"
+        assert len(calls) < rep.counts["projections"] / 2
+
+    def test_large_x_is_left_to_the_exact_path(self, monkeypatch):
+        seen = []
+        inside = RowScreen.inside
+        monkeypatch.setattr(RowScreen, "inside", lambda self, x: seen.append(inside(self, x)) or seen[-1])
+        monkeypatch.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = solve_map(np.zeros(2), _HUGE, SolverOptions())
+        assert rep.status == "solved"
+        assert seen and all(s is None for s in seen)
+        assert np.abs(rep.x).max() > 2.0**1019  # ||a||_1 = 1 or 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cap_inside_a_screened_run(self, monkeypatch, method):
+        sets, x0 = _slab_file(10, 40, 4)
+        calls = []
+        monkeypatch.setattr(solvers, "project_set", lambda k, x: calls.append(k) or project_set(k, x))
+
+        def capped(cap):
+            calls.clear()
+            return _outcome(method, x0, sets, SolverOptions(max_outer_iters=cap)), len(calls)
+
+        total = solve(method, x0, sets, SolverOptions(max_outer_iters=300)).counts["projections"]
+        screened_last = 0
+        for cap in range(2, total + 1, 4):
+            out, projected = capped(cap)
+            screened_last += projected == capped(cap - 1)[1]  # visit `cap` made no projection
+            with monkeypatch.context() as mp:
+                self._off(mp)
+                assert out == capped(cap)[0]
+        assert screened_last
