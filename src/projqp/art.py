@@ -32,7 +32,7 @@ from .activeset_qp import (
     empty_s_tuple,
     inner_gi_step,
 )
-from .linalg import RowScreen, as_matrix, as_start, as_vector
+from .linalg import _RowScreen, as_matrix, as_start, as_vector
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _dist_to, _report
 from .solvers import _check_fields, _is_count, _is_tol
 
@@ -61,7 +61,7 @@ class HyperslabSystem:
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "_screen", RowScreen(a, lo, up))
+        object.__setattr__(self, "_screen", _RowScreen(a, lo, up))
 
     @property
     def m(self) -> int:
@@ -74,7 +74,7 @@ class HyperslabSystem:
     def contains(self, x: np.ndarray) -> bool:
         # Exact membership: L_j <= float(a_j @ x) <= U_j for every row j,
         # bit-for-bit as the update and classification rules compute it.
-        # ``RowScreen`` clears the rows inside by a margin its rounding
+        # ``_RowScreen`` clears the rows inside by a margin its rounding
         # bound covers; every other row gets the per-row test, and so does
         # every row where the screen decides nothing.
         x = np.asarray(x, dtype=float)

@@ -87,7 +87,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-class RowScreen:
+class _RowScreen:
     """Which rows x provably satisfies, L_j <= float(a_j @ x) <= U_j, from one gemv.
 
     The per-row dot ``float(a_j @ x)`` is the exact test; a gemv may sum a

@@ -41,7 +41,7 @@ from .activeset_qp import (
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
 from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, project_set
-from .linalg import RANK_TOL, RowScreen, as_start, qr_append_column, qr_delete_column
+from .linalg import RANK_TOL, _RowScreen, as_start, qr_append_column, qr_delete_column
 
 
 class DegenerateAggregate(ValueError):
@@ -471,7 +471,7 @@ def _bound(v) -> float | None:
 
 
 class _LinearScreen:
-    """One ``RowScreen`` over the hyperslab and halfspace sets of a solve.
+    """One ``_RowScreen`` over the hyperslab and halfspace sets of a solve.
 
     ``flags(x)`` lists, per set, whether x is provably inside it: then
     ``project_set`` would return x itself, so the visit's distance is 0.
@@ -494,7 +494,7 @@ class _LinearScreen:
                 rows.append(a)
                 lower.append(lo)
                 upper.append(up)
-        self.screen = RowScreen(np.vstack(rows), np.array(lower), np.array(upper)) if rows else None
+        self.screen = _RowScreen(np.vstack(rows), np.array(lower), np.array(upper)) if rows else None
 
     def flags(self, x: np.ndarray) -> list[bool] | None:
         inside = None if self.screen is None else self.screen.inside(x)

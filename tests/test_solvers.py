@@ -7,7 +7,7 @@ from projqp.activeset_qp import DEFAULT_TOLS, PreconditionViolated, STuple, veri
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
 from projqp import solvers
-from projqp.linalg import RowScreen, qr_factorize
+from projqp.linalg import _RowScreen, qr_factorize
 from projqp.solvers import (
     DegenerateAggregate,
     HalfspaceStore,
@@ -452,8 +452,8 @@ def _slab_file(n, count, seed):
 def _mixed(seed, box=False):
     """Hyperslabs, halfspaces and balls around a common point."""
     rng = np.random.default_rng(seed)
-    slabs, x0 = _slab_file(6, 12, seed)
-    w = np.asarray(generate_problem("hyperslabs-with-interior", 6, 12, seed)["witness"])
+    slabs, x0, extras = problem_from_dict(generate_problem("hyperslabs-with-interior", 6, 12, seed))
+    w = np.asarray(extras["witness"])
     sets = []
     for k in slabs:
         sets.append(k)
@@ -466,8 +466,9 @@ def _mixed(seed, box=False):
     return sets, x0
 
 
-# near 1.5e308 the iterates' norm overflows; the first pair also puts
-# max|x| ||a||_1 above 2**1020, where the screen decides nothing
+# sets near |x| = 1.5e308, where the iterates' norm overflows: with unit
+# rows max|x| ||a||_1 is above 2**1020 and the screen decides nothing; with
+# rows of norm 1e-10 it is below, so the screen runs
 _HUGE = [Hyperslab(np.array([1.0, 0.0]), 1.5e308, 1.6e308),
          Hyperslab(np.array([0.0, 1.0]), 1.5e308, 1.6e308),
          Halfspace(np.array([1.0, 1.0]), 1e308)]
@@ -553,8 +554,8 @@ class TestLinearScreen:
 
     def test_large_x_is_left_to_the_exact_path(self, monkeypatch):
         seen = []
-        inside = RowScreen.inside
-        monkeypatch.setattr(RowScreen, "inside", lambda self, x: seen.append(inside(self, x)) or seen[-1])
+        inside = _RowScreen.inside
+        monkeypatch.setattr(_RowScreen, "inside", lambda self, x: seen.append(inside(self, x)) or seen[-1])
         monkeypatch.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = solve_map(np.zeros(2), _HUGE, SolverOptions())
