@@ -554,7 +554,7 @@ def _refine_direction(
     n = c_p.shape[0]
     y = qr.mat @ r if r.size else np.zeros(n)
     enter_tol = 1e-12 * (1.0 + float(np.linalg.norm(c_p)))
-    pool_left = [j for j in pool if j not in j_work]
+    pool_left = list(pool)
     rounds = 0
 
     while rounds < max_rounds:
