@@ -11,9 +11,6 @@ benchmark harness.
 
 from .activeset_qp import (
     Advanced,
-    AplusOptions,
-    GiOptions,
-    GiTolerances,
     Infeasible,
     InfeasibilityCertificate,
     IterationLimitError,
@@ -48,7 +45,6 @@ from .convex_sets import (
     Halfspace,
     Hyperslab,
     Polyhedron,
-    contains,
     load_problem,
     project_set,
     save_problem,

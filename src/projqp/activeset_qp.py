@@ -21,13 +21,17 @@ checks therefore work on Python floats, and so does the violation scan
 over at most ``SMALL_SIZE`` constraints.  Every product that feeds the
 iterates still goes through the same numpy call on both paths, so the
 small and the general paths give bit-identical results.
+
+The engine runs on seven fixed thresholds, ``FEAS_TOL`` to ``R_POS_TOL``
+below.  Each multiplies a scale of at least 1 where it is applied, so it
+bounds operands of norm below 1 absolutely and larger ones relatively.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Union
+from typing import Protocol, Union
 
 import numpy as np
 
@@ -46,29 +50,25 @@ from .linalg import (
 INF = math.inf
 SMALL_Q = 2
 
-
-@dataclass(frozen=True)
-class GiTolerances:
-    """Numerical thresholds for the active-set engine.
-
-    ``feas_tol`` scales with ``1 + ||x||`` wherever it is applied; the |z|=0
-    test uses ``z_tol * (1 + ||c_p||)``.  ``cond_tol`` is the acceptance
-    threshold for a new active normal: when the component of c_p outside
-    the active span is below it, the step prefers dropping a blocking
-    column over dividing by ||z||^2 (the near-parallel update would
-    otherwise amplify round-off catastrophically).
-    """
-
-    feas_tol: float = 1e-9
-    dual_tol: float = 1e-10
-    cert_tol: float = 1e-10
-    step_tol: float = 1e-12
-    z_tol: float = 1e-10
-    cond_tol: float = 1e-8
-    r_pos_tol: float = 1e-13
-
-
-DEFAULT_TOLS = GiTolerances()
+# primal feasibility: gi_solve enters constraint j when (c_j^T x - b_j) / ||c_j||
+# < -FEAS_TOL (1 + ||x||); the invariant checks pass an active residual up to
+# FEAS_TOL (1 + ||x||) and a KKT residual up to FEAS_TOL (1 + ||x*||)
+FEAS_TOL = 1e-9
+# multipliers in [-DUAL_TOL, 0) are round-off and clipped to 0; the degenerate
+# step takes |u_i| <= DUAL_TOL as zero, and the checks pass u_i >= -DUAL_TOL
+DUAL_TOL = 1e-10
+# a Farkas certificate needs ||C lam|| <= CERT_TOL (1 + sum lam), lam^T b > CERT_TOL
+CERT_TOL = 1e-10
+# a step may lower v = ||x - x*||^2 / 2 by at most STEP_TOL (1 + |v|)
+STEP_TOL = 1e-12
+# z, the part of c_p outside the active span, is zero when ||z|| <= Z_TOL (1 + ||c_p||)
+Z_TOL = 1e-10
+# with ||z|| <= COND_TOL (1 + ||c_p||) and a blocking multiplier, the step drops
+# that column rather than divide by the tiny z^T c_p, which amplifies round-off
+COND_TOL = 1e-8
+# r_i counts as positive (it blocks the dual step, or the degenerate step
+# drops its column) when r_i > R_POS_TOL (1 + max |r|)
+R_POS_TOL = 1e-13
 
 
 class PreconditionViolated(ValueError):
@@ -217,16 +217,6 @@ class Solution:
     inner_steps: int
 
 
-@dataclass(frozen=True)
-class GiOptions:
-    max_inner_steps: int | None = None
-    violated_rule: str = "most-violated"  # or "first"
-    tols: GiTolerances = DEFAULT_TOLS
-
-
-_DEFAULT_GI_OPTIONS = GiOptions()
-
-
 def v_value(x: np.ndarray, x_star: np.ndarray) -> float:
     d = x - x_star
     return 0.5 * float(d.dot(d))
@@ -314,7 +304,6 @@ def _invariant_residuals_general(s: STuple, qp: ConstraintView) -> tuple:
 def check_s_tuple(
     s: STuple,
     qp: ConstraintView,
-    tols: GiTolerances = DEFAULT_TOLS,
     where: str = "",
     monitor: InvariantMonitor | None = None,
 ) -> bool:
@@ -336,15 +325,15 @@ def check_s_tuple(
     mon.checks += 1
     # each scale factor below is >= 1, so the unscaled comparison settles
     # most calls without computing the norm
-    if tight > tols.feas_tol and tight > tols.feas_tol * (1.0 + _nrm(s.x)):
+    if tight > FEAS_TOL and tight > FEAS_TOL * (1.0 + _nrm(s.x)):
         mon.fail(f"{where}: active residual {tight:.3e}")
         ok = False
     mon.checks += 1
-    if u_min < -tols.dual_tol:
+    if u_min < -DUAL_TOL:
         mon.fail(f"{where}: negative multiplier {u_min:.3e}")
         ok = False
     mon.checks += 1
-    if kkt > tols.feas_tol and kkt > tols.feas_tol * (1.0 + _nrm(qp.x_star)):
+    if kkt > FEAS_TOL and kkt > FEAS_TOL * (1.0 + _nrm(qp.x_star)):
         mon.fail(f"{where}: KKT residual {kkt:.3e}")
         ok = False
     mon.checks += 1
@@ -358,7 +347,6 @@ def check_s_tuple(
 def _check_v_increase(
     v_before: float,
     v_after: float,
-    tols: GiTolerances,
     where: str,
     monitor: InvariantMonitor | None = None,
 ) -> None:
@@ -366,7 +354,7 @@ def _check_v_increase(
     if not mon.enabled:
         return
     mon.checks += 1
-    if not v_after > v_before - tols.step_tol * (1.0 + abs(v_before)):
+    if not v_after > v_before - STEP_TOL * (1.0 + abs(v_before)):
         mon.fail(f"{where}: v did not increase ({v_before:.6e} -> {v_after:.6e})")
 
 
@@ -386,41 +374,41 @@ def _require_violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> tuple[float
     return nrm, cx
 
 
-def _clip_dual(u: np.ndarray, tols: GiTolerances) -> np.ndarray:
+def _clip_dual(u: np.ndarray) -> np.ndarray:
     # round-off can leave multipliers at -1e-17; exact zeros keep t1 ratios sane
     if u.size == 0 or min(u.tolist()) >= 0.0:
         return u
-    mask = (u < 0.0) & (u >= -tols.dual_tol)
+    mask = (u < 0.0) & (u >= -DUAL_TOL)
     u = u.copy()
     u[mask] = 0.0
     return u
 
 
-def _dual_update(u_plus: np.ndarray, t: float, r: np.ndarray, tols: GiTolerances) -> np.ndarray:
+def _dual_update(u_plus: np.ndarray, t: float, r: np.ndarray) -> np.ndarray:
     """Multipliers after a step of length t: ``u_plus + t * (-r, 1)``."""
     if r.shape[0] > SMALL_Q:
-        return _dual_update_general(u_plus, t, r, tols)
+        return _dual_update_general(u_plus, t, r)
     u = u_plus.tolist()
     for i, r_i in enumerate(r.tolist()):
         u[i] = u[i] + t * -r_i
     u[-1] = u[-1] + t
     if min(u) < 0.0:
-        u = [0.0 if -tols.dual_tol <= u_i < 0.0 else u_i for u_i in u]
+        u = [0.0 if -DUAL_TOL <= u_i < 0.0 else u_i for u_i in u]
     return np.array(u)
 
 
-def _dual_update_general(u_plus: np.ndarray, t: float, r: np.ndarray, tols: GiTolerances) -> np.ndarray:
-    return _clip_dual(u_plus + t * _appended(-r, 1.0), tols)
+def _dual_update_general(u_plus: np.ndarray, t: float, r: np.ndarray) -> np.ndarray:
+    return _clip_dual(u_plus + t * _appended(-r, 1.0))
 
 
-def _ratio_test(u_plus: np.ndarray, r: np.ndarray, r_pos_tol: float) -> tuple[float, int]:
+def _ratio_test(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     """Dual step bound ``t1 = min u_i / r_i`` over the clearly positive
     ``r_i``, with the position attaining it (first minimum, i.e. the lowest
     position in J); ``(inf, -1)`` when no ``r_i`` is positive."""
     if r.shape[0] > SMALL_Q:
-        return _ratio_test_general(u_plus, r, r_pos_tol)
+        return _ratio_test_general(u_plus, r)
     r_list = r.tolist()
-    thresh = r_pos_tol * (1.0 + max(map(abs, r_list), default=0.0))
+    thresh = R_POS_TOL * (1.0 + max(map(abs, r_list), default=0.0))
     t1, l = INF, -1
     for i, (u_i, r_i) in enumerate(zip(u_plus.tolist(), r_list)):
         if r_i > thresh:
@@ -430,9 +418,9 @@ def _ratio_test(u_plus: np.ndarray, r: np.ndarray, r_pos_tol: float) -> tuple[fl
     return t1, l
 
 
-def _ratio_test_general(u_plus: np.ndarray, r: np.ndarray, r_pos_tol: float) -> tuple[float, int]:
+def _ratio_test_general(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     r_scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
-    pos = np.flatnonzero(r > r_pos_tol * r_scale)
+    pos = np.flatnonzero(r > R_POS_TOL * r_scale)
     if pos.size == 0:
         return INF, -1
     ratios = u_plus[pos] / r[pos]
@@ -444,7 +432,6 @@ def inner_gi_step(
     s: STuple,
     p: int,
     qp: ConstraintView,
-    tols: GiTolerances = DEFAULT_TOLS,
     monitor: InvariantMonitor | None = None,
 ) -> StepOutcome:
     """One dual active-set step: make constraint ``p`` feasible.
@@ -476,14 +463,14 @@ def inner_gi_step(
             z = c_p - qr.q_mat.dot(qtc)
             r = solve_upper(qr.r_mat, qtc)
             z_norm = _nrm(z)
-            t1, l = _ratio_test(u_plus, r, tols.r_pos_tol)
+            t1, l = _ratio_test(u_plus, r)
         else:  # no active normals: z = c_p and no multiplier can block
             r = _EMPTY_U
             z, z_norm = c_p, c_norm
             t1, l = INF, -1
-        z_zero = z_norm <= tols.z_tol * scale
+        z_zero = z_norm <= Z_TOL * scale
 
-        if z_zero or (z_norm <= tols.cond_tol * scale and t1 < INF):
+        if z_zero or (z_norm <= COND_TOL * scale and t1 < INF):
             # the second case: c_p is nearly dependent on the active normals,
             # so replace a blocking column instead of stepping along z
             t2 = INF
@@ -496,22 +483,22 @@ def inner_gi_step(
             events.append("infeasible")
             mon = MONITOR if monitor is None else monitor
             mon.record(
-                verify_certificate(cert, qp, tols=tols),
+                verify_certificate(cert, qp),
                 "inner_gi_step: invalid infeasibility certificate",
             )
             return Infeasible(cert, tuple(events))
 
         if t2 <= t1:  # full step; ties resolve to the full step
             x = x + t2 * z
-            u_plus = _dual_update(u_plus, t2, r, tols)
+            u_plus = _dual_update(u_plus, t2, r)
             try:
                 qr2 = qr_append_column(qr, c_p)
             except DependentColumn as exc:  # z != 0 should preclude this
                 raise NumericalError(f"dependent column on full step: {exc}") from exc
             s2 = STuple(x, tuple(j_work) + (p,), u_plus, qr2)
             events += ["full", f"add:{p}"]
-            check_s_tuple(s2, qp, tols, "inner_gi_step", monitor)
-            _check_v_increase(v0, v_value(x, qp.x_star), tols, "inner_gi_step", monitor)
+            check_s_tuple(s2, qp, "inner_gi_step", monitor)
+            _check_v_increase(v0, v_value(x, qp.x_star), "inner_gi_step", monitor)
             return Advanced(s2, tuple(events))
 
         # dual-only step when t2 = inf, otherwise partial step in both spaces
@@ -521,24 +508,12 @@ def inner_gi_step(
             x = x + t1 * z
             cx = float(c_p.dot(x))
             events.append("partial")
-        u_plus = np.delete(_dual_update(u_plus, t1, r, tols), l)
+        u_plus = np.delete(_dual_update(u_plus, t1, r), l)
         events.append(f"drop:{j_work[l]}")
         del j_work[l]
         qr = qr_delete_column(qr, l)
 
     raise IterationLimitError("anti-cycling cap exceeded in inner GI step", x)
-
-
-@dataclass(frozen=True)
-class AplusOptions:
-    """Controls the primal refinement of the degenerate step direction.
-
-    The stopping criterion for "good enough" directions is not prescribed,
-    so it is exposed as a round budget; each round enters the lowest
-    eligible index among the dropped candidates.
-    """
-
-    rounds: int = 1
 
 
 def _refine_direction(
@@ -576,7 +551,7 @@ def _refine_direction(
         while True:
             q_cur = qr.ncols
             scale = 1.0 + float(np.max(np.abs(r_plus))) if r_plus.size else 1.0
-            pos = np.flatnonzero(r_plus[:q_cur] > 1e-13 * scale)
+            pos = np.flatnonzero(r_plus[:q_cur] > R_POS_TOL * scale)
             if pos.size == 0:
                 break
             t3_vals = -r_ext[pos] / r_plus[pos]
@@ -608,21 +583,22 @@ def degenerate_inner_gi_step(
     s: STuple,
     p: int,
     qp: ConstraintView,
-    tols: GiTolerances = DEFAULT_TOLS,
-    aplus: AplusOptions | None = None,
+    aplus_rounds: int = 0,
     monitor: InvariantMonitor | None = None,
 ) -> StepOutcome:
     """The inner step variant for all-zero multipliers.
 
     Drops active columns while the span coefficients of ``c_p`` have a
-    positive entry (lowest index first), optionally refines the direction
-    against the dropped candidates, then takes a single full step onto the
-    remaining tight system plus ``p``.  With |z| = 0 the coefficients give
-    an infeasibility certificate.
+    positive entry (lowest index first), refines the direction against the
+    dropped candidates for ``aplus_rounds`` rounds, then takes a single full
+    step onto the remaining tight system plus ``p``.  With |z| = 0 the
+    coefficients give an infeasibility certificate.  The refinement's
+    stopping criterion is not prescribed, so it is a round budget; each
+    round enters the lowest eligible index among the dropped candidates.
     """
     if p in s.j_set:
         raise PreconditionViolated(f"constraint {p} already active")
-    if s.u.size and float(np.max(np.abs(s.u))) > tols.dual_tol:
+    if s.u.size and float(np.max(np.abs(s.u))) > DUAL_TOL:
         raise PreconditionViolated("multipliers are not zero; use inner_gi_step")
     c_p = qp.column(p)
     b_p = qp.rhs(p)
@@ -637,7 +613,7 @@ def degenerate_inner_gi_step(
     while True:
         r = solve_upper(qr.r_mat, qr.q_mat.T @ c_p)
         scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
-        pos = np.flatnonzero(r > tols.r_pos_tol * scale)
+        pos = np.flatnonzero(r > R_POS_TOL * scale)
         if pos.size == 0:
             break
         l = int(pos[0])  # lowest index
@@ -645,73 +621,66 @@ def degenerate_inner_gi_step(
         del j_work[l]
         qr = qr_delete_column(qr, l)
 
-    if aplus is not None and aplus.rounds:
+    if aplus_rounds:
         pool = [j for j in j0 if j not in j_work]
-        j_work, qr, r, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus.rounds)
+        j_work, qr, r, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus_rounds)
         events += ev
 
     z = c_p - qr.q_mat.dot(qr.q_mat.T.dot(c_p))
-    if _nrm(z) <= tols.z_tol * (1.0 + _nrm(c_p)):
+    if _nrm(z) <= Z_TOL * (1.0 + _nrm(c_p)):
         lam = np.append(np.maximum(-r, 0.0), 1.0)
         cert = InfeasibilityCertificate(tuple(j_work) + (p,), lam)
         events.append("infeasible")
         mon = MONITOR if monitor is None else monitor
         mon.record(
-            verify_certificate(cert, qp, tols=tols),
+            verify_certificate(cert, qp),
             "degenerate_inner_gi_step: invalid infeasibility certificate",
         )
         return Infeasible(cert, tuple(events))
 
     t2 = (b_p - cx) / float(z.dot(c_p))
     x2 = x + t2 * z
-    u2 = _clip_dual(_appended(-t2 * r, t2), tols)
+    u2 = _clip_dual(_appended(-t2 * r, t2))
     try:
         qr2 = qr_append_column(qr, c_p)
     except DependentColumn as exc:
         raise NumericalError(f"dependent column on degenerate step: {exc}") from exc
     s2 = STuple(x2, tuple(j_work) + (p,), u2, qr2)
     events += ["full", f"add:{p}"]
-    check_s_tuple(s2, qp, tols, "degenerate_inner_gi_step", monitor)
+    check_s_tuple(s2, qp, "degenerate_inner_gi_step", monitor)
     _check_v_increase(
-        v_value(x, qp.x_star), v_value(x2, qp.x_star), tols, "degenerate_inner_gi_step", monitor
+        v_value(x, qp.x_star), v_value(x2, qp.x_star), "degenerate_inner_gi_step", monitor
     )
     return Advanced(s2, tuple(events))
 
 
-def _pick_violated(resid: np.ndarray, thresh: float, rule: str) -> int:
-    """Constraint to add among those with ``resid < thresh``: the first one
-    or the most violated (first minimum); -1 when none is violated."""
+def _pick_violated(resid: np.ndarray, thresh: float) -> int:
+    """The most violated constraint (first minimum) among those with
+    ``resid < thresh``; -1 when none is violated."""
     if resid.shape[0] > SMALL_SIZE:
-        return _pick_violated_general(resid, thresh, rule)
+        return _pick_violated_general(resid, thresh)
     p, worst = -1, thresh
     for j, r_j in enumerate(resid.tolist()):
         if r_j < worst:
-            if rule == "first":
-                return j
             p, worst = j, r_j
     return p
 
 
-def _pick_violated_general(resid: np.ndarray, thresh: float, rule: str) -> int:
+def _pick_violated_general(resid: np.ndarray, thresh: float) -> int:
     violated = np.flatnonzero(resid < thresh)
     if violated.size == 0:
         return -1
-    if rule == "first":
-        return int(violated[0])
     return int(violated[np.argmin(resid[violated])])
 
 
-def gi_solve(qp: QpProblem, options: GiOptions | None = None) -> Solution | Infeasible:
-    """Project ``x*`` onto {x : C^T x >= b} by repeated inner steps.
+def gi_solve(qp: QpProblem) -> Solution | Infeasible:
+    """Project ``x*`` onto {x : C^T x >= b} by repeated inner steps, each
+    entering the most violated constraint.
 
-    Raises ``IterationLimitError`` when the step budget is exhausted, which
-    is a different outcome from a certified ``Infeasible``.
+    Raises ``IterationLimitError`` after ``100 + 20 m`` steps, which is a
+    different outcome from a certified ``Infeasible``.
     """
-    opts = options or _DEFAULT_GI_OPTIONS
-    tols = opts.tols
-    cap = opts.max_inner_steps
-    if cap is None:
-        cap = 100 + 20 * qp.m
+    cap = 100 + 20 * qp.m
     col_norms = np.linalg.norm(qp.c_mat, axis=0)
     if 0.0 in col_norms.tolist():
         raise PreconditionViolated("zero constraint normal in problem")
@@ -719,13 +688,13 @@ def gi_solve(qp: QpProblem, options: GiOptions | None = None) -> Solution | Infe
     inner = 0
     while True:
         resid = (qp.c_mat.T.dot(s.x) - qp.b) / col_norms
-        thresh = -tols.feas_tol * (1.0 + _nrm(s.x))
-        p = _pick_violated(resid, thresh, opts.violated_rule)
+        thresh = -FEAS_TOL * (1.0 + _nrm(s.x))
+        p = _pick_violated(resid, thresh)
         if p < 0:
             return Solution(s.x, s.j_set, s.u, s, inner)
         if inner >= cap:
             raise IterationLimitError(f"inner step budget {cap} exhausted", s.x)
-        outcome = inner_gi_step(s, p, qp, tols)
+        outcome = inner_gi_step(s, p, qp)
         inner += 1
         if isinstance(outcome, Infeasible):
             return outcome
@@ -736,7 +705,6 @@ def verify_certificate(
     cert: InfeasibilityCertificate,
     qp_or_c_mat,
     b=None,
-    tols: GiTolerances = DEFAULT_TOLS,
 ) -> bool:
     """Farkas check: lam >= 0, ||C_{J'} lam|| small, lam^T b_{J'} > cert_tol."""
     if b is None:
@@ -751,17 +719,12 @@ def verify_certificate(
     if lam.shape[0] != len(cert.j_prime) or np.any(lam < 0.0):
         return False
     scale = 1.0 + float(np.sum(lam))
-    if float(np.linalg.norm(cols @ lam)) > tols.cert_tol * scale:
+    if float(np.linalg.norm(cols @ lam)) > CERT_TOL * scale:
         return False
-    return float(lam @ b_j) > tols.cert_tol
+    return float(lam @ b_j) > CERT_TOL
 
 
-def project_polyhedron_reduced(
-    x,
-    c_mat,
-    b,
-    inner_solver: Callable[[QpProblem], Solution | Infeasible] | None = None,
-) -> np.ndarray:
+def project_polyhedron_reduced(x, c_mat, b) -> np.ndarray:
     """Projection onto {x : C^T x >= b} through the QR of C.
 
     With C = QR (full column rank d), solving the d-dimensional problem
@@ -769,16 +732,15 @@ def project_polyhedron_reduced(
     Falls back to the direct solve when C is rank deficient.
     """
     x = as_vector(x, "x")
-    solver = inner_solver or gi_solve
     try:
         f = qr_factorize(c_mat)
     except Exception:
-        res = solver(QpProblem(x, c_mat, b))
+        res = gi_solve(QpProblem(x, c_mat, b))
         if isinstance(res, Infeasible):
             raise ValueError("polyhedron is empty") from None
         return res.x
     qtx = f.q_mat.T @ x
-    res = solver(QpProblem(qtx, f.r_mat, b))
+    res = gi_solve(QpProblem(qtx, f.r_mat, b))
     if isinstance(res, Infeasible):
         raise ValueError("polyhedron is empty")
     return f.q_mat @ res.x + (x - f.q_mat @ qtx)
@@ -803,7 +765,7 @@ def cone_project_reduced(n0_mat, c_p) -> tuple[np.ndarray, tuple[int, ...], np.n
         raise NumericalError("polar projection reported infeasible")
     y_tilde = w - res.x
     y = f.q_mat @ y_tilde
-    support = [(j, -float(res.u[i])) for i, j in enumerate(res.j_set) if res.u[i] > DEFAULT_TOLS.dual_tol]
+    support = [(j, -float(res.u[i])) for i, j in enumerate(res.j_set) if res.u[i] > DUAL_TOL]
     j_idx = tuple(j for j, _ in support)
     r = np.array([c for _, c in support])
     return y, j_idx, r

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activeset_qp import (
-    DEFAULT_TOLS,
-    GiTolerances,
     Infeasible,
     STuple,
     degenerate_inner_gi_step,
@@ -33,8 +31,14 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .linalg import _RowScreen, as_matrix, as_start, as_vector
-from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _dist_to, _report
-from .solvers import _check_fields, _is_count, _is_tol
+from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _report
+from .solvers import _check_fields, _is_count
+
+# P_circ turns into P_plus in case 2 when x_times violates its face by less
+# than this fraction of the slab width
+CASE2_CLOSE_FRAC = 0.1
+# consecutive P_circ steps are capped at this factor * (active set size + 1)
+CIRC_CAP_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -153,28 +157,21 @@ class ArtTriple:
 
 @dataclass(frozen=True)
 class ArtPolicy:
-    """Step choices per case plus the knobs the preference marks leave open.
+    """Step choices per case where the preference marks leave one open.
 
     ``case2`` in {"circ", "plus"}, ``case4`` in {"times", "circ", "plus"},
-    ``case5`` in {"times", "plus"}.  ``case2_close_frac`` switches case 2
-    to P_plus when x_times violates its face by less than this fraction of
-    the slab width; ``circ_cap_factor`` bounds consecutive P_circ steps at
-    factor * (active set size + 1).
+    ``case5`` in {"times", "plus"}.
     """
 
     case2: str = "circ"
     case4: str = "times"
     case5: str = "times"
-    case2_close_frac: float = 0.1
-    circ_cap_factor: int = 3
 
     def __post_init__(self):
         _check_fields(self, (
             ("case2", self.case2 in ("circ", "plus"), '"circ" or "plus"'),
             ("case4", self.case4 in ("times", "circ", "plus"), '"times", "circ" or "plus"'),
             ("case5", self.case5 in ("times", "plus"), '"times" or "plus"'),
-            ("case2_close_frac", _is_tol(self.case2_close_frac), "a finite number >= 0"),
-            ("circ_cap_factor", _is_count(self.circ_cap_factor, 0), "an integer >= 0"),
         ))
 
 
@@ -214,25 +211,22 @@ def art3_update(x, a_j, lower: float, upper: float) -> np.ndarray:
     return x + ((0.5 * (lower + upper) - s) / aa) * a
 
 
-def art3_solve(
-    x0,
-    system: HyperslabSystem,
-    max_iters: int = 100_000,
-    reference=None,
-    record_trace: bool = False,
-) -> SolveReport:
+def _check_max_iters(max_iters) -> None:
+    if not _is_count(max_iters, 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+
+
+def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveReport:
     """Cyclic ART3 sweep; stops after a full pass without movement.
 
     The stop test keeps the last-change bookkeeping of the classical
     scheme but requires a complete clean pass over all m rows, which also
     covers the first pass (the literal j = k initialization could stop one
-    row early before anything has been verified).
+    row early before anything has been verified).  The report has no
+    trace rows.
     """
+    _check_max_iters(max_iters)
     x = as_start(x0, system.n).copy()
-    ref = None if reference is None else as_vector(reference, "reference")
-    rows_trace: list[TraceRow] = []
-    if record_trace or ref is not None:
-        rows_trace.append(TraceRow(0, _dist_to(ref, x), None, None, ()))
     a_mat, lo, up = system.a_mat, system.lower, system.upper
     m = system.m
     clean = 0
@@ -246,15 +240,13 @@ def art3_solve(
         clean = 0 if changed else clean + 1
         i += 1
         j = (j + 1) % m
-        if record_trace or ref is not None:
-            rows_trace.append(TraceRow(i, _dist_to(ref, x), None, None, ("update",) if changed else ()))
         if clean >= m:
             status = "solved"
             break
     membership = system.contains(x)
     if status == "solved" and not membership:
         status = "iteration_limit"  # cannot happen for clean passes; belt and braces
-    return _report(status, x, rows_trace, {"iterations": i}, extras={"membership": membership})
+    return _report(status, x, [], {"iterations": i}, extras={"membership": membership})
 
 
 def extrapolate_plus(x_circ, x_times, system: HyperslabSystem, active) -> np.ndarray:
@@ -322,8 +314,6 @@ def extended_art_solve(
     policy: ArtPolicy | None = None,
     max_iters: int = 100_000,
     witness=None,
-    reference=None,
-    tols: GiTolerances = DEFAULT_TOLS,
 ) -> SolveReport:
     """Extended ART with QP-assisted steps; terminates when x_plus lands in S.
 
@@ -334,9 +324,9 @@ def extended_art_solve(
     The report tracks the restart subsequence and, given a ``witness``
     inside S, its worst Fejer-monotonicity violation.
     """
+    _check_max_iters(max_iters)
     pol = policy or ArtPolicy()
     x0 = as_start(x0, system.n)
-    ref = None if reference is None else as_vector(reference, "reference")
     wit = None if witness is None else as_vector(witness, "witness")
 
     store = HalfspaceStore()
@@ -348,7 +338,7 @@ def extended_art_solve(
 
     counts = {"iterations": 0, "p_circ": 0, "p_times": 0, "p_plus": 0, "inner_steps": 0,
               "reanchor": 0}
-    rows: list[TraceRow] = [TraceRow(0, _dist_to(ref, x0), None, None, ())]
+    rows: list[TraceRow] = [TraceRow(0, None, None, None, ())]
     fejer_max_increase = 0.0
     fejer_events = 0
     wit_dist = None if wit is None else float(np.linalg.norm(x_circ - wit))
@@ -379,7 +369,7 @@ def extended_art_solve(
     def face_step(step, s_from: STuple, face, anchor_pt: np.ndarray):
         """Store slab j's violated face and take the engine step onto it."""
         counts["inner_steps"] += 1
-        return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store), tols)
+        return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store))
 
     nudge_tol = 1e-12
     # membership of x_plus is tested only when x_plus is a new array: every
@@ -419,9 +409,9 @@ def extended_art_solve(
                     # or when the slide refinement has run too long
                     width = system.upper[j] - system.lower[j]
                     resid = raw_violation(x_times, j) / float(np.linalg.norm(system.a_mat[j]))
-                    if math.isfinite(width) and resid < pol.case2_close_frac * width and case == 2:
+                    if math.isfinite(width) and resid < CASE2_CLOSE_FRAC * width and case == 2:
                         choice = "plus"
-                    elif consecutive_circ >= pol.circ_cap_factor * (s.q + 1):
+                    elif consecutive_circ >= CIRC_CAP_FACTOR * (s.q + 1):
                         choice = "plus" if case == 2 else ("times" if case == 4 else "plus")
 
             if choice == "nudge":
@@ -504,8 +494,8 @@ def extended_art_solve(
         i += 1
         counts["iterations"] = i
         j = (j + 1) % system.m
-        if ref is not None or events:
-            rows.append(TraceRow(len(rows), _dist_to(ref, x_plus), None, None, tuple(events)))
+        if events:
+            rows.append(TraceRow(len(rows), None, None, None, tuple(events)))
 
     certificate = cert_system = None
     if isinstance(outcome, Infeasible):

@@ -18,7 +18,6 @@ from itertools import takewhile
 import numpy as np
 
 from .activeset_qp import (
-    AplusOptions,
     Infeasible,
     QpProblem,
     STuple,
@@ -332,7 +331,7 @@ def suite_thm73(seed: int = 0, count: int = 100) -> SuiteResult:
         p = q0
         plain = degenerate_inner_gi_step(s0, p, qp)
         if isinstance(plain, Infeasible):
-            refined = degenerate_inner_gi_step(s0, p, qp, aplus=AplusOptions(rounds=1))
+            refined = degenerate_inner_gi_step(s0, p, qp, aplus_rounds=1)
             if not isinstance(refined, Infeasible):
                 failures.append(f"case {k}: verdicts differ")
             continue
@@ -343,7 +342,7 @@ def suite_thm73(seed: int = 0, count: int = 100) -> SuiteResult:
             for j in dropped
             if float(qp.column(j) @ s1.x) - qp.rhs(j) < -1e-12 * (1.0 + abs(qp.rhs(j)))
         ]
-        refined = degenerate_inner_gi_step(s0, p, qp, aplus=AplusOptions(rounds=1))
+        refined = degenerate_inner_gi_step(s0, p, qp, aplus_rounds=1)
         if not violated:
             if isinstance(refined, Infeasible):
                 failures.append(f"case {k}: refinement reported infeasible")

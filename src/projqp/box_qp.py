@@ -91,11 +91,11 @@ def box_step_direction(x_tilde, c_p, lower, upper) -> np.ndarray:
     return d
 
 
-def solve_box_qp(p: BoxQp, max_passes: int | None = None) -> BoxQpResult:
+def solve_box_qp(p: BoxQp) -> BoxQpResult:
     """Run the box algorithm to optimality, keeping the (x~, y) trace."""
     x = p.x_star.copy()
     trace: list[tuple[np.ndarray, np.ndarray | None]] = [(x.copy(), None)]
-    cap = max_passes if max_passes is not None else p.x_star.shape[0] + 1
+    cap = p.x_star.shape[0] + 1
     scale = 1.0 + abs(p.b_hat)
     passes = 0
     while float(p.c_p @ x) < p.b_hat - FEAS_TOL * scale:

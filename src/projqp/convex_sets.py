@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .activeset_qp import GiOptions, Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
+from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
 from .linalg import as_matrix, as_vector
 
 
@@ -157,16 +157,11 @@ def project_set(k: ConvexSet, x) -> np.ndarray:
         n, cols = k.c_mat.shape
         if cols < n / 2:
             return project_polyhedron_reduced(x, k.c_mat, k.b)
-        res = gi_solve(QpProblem(x, k.c_mat, k.b), GiOptions())
+        res = gi_solve(QpProblem(x, k.c_mat, k.b))
         if isinstance(res, Infeasible):
             raise ValueError("polyhedron is empty")
         return res.x
     raise TypeError(f"unknown set descriptor {type(k)!r}")
-
-
-def contains(k: ConvexSet, x, tol: float = 1e-9) -> bool:
-    x = as_vector(x, "x")
-    return float(np.linalg.norm(x - project_set(k, x))) <= tol
 
 
 # ---------------------------------------------------------------------------

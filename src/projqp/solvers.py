@@ -26,9 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .activeset_qp import (
-    DEFAULT_TOLS,
-    AplusOptions,
-    GiTolerances,
+    DUAL_TOL,
     Infeasible,
     InfeasibilityCertificate,
     QpProblem,
@@ -172,7 +170,6 @@ class SolverOptions:
     record_iterates: bool = False
     sip_aplus_rounds: int = 0
     use_box_fast_path: bool = True
-    gi_tols: GiTolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         steps = self.inner_steps_per_outer
@@ -190,7 +187,6 @@ class SolverOptions:
             ("record_iterates", isinstance(self.record_iterates, bool), "a bool"),
             ("sip_aplus_rounds", _is_count(self.sip_aplus_rounds, 0), "an integer >= 0"),
             ("use_box_fast_path", isinstance(self.use_box_fast_path, bool), "a bool"),
-            ("gi_tols", isinstance(self.gi_tols, GiTolerances), "a GiTolerances"),
         ))
 
 
@@ -283,16 +279,12 @@ def fill_measures(rows: list[TraceRow]) -> None:
         prev = d
 
 
-def _dist_to(reference: np.ndarray | None, x: np.ndarray) -> float | None:
-    if reference is None:
-        return None
-    d = x - reference
-    return math.sqrt(float(d.dot(d)))
-
-
 def _trace_row(index: int, x: np.ndarray, events: tuple[str, ...], opts: SolverOptions) -> TraceRow:
-    return TraceRow(index, _dist_to(opts.reference, x), None, None, events,
-                    x.copy() if opts.record_iterates else None)
+    dist = None
+    if opts.reference is not None:
+        d = x - opts.reference
+        dist = math.sqrt(float(d.dot(d)))
+    return TraceRow(index, dist, None, None, events, x.copy() if opts.record_iterates else None)
 
 
 def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
@@ -350,7 +342,7 @@ def aggregate_halfspace_pair(c_i, b_i: float, u_i: float, c_j, b_j: float, u_j: 
     both originals is tight on the aggregate.  The aggregated halfspace
     contains the intersection of the two originals (multipliers are >= 0).
     """
-    if u_i < -DEFAULT_TOLS.dual_tol or u_j < -DEFAULT_TOLS.dual_tol or u_i + u_j <= 0.0:
+    if u_i < -DUAL_TOL or u_j < -DUAL_TOL or u_i + u_j <= 0.0:
         raise ValueError("aggregation needs nonnegative multipliers with positive sum")
     w = u_i * np.asarray(c_i, dtype=float) + u_j * np.asarray(c_j, dtype=float)
     nw = float(np.linalg.norm(w))
@@ -611,7 +603,7 @@ def _settle(s: STuple, outcome, view: _StoreView, events: list[str], opts: Solve
         pbest = int(np.argmax(resid))
         if resid[pbest] <= opts.feas_tol * (1.0 + _norm(s.x)):
             break
-        outcome = inner_gi_step(s, pbest, view, opts.gi_tols)
+        outcome = inner_gi_step(s, pbest, view)
         counts["inner_steps"] += 1
         if isinstance(outcome, Infeasible):
             return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
@@ -649,12 +641,12 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         counts["outer_iterations"] += 1
         idx = store.add(*_cut(x, p, dist), source=index, birth=visit)
         events = [f"H+{idx}"]
-        s, proof = _settle(s, inner_gi_step(s, idx, view, opts.gi_tols), view, events, opts, counts)
+        s, proof = _settle(s, inner_gi_step(s, idx, view), view, events, opts, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:
             s = _compact_bap(store, s, opts.max_store, events)
-            check_s_tuple(s, view, opts.gi_tols, "bap-compaction")
+            check_s_tuple(s, view, "bap-compaction")
         return s.x, tuple(events), None
 
     report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")
@@ -679,7 +671,6 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     store = HalfspaceStore()
     s = empty_s_tuple(x0)
     counts = _gi_counts()
-    aplus = AplusOptions(rounds=opts.sip_aplus_rounds) if opts.sip_aplus_rounds else None
 
     def step(x, p, dist, index, visit):
         nonlocal s
@@ -692,7 +683,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         events = [f"H+{idx}"]
         view = _StoreView(x.copy(), store)
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
-        outcome = degenerate_inner_gi_step(s_zero, idx, view, opts.gi_tols, aplus)
+        outcome = degenerate_inner_gi_step(s_zero, idx, view, opts.sip_aplus_rounds)
         s, proof = _settle(s, outcome, view, events, opts, counts)
         if proof is not None:
             return x, tuple(events), proof
@@ -700,7 +691,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
             s = _compact_sip(store, s, opts.max_store, events)
             # the next step re-anchors at s.x with zero multipliers: check that state
             s_next = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-            check_s_tuple(s_next, _StoreView(s.x, store), opts.gi_tols, "sip-compaction")
+            check_s_tuple(s_next, _StoreView(s.x, store), "sip-compaction")
         return s.x, tuple(events), None
 
     report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")

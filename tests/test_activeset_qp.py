@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from projqp import activeset_qp
 from projqp.activeset_qp import (
     MONITOR,
     Advanced,
-    AplusOptions,
-    GiOptions,
     Infeasible,
     InfeasibilityCertificate,
     InvariantMonitor,
@@ -194,14 +193,14 @@ class TestDegenerateStep:
 
 class TestDirectionRefinement:
     """The primal refinement of the degenerate step's direction, through
-    ``degenerate_inner_gi_step(..., aplus=AplusOptions(...))``."""
+    ``degenerate_inner_gi_step(..., aplus_rounds=k)``."""
 
     def test_empty_pool_unchanged(self):
         # no column drops, so the refinement has no candidate: the working
         # set stays (0, 1) and the step ends as the plain one does
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), [[0.0], [-1.0]]]), np.array([0.0, 0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        out = degenerate_inner_gi_step(s, 2, qp, aplus=AplusOptions(rounds=4))
+        out = degenerate_inner_gi_step(s, 2, qp, aplus_rounds=4)
         assert isinstance(out, Infeasible)
         assert out.events == ("infeasible",)
         assert out.certificate.j_prime == (0, 1, 2)
@@ -213,7 +212,7 @@ class TestDirectionRefinement:
         c_p = np.array([1.0, 1.0]) / R2
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), c_p]), np.array([0.0, 0.0, 1.0]))
         s0 = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        out = degenerate_inner_gi_step(s0, 2, qp, aplus=AplusOptions(rounds=4))
+        out = degenerate_inner_gi_step(s0, 2, qp, aplus_rounds=4)
         s2 = out.s_tuple
         # both axes stay dropped: the step is the plain projection onto the
         # halfspace c_p^T x >= 1
@@ -233,7 +232,7 @@ class TestDirectionRefinement:
         s = tight_s_tuple([0.0, 0.0, 0.0], (0, 1, 2), [0.0, 0.0, 0.0], qp)
         plain = degenerate_inner_gi_step(s, 3, qp)
         assert "enter:1" not in plain.events
-        out = degenerate_inner_gi_step(s, 3, qp, aplus=AplusOptions(rounds=3))
+        out = degenerate_inner_gi_step(s, 3, qp, aplus_rounds=3)
         assert out.events == ("drop:1", "drop:2", "enter:1", "full", "add:3")
         y_oracle = cone_project_enum(-cols, c_p)
         direction = c_p - y_oracle
@@ -284,16 +283,20 @@ class TestGiSolve:
                 assert oracle.feasible
                 np.testing.assert_allclose(res.x, oracle.x, atol=1e-8)
 
-    def test_first_violated_rule_same_optimum(self):
-        c = np.column_stack([np.eye(2), np.array([1.0, 1.0])])
-        qp = QpProblem(np.zeros(2), c, np.array([1.0, 1.0, 1.0]))
-        res = gi_solve(qp, GiOptions(violated_rule="first"))
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
-
-    def test_iteration_limit_distinct_from_infeasible(self):
+    def test_iteration_limit_distinct_from_infeasible(self, monkeypatch):
+        # a step that never moves x leaves a constraint violated forever, so
+        # the budget of 100 + 20 m steps runs out
         qp = QpProblem(np.zeros(2), np.eye(2), np.array([1.0, 1.0]))
-        with pytest.raises(IterationLimitError):
-            gi_solve(qp, GiOptions(max_inner_steps=0))
+        calls = []
+
+        def stalled(s, p, view):
+            calls.append(p)
+            return Advanced(s)
+
+        monkeypatch.setattr(activeset_qp, "inner_gi_step", stalled)
+        with pytest.raises(IterationLimitError, match="budget 140 exhausted"):
+            gi_solve(qp)
+        assert len(calls) == 100 + 20 * qp.m
 
 
 class TestReductions:
@@ -387,16 +390,15 @@ class TestSmallActiveSetPaths:
         for _ in range(400):
             u_plus = np.abs(rng.normal(size=q + 1)) * (rng.uniform(size=q + 1) < 0.7)
             r = rng.normal(size=q) * (rng.uniform(size=q) < 0.8)
-            assert _ratio_test(u_plus, r, 1e-13) == _ratio_test_general(u_plus, r, 1e-13)
+            assert _ratio_test(u_plus, r) == _ratio_test_general(u_plus, r)
 
     def test_ratio_test_ties_pick_lowest_position(self):
         u_plus, r = np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0])
-        assert _ratio_test(u_plus, r, 1e-13) == _ratio_test_general(u_plus, r, 1e-13) == (0.5, 0)
+        assert _ratio_test(u_plus, r) == _ratio_test_general(u_plus, r) == (0.5, 0)
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_dual_update_matches_general(self, q):
         rng = np.random.default_rng(200 + q)
-        tols = GiOptions().tols
         for _ in range(400):
             u_plus = np.abs(rng.normal(size=q + 1))
             r = rng.normal(size=q)
@@ -404,8 +406,8 @@ class TestSmallActiveSetPaths:
             if q and rng.uniform() < 0.3:
                 # land one multiplier within the clipping band just below zero
                 u_plus[0] = t * r[0] - 1e-12
-            small = _dual_update(u_plus, t, r, tols)
-            np.testing.assert_array_equal(small, _dual_update_general(u_plus, t, r, tols))
+            small = _dual_update(u_plus, t, r)
+            np.testing.assert_array_equal(small, _dual_update_general(u_plus, t, r))
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_invariant_residuals_match_general(self, q):
@@ -424,15 +426,14 @@ class TestSmallActiveSetPaths:
         s = empty_s_tuple(np.array([0.5, 0.5]))
         assert _invariant_residuals(s, qp) == _invariant_residuals_general(s, qp)
 
-    @pytest.mark.parametrize("rule", ["first", "most-violated"])
-    def test_violation_scan_matches_general(self, rule):
+    def test_violation_scan_matches_general(self):
         rng = np.random.default_rng(400)
         for _ in range(400):
             resid = rng.normal(size=int(rng.integers(1, SMALL_SIZE + 1)))
             if rng.uniform() < 0.3:
                 resid[-1] = resid.min()  # a tie for the most violated
             thresh = -float(rng.uniform(0.0, 1.0))
-            assert _pick_violated(resid, thresh, rule) == _pick_violated_general(resid, thresh, rule)
+            assert _pick_violated(resid, thresh) == _pick_violated_general(resid, thresh)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("defect", ["column", "tightness", "multiplier", "kkt", "qr"])

@@ -191,6 +191,17 @@ class TestCli:
         assert rep.counts["iterations"] > 0
         assert printed == f"method={method} status=solved iters={rep.counts['iterations']}"
 
+    @pytest.mark.parametrize("method", ["art3", "ext-art"])
+    @pytest.mark.parametrize("max_iter", ["-5", "0"])
+    def test_solve_art_non_positive_max_iter_exit_one(self, tmp_path, capsys, method, max_iter):
+        path = tmp_path / "system.txt"
+        path.write_text("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n")
+        code = cli.main(["solve", "--problem", str(path), "--method", method, "--max-iter", max_iter])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE == 1
+        assert "max_iters must be an integer >= 1" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_exit_one(self):
         assert cli.main(["two-circles", "--method", "bogus"]) == 1
         assert cli.main(["nonsense"]) == 1

@@ -3,11 +3,14 @@
 The benchmark (``perfbench/``) traces 26 functions by name and sums the
 ``outer_iterations``, ``inner_steps`` and ``projections`` counts of every
 report; the CLI offers the registered methods.  These tests keep a rename
-or a dropped count key from passing tier-1 unnoticed.
+or a dropped count key from passing tier-1 unnoticed.  The settable values
+of the options objects and of the engine and ART entry points are pinned
+too, so a change that adds a knob has to edit this file in plain view.
 """
 
 import argparse
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +90,28 @@ def test_cli_methods_are_the_registry():
 
 def test_two_circles_caps_cover_the_registry():
     assert set(bench.METHOD_DEFAULT_ITERS) == set(_METHODS)
+
+
+def test_option_fields_are_pinned():
+    assert list(SolverOptions.__dataclass_fields__) == [
+        "feas_tol", "max_outer_iters", "inner_steps_per_outer", "set_visit_order", "max_store",
+        "reference", "record_iterates", "sip_aplus_rounds", "use_box_fast_path",
+    ]
+    assert list(art.ArtPolicy.__dataclass_fields__) == ["case2", "case4", "case5"]
+
+
+PINNED_PARAMETERS = [
+    (activeset_qp.gi_solve, ["qp"]),
+    (activeset_qp.inner_gi_step, ["s", "p", "qp", "monitor"]),
+    (activeset_qp.degenerate_inner_gi_step, ["s", "p", "qp", "aplus_rounds", "monitor"]),
+    (activeset_qp.check_s_tuple, ["s", "qp", "where", "monitor"]),
+    (activeset_qp.verify_certificate, ["cert", "qp_or_c_mat", "b"]),
+    (art.art3_solve, ["x0", "system", "max_iters"]),
+    (art.extended_art_solve, ["x0", "system", "policy", "max_iters", "witness"]),
+    (box_qp.solve_box_qp, ["p"]),
+]
+
+
+@pytest.mark.parametrize("fn, params", PINNED_PARAMETERS, ids=[fn.__name__ for fn, _ in PINNED_PARAMETERS])
+def test_entry_point_parameters_are_pinned(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

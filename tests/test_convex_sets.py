@@ -10,7 +10,6 @@ from projqp.convex_sets import (
     Halfspace,
     Hyperslab,
     Polyhedron,
-    contains,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -82,17 +81,6 @@ class TestProjections:
             lhs = float(np.linalg.norm(px - py)) ** 2
             rhs = float((px - py) @ (x - y))
             assert lhs <= rhs + 1e-10
-
-
-class TestContains:
-    def test_center(self):
-        assert contains(Ball(np.zeros(2), 1.0), np.zeros(2))
-
-    def test_boundary_within_tol(self):
-        assert contains(Ball(np.zeros(2), 1.0), np.array([1.0, 0.0]), tol=1e-9)
-
-    def test_outside(self):
-        assert not contains(Ball(np.zeros(2), 1.0), np.array([1.001, 0.0]), tol=1e-9)
 
 
 def first_cut(k, x):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projqp.activeset_qp import DEFAULT_TOLS, PreconditionViolated, STuple, verify_certificate
+from projqp.activeset_qp import PreconditionViolated, STuple, verify_certificate
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
 from projqp import solvers
@@ -383,7 +383,6 @@ class TestOptionValidation:
         "record_iterates": ["yes", 1, None],
         "sip_aplus_rounds": [-1, 0.5, None],
         "use_box_fast_path": ["no", 0, None],
-        "gi_tols": [None, 1e-9],
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))
@@ -398,8 +397,7 @@ class TestOptionValidation:
     def test_documented_values_accepted(self):
         SolverOptions(feas_tol=0.0, max_outer_iters=1, inner_steps_per_outer="to-optimality",
                       set_visit_order="most-violated", max_store=0, reference=[0.0, 1.0],
-                      record_iterates=True, sip_aplus_rounds=3, use_box_fast_path=False,
-                      gi_tols=DEFAULT_TOLS)
+                      record_iterates=True, sip_aplus_rounds=3, use_box_fast_path=False)
         SolverOptions(max_outer_iters=np.int64(5), inner_steps_per_outer=4, max_store=np.int64(2))
 
 
