@@ -22,7 +22,7 @@ over at most ``SMALL_SIZE`` constraints.  Every product that feeds the
 iterates still goes through the same numpy call on both paths, so the
 small and the general paths give bit-identical results.
 
-The engine runs on seven fixed thresholds, ``FEAS_TOL`` to ``R_POS_TOL``
+The engine runs on ten fixed thresholds, ``FEAS_TOL`` to ``ENTER_WARN_TOL``
 below.  Each multiplies a scale of at least 1 where it is applied, so it
 bounds operands of norm below 1 absolutely and larger ones relatively.
 """
@@ -69,6 +69,15 @@ COND_TOL = 1e-8
 # r_i counts as positive (it blocks the dual step, or the degenerate step
 # drops its column) when r_i > R_POS_TOL (1 + max |r|)
 R_POS_TOL = 1e-13
+# the invariant checks pass Q^T Q within QR_DRIFT_TOL of I entrywise, and
+# Q R within QR_DRIFT_TOL (1 + max |N|) of N
+QR_DRIFT_TOL = 1e-10
+# the direction refinement enters a dropped column j when its gain
+# -c_j^T (c_p - y) exceeds ENTER_TOL (1 + ||c_p||)
+ENTER_TOL = 1e-12
+# and warns when the entering column's coefficient exceeds
+# ENTER_WARN_TOL (1 + max |r|), where it should be <= 0
+ENTER_WARN_TOL = 1e-10
 
 
 class PreconditionViolated(ValueError):
@@ -290,10 +299,13 @@ def _invariant_residuals(s: STuple, qp: ConstraintView) -> tuple:
 
 def _invariant_residuals_general(s: STuple, qp: ConstraintView) -> tuple:
     n_mat = s.qr.mat
-    bad = [i for i, j in enumerate(s.j_set) if not np.array_equal(n_mat[:, i], qp.column(j))]
     kkt = _nrm((qp.x_star - s.x) + n_mat @ s.u)
     if not s.q:
-        return bad, 0.0, INF, kkt, 0.0, 0.0
+        return [], 0.0, INF, kkt, 0.0, 0.0
+    # one exact compare for all columns: as in np.array_equal, a NaN
+    # mismatches and -0.0 equals 0.0
+    stored = np.array([qp.column(j) for j in s.j_set])
+    bad = np.flatnonzero((n_mat.T != stored).any(axis=1)).tolist()
     b_j = np.array([qp.rhs(j) for j in s.j_set])
     tight = float(np.max(np.abs(n_mat.T @ s.x - b_j)))
     orth = float(np.max(np.abs(s.qr.q_mat.T @ s.qr.q_mat - _eye(s.q))))
@@ -337,7 +349,9 @@ def check_s_tuple(
         mon.fail(f"{where}: KKT residual {kkt:.3e}")
         ok = False
     mon.checks += 1
-    if orth > 1e-10 or (recon > 1e-10 and recon > 1e-10 * (1.0 + float(np.abs(s.qr.mat).max()))):
+    if orth > QR_DRIFT_TOL or (
+        recon > QR_DRIFT_TOL and recon > QR_DRIFT_TOL * (1.0 + float(np.abs(s.qr.mat).max()))
+    ):
         mon.fail(f"{where}: QR drift orth={orth:.3e} recon={recon:.3e}")
         ok = False
     mon.checks += 1
@@ -528,7 +542,7 @@ def _refine_direction(
     events: list[str] = []
     n = c_p.shape[0]
     y = qr.mat @ r if r.size else np.zeros(n)
-    enter_tol = 1e-12 * (1.0 + float(np.linalg.norm(c_p)))
+    enter_tol = ENTER_TOL * (1.0 + float(np.linalg.norm(c_p)))
     pool_left = list(pool)
     rounds = 0
 
@@ -572,7 +586,7 @@ def _refine_direction(
         pool_left.remove(j_in)
         events.append(f"enter:{j_in}")
         qr, r = qr_plus, r_plus
-        if r.size and r[-1] > 1e-10 * (1.0 + float(np.max(np.abs(r)))):
+        if r.size and r[-1] > ENTER_WARN_TOL * (1.0 + float(np.max(np.abs(r)))):
             events.append("warn-positive-entering-coefficient")
         y = qr.mat @ r
         rounds += 1

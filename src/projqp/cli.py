@@ -16,7 +16,7 @@ import numpy as np
 from . import bench
 from .art import HyperslabSystem, extended_art_solve, art3_solve, load_system
 from .convex_sets import load_problem, save_problem, problem_from_dict
-from .solvers import _METHODS, SolveReport, SolverOptions, solve as solve_dispatch
+from .solvers import _METHODS, SolveReport, SolverOptions, _is_tol, solve as solve_dispatch
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--method", required=True, choices=[*_METHODS, *ART_METHODS])
-    p_solve.add_argument("--tol", type=float, default=1e-9)
+    p_solve.add_argument("--tol", type=float, default=1e-9,
+                         help="feasibility tolerance of the set methods; art3 and ext-art ignore it")
     p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--out", default=None, help="write the trace as CSV")
     p_solve.add_argument("--json", dest="json_out", default=None, help="write the report as JSON")
@@ -98,6 +99,8 @@ def _load_any_problem(path: str):
 
 
 def _cmd_solve(args) -> int:
+    if not _is_tol(args.tol):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     loaded, x0, extras = _load_any_problem(args.problem)
     max_iter = args.max_iter
     if args.method in ART_METHODS:

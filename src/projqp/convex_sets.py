@@ -10,6 +10,10 @@ outer solvers (``projqp.solvers``) accumulate those halfspaces.
 Bounds use IEEE infinities for unbounded sides; arithmetic paths mask
 non-finite bounds explicitly rather than computing with them.
 
+``project_set`` validates x and calls ``_project``, which trusts it; the
+outer solvers validate their start once and call ``_project`` on the
+iterates they build themselves.
+
 The JSON problem schema is::
 
     {"sets": [{"type": "ball", "center": [...], "radius": r},
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -66,6 +71,10 @@ class Halfspace:
     @property
     def dim(self) -> int:
         return self.c.shape[0]
+
+    @cached_property
+    def _c_sq(self) -> float:
+        return float(self.c @ self.c)
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,10 @@ class Hyperslab:
     def dim(self) -> int:
         return self.a.shape[0]
 
+    @cached_property
+    def _a_sq(self) -> float:
+        return float(self.a @ self.a)
+
 
 @dataclass(frozen=True)
 class Polyhedron:
@@ -133,7 +146,11 @@ ConvexSet = Union[Ball, Halfspace, Box, Hyperslab, Polyhedron]
 
 def project_set(k: ConvexSet, x) -> np.ndarray:
     """Projection of x onto k; idempotent and nonexpansive."""
-    x = as_vector(x, "x")
+    return _project(k, as_vector(x, "x"))
+
+
+def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
+    """``project_set`` for an x already validated: a finite 1-d float array."""
     if isinstance(k, Ball):
         d = x - k.center
         nd = math.sqrt(float(d.dot(d)))
@@ -144,7 +161,7 @@ def project_set(k: ConvexSet, x) -> np.ndarray:
         gap = k.b - float(k.c @ x)
         if gap <= 0.0:
             return x.copy()
-        return x + (gap / float(k.c @ k.c)) * k.c
+        return x + (gap / k._c_sq) * k.c
     if isinstance(k, Box):
         return np.clip(x, k.lower, k.upper)
     if isinstance(k, Hyperslab):
@@ -152,7 +169,7 @@ def project_set(k: ConvexSet, x) -> np.ndarray:
         target = min(max(s, k.lower), k.upper)
         if target == s:
             return x.copy()
-        return x + ((target - s) / float(k.a @ k.a)) * k.a
+        return x + ((target - s) / k._a_sq) * k.a
     if isinstance(k, Polyhedron):
         n, cols = k.c_mat.shape
         if cols < n / 2:

@@ -15,6 +15,14 @@ from scratch, but a shadow copy of the factored matrix is kept so that the
 factors can be refreshed every ``REFRESH_EVERY`` updates to bound drift.
 Signs are canonicalized so the diagonal of R is nonnegative, which makes
 factors deterministic for tests.
+
+``solve_upper`` calls LAPACK's ``dtrtrs`` directly for systems of three or
+more unknowns, with the arguments ``scipy.linalg.solve_triangular`` passes
+for each memory order of R, and keeps that function's two checks: a
+``ValueError`` for a non-finite operand and ``LinAlgError`` for a zero
+diagonal.  So the result is bit for bit that of ``solve_triangular``,
+without the wrapper's argument handling, which cost more than the solve
+at the active-set sizes of the outer solvers.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 RANK_TOL = 1e-12
 REFRESH_EVERY = 64
@@ -260,6 +268,8 @@ def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Sizes one and two are unrolled; the active sets of the outer solvers
     sit there most of the time and the library call overhead dominates.
+    Larger systems go to ``dtrtrs`` as ``scipy.linalg.solve_triangular``
+    would send them (see the module docstring).
     """
     q = r_mat.shape[0]
     if q == 0:
@@ -269,4 +279,12 @@ def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     if q == 2:
         x1 = w[1] / r_mat[1, 1]
         return np.array([(w[0] - r_mat[0, 1] * x1) / r_mat[0, 0], x1])
-    return solve_triangular(r_mat, w, lower=False)
+    if not (np.isfinite(r_mat).all() and np.isfinite(w).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if r_mat.flags.f_contiguous:
+        x, info = dtrtrs(r_mat, w)
+    else:  # dtrtrs expects Fortran order: solve R^T's transposed lower system
+        x, info = dtrtrs(r_mat.T, w, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x

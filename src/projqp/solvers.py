@@ -38,7 +38,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
-from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, project_set
+from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _project, project_set
 from .linalg import RANK_TOL, _RowScreen, as_start, qr_append_column, qr_delete_column
 
 
@@ -302,10 +302,13 @@ def _norm(x: np.ndarray) -> float:
 
     Past about 1.3e154 x.x overflows to inf, which would make every
     ``tol * (1 + ||x||)`` test pass; there the norm is computed scaled.
+    The result is NaN exactly when x has a non-finite entry.
     """
     sq = float(x.dot(x))
     if sq == math.inf:
         big = float(np.abs(x).max())
+        if big == math.inf:
+            return math.nan
         y = x / big
         return big * math.sqrt(float(y.dot(y)))
     return math.sqrt(sq)
@@ -519,6 +522,12 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     Row 0 is x0, and every step adds a row.  ``counts["projections"]``
     counts set visits.
 
+    The solvers build every iterate themselves from a validated start, so
+    visits call ``_project``.  ||x|| is computed once per iterate, at the
+    first visit from it, and a NaN norm (a non-finite x) raises there, as
+    ``project_set`` would.  A projection with a non-finite entry, which
+    overflow can make of a finite x, raises with the set's index.
+
     Cyclic visits skip the projection onto a hyperslab or halfspace that
     ``_LinearScreen`` shows x to be inside: its distance would be 0, and
     the exact visit that refreshed the screen at this x passed, so the
@@ -536,12 +545,17 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     exact_clean = 0  # exact clean visits so far
     run = 0  # exact clean visits in a row since x last moved
     inside = None  # per-set flags at the current x
+    x_norm = None  # ||x||, computed at the first visit from x
     while clean < r:
         if visits >= opts.max_outer_iters:
             break
         visits += 1
+        if x_norm is None:
+            x_norm = _norm(x)
+            if math.isnan(x_norm):
+                raise ValueError("x has non-finite entries")
         if most_violated:
-            dists = [float(np.linalg.norm(x - project_set(k, x))) for k in sets]
+            dists = [float(np.linalg.norm(x - _project(k, x))) for k in sets]
             counts["projections"] += r
             l = int(np.argmax(dists))
         index = l
@@ -550,11 +564,11 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
             counts["projections"] += 1
             clean += 1
             continue
-        p = project_set(sets[index], x)
+        p = _project(sets[index], x)
         counts["projections"] += 1
         diff = x - p
         dist = math.sqrt(float(diff.dot(diff)))
-        if dist <= opts.feas_tol * (1.0 + _norm(x)):
+        if dist <= opts.feas_tol * (1.0 + x_norm):
             clean += 1
             exact_clean += 1
             run += 1
@@ -563,10 +577,13 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
                     screen = _LinearScreen(sets)
                 inside = screen.flags(x)
             continue
+        if not dist < math.inf and not np.isfinite(p).all():
+            raise ValueError(f"the projection onto set {index} has non-finite entries")
         clean = 0
         run = 0
         inside = None
         x, events, proof = step(x, p, dist, index, visits)
+        x_norm = None
         rows.append(_trace_row(len(rows), x, events, opts))
         if proof is not None:
             status = "infeasible"
@@ -752,7 +769,10 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
         if i == 0:
             moved = 0.0
         z = x + corrections[i]
-        p = project_set(sets[i], z)
+        # z.z is finite unless z has a non-finite entry or its square overflows
+        if not math.isfinite(float(z.dot(z))) and not np.isfinite(z).all():
+            raise ValueError("x has non-finite entries")
+        p = _project(sets[i], z)
         counts["projections"] += 1
         corrections[i] = z - p
         moved = max(moved, float(np.linalg.norm(x - p)))

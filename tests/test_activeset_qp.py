@@ -469,3 +469,75 @@ class TestSmallActiveSetPaths:
         assert (mon.checks, mon.violations) == (5, 1), mon.messages
         assert mon.messages[0].startswith("probe: ")
         assert (MONITOR.checks, MONITOR.violations) == global_before
+
+
+class _Columns:
+    """A constraint view over a list of columns, which may hold any floats."""
+
+    def __init__(self, x_star, cols, rhs):
+        self.x_star, self.cols, self.b = x_star, cols, rhs
+
+    def column(self, j):
+        return self.cols[j]
+
+    def rhs(self, j):
+        return self.b[j]
+
+    @property
+    def m(self):
+        return len(self.cols)
+
+
+class TestColumnCheck:
+    """The monitor compares all active columns with the store's in one
+    element-wise test; it must flag what one ``np.array_equal`` per column
+    flags."""
+
+    @staticmethod
+    def oracle(s, view):
+        return [i for i, j in enumerate(s.j_set) if not np.array_equal(s.qr.mat[:, i], view.column(j))]
+
+    @staticmethod
+    def state(q, seed):
+        s, qp = kkt_state(np.random.default_rng(seed), 20, q, q + 3)
+        cols = [qp.column(j).copy() for j in range(qp.m)]
+        return s, _Columns(qp.x_star, cols, list(qp.b))
+
+    def flagged(self, s, view):
+        bad = _invariant_residuals_general(s, view)[0]
+        assert bad == self.oracle(s, view)
+        return bad
+
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    def test_clean_state_flags_nothing(self, q):
+        s, view = self.state(q, 700 + q)
+        assert self.flagged(s, view) == []
+
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    def test_one_changed_entry(self, q):
+        s, view = self.state(q, 710 + q)
+        pos = q // 2
+        view.cols[s.j_set[pos]][3] += 1e-15
+        assert self.flagged(s, view) == [pos]
+
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    @pytest.mark.parametrize("side", ["store", "factored"])
+    def test_nan_mismatches(self, q, side):
+        s, view = self.state(q, 720 + q)
+        if side == "store":
+            view.cols[s.j_set[0]][0] = np.nan
+        else:
+            mat = s.qr.mat.copy()
+            mat[0, -1] = np.nan
+            s = STuple(s.x, s.j_set, s.u, QrFactors(s.qr.q_mat, s.qr.r_mat, mat))
+        assert self.flagged(s, view) == ([0] if side == "store" else [q - 1])
+
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    def test_signed_zeros_match(self, q):
+        s, view = self.state(q, 730 + q)
+        mat = s.qr.mat.copy()
+        mat[2, :] = -0.0
+        for i, j in enumerate(s.j_set):
+            view.cols[j][2] = 0.0 if i % 2 else -0.0
+        s = STuple(s.x, s.j_set, s.u, QrFactors(s.qr.q_mat, s.qr.r_mat, mat))
+        assert self.flagged(s, view) == []

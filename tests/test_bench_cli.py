@@ -14,7 +14,8 @@ from projqp.bench import (
     measure_rows_to_csv,
     run_two_circles,
 )
-from projqp.convex_sets import Ball, problem_from_dict, project_set, save_problem
+from projqp.convex_sets import Ball, Hyperslab, problem_from_dict, project_set, save_problem
+from projqp.solvers import _METHODS
 
 from test_solvers import disjoint_on_axis
 
@@ -201,6 +202,27 @@ class TestCli:
         assert code == cli.EXIT_USAGE == 1
         assert "max_iters must be an integer >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["art3", "ext-art"])
+    @pytest.mark.parametrize("tol", ["-3", "nan", "inf"])
+    def test_solve_art_bad_tol_exit_one(self, tmp_path, capsys, method, tol):
+        path = tmp_path / "system.txt"
+        path.write_text("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n")
+        code = cli.main(["solve", "--problem", str(path), "--method", method, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE == 1
+        assert "--tol must be a finite number >= 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    def test_solve_overflowing_projection_exit_one(self, tmp_path, capsys, method):
+        path = tmp_path / "overflow.json"
+        sets = [Hyperslab(np.array([1e-160, 0.0]), 1e160, 1e160), Hyperslab(np.array([1.0, 0.0]), -1.0, 1.0)]
+        save_problem(path, sets, np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["solve", "--problem", str(path), "--method", method])
+        assert code == cli.EXIT_USAGE
+        assert "non-finite entries" in capsys.readouterr().err
 
     def test_usage_error_exit_one(self):
         assert cli.main(["two-circles", "--method", "bogus"]) == 1

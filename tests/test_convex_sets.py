@@ -10,6 +10,7 @@ from projqp.convex_sets import (
     Halfspace,
     Hyperslab,
     Polyhedron,
+    _project,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -91,6 +92,35 @@ def first_cut(k, x):
     if b_vec.shape[0] == 0:
         return None
     return c_mat[:, 0], float(b_vec[0])
+
+
+class TestTrustedProjection:
+    """``project_set`` is ``as_vector`` followed by ``_project``, which the
+    solvers call on iterates they built; the two give the same bytes."""
+
+    SETS = ALL_SETS + [
+        Hyperslab(np.array([1.0, -1.0]), -np.inf, 1.5),
+        Hyperslab(np.array([1.0, -1.0]), -0.5, np.inf),
+        Hyperslab(np.array([0.5, 2.0]), -np.inf, np.inf),
+        Halfspace(np.array([-3.0, 0.25]), -1.0),
+    ]
+
+    @pytest.mark.parametrize("k", SETS)
+    def test_same_bytes_as_project_set(self, k):
+        rng = np.random.default_rng(800)
+        for x in [*rng.uniform(-4, 4, (40, 2)), np.zeros(2), np.array([1e150, -1e150])]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _project(k, x).tobytes() == project_set(k, x).tobytes()
+
+    def test_project_set_validates(self):
+        with pytest.raises(ValueError, match="x has non-finite entries"):
+            project_set(ALL_SETS[0], np.array([0.0, np.nan]))
+
+    def test_squared_norm_cached(self):
+        h = Hyperslab(np.array([3.0, 4.0]), 0.0, 1.0)
+        assert "_a_sq" not in vars(h)  # computed at the first projection, not at construction
+        project_set(h, np.array([2.0, 2.0]))
+        assert vars(h)["_a_sq"] == 25.0
 
 
 class TestSupportingCut:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from projqp.linalg import (
     SMALL_SIZE,
@@ -10,6 +11,7 @@ from projqp.linalg import (
     qr_append_column,
     qr_delete_column,
     qr_factorize,
+    solve_upper,
 )
 
 
@@ -196,3 +198,61 @@ class TestValidation:
             as_vector(np.ones((2, 2)))
         with pytest.raises(ValueError, match="two-dimensional"):
             as_matrix(np.ones(3))
+
+
+class TestSolveUpper:
+    """Above two unknowns ``solve_upper`` calls LAPACK directly, as
+    ``solve_triangular`` does: the results and the errors must be its own."""
+
+    @staticmethod
+    def system(rng, q):
+        r = np.triu(rng.normal(size=(q, q)))
+        r[np.diag_indices(q)] = rng.uniform(0.1, 2.0, q)
+        return r, rng.normal(size=q)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_to_solve_triangular(self, order):
+        rng = np.random.default_rng(600)
+        for q in range(3, 41):
+            for _ in range(5):
+                r, w = self.system(rng, q)
+                r = np.asarray(r, order=order)
+                got = solve_upper(r, w)
+                assert got.tobytes() == solve_triangular(r, w, lower=False).tobytes()
+
+    def test_factors_from_updates(self):
+        rng = np.random.default_rng(601)
+        f = qr_factorize(rng.normal(size=(50, 20)))
+        for _ in range(20):
+            f = qr_append_column(f, rng.normal(size=50))
+            f = qr_delete_column(f, int(rng.integers(f.ncols)))
+            w = rng.normal(size=f.ncols)
+            assert solve_upper(f.r_mat, w).tobytes() == solve_triangular(f.r_mat, w, lower=False).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("where", ["r", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_as_solve_triangular(self, order, where, bad):
+        r, w = self.system(np.random.default_rng(602), 5)
+        if where == "r":
+            r[1, 3] = bad
+        else:
+            w[2] = bad
+        r = np.asarray(r, order=order)
+        with pytest.raises(ValueError) as ours:
+            solve_upper(r, w)
+        with pytest.raises(ValueError) as theirs:
+            solve_triangular(r, w, lower=False)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("zero", [0, 2, 4])
+    def test_zero_diagonal_raises_as_solve_triangular(self, order, zero):
+        r, w = self.system(np.random.default_rng(603), 5)
+        r[zero, zero] = 0.0
+        r = np.asarray(r, order=order)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            solve_upper(r, w)
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            solve_triangular(r, w, lower=False)
+        assert str(ours.value) == str(theirs.value)

@@ -370,6 +370,68 @@ class TestStartValidation:
                 assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= tol
 
 
+class TestNonFiniteIterates:
+    """Visits project with ``_project``, which trusts x; a non-finite iterate
+    or projection still ends the solve with a ``ValueError``."""
+
+    # the first slab's projection of 0 overflows: (1e160 / 1e-320) a = (inf, nan)
+    OVERFLOW = [Hyperslab(np.array([1e-160, 0.0]), 1e160, 1e160), Hyperslab(np.array([1.0, 0.0]), -1.0, 1.0)]
+
+    @pytest.mark.parametrize("method", TestStartValidation.METHODS)
+    def test_overflowing_projection_raises(self, method):
+        match = "x has non-finite entries" if method == "dykstra" else "projection onto set 0"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
+            solve(method, np.zeros(2), self.OVERFLOW)
+
+    @staticmethod
+    def _spoil(monkeypatch, at):
+        """Make the ``at``-th projection of a solve return inf entries."""
+        calls = []
+
+        def spoiled(k, x):
+            calls.append(k)
+            p = project_set(k, x)
+            return np.full_like(p, np.inf) if len(calls) == at else p
+
+        monkeypatch.setattr(solvers, "_project", spoiled)
+        return calls
+
+    def test_map_raises_at_the_spoiled_projection(self, monkeypatch):
+        calls = self._spoil(monkeypatch, 3)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="projection onto set 0"):
+            solve_map(np.array([0.0, 10.0]), two_circles_sets())
+        assert len(calls) == 3
+
+    def test_dykstra_raises_at_the_next_visit(self, monkeypatch):
+        calls = self._spoil(monkeypatch, 3)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="x has non-finite entries"):
+            solve_dykstra(np.array([0.0, 10.0]), two_circles_sets())
+        assert len(calls) == 3
+
+    def test_dykstra_accepts_a_finite_z_whose_square_overflows(self):
+        sets = [Ball(np.array([1e200, 0.0]), 1.0), Ball(np.array([1e200, 5.0]), 1.0)]
+        with np.errstate(over="ignore"):
+            rep = solve_dykstra(np.zeros(2), sets, SolverOptions(max_outer_iters=50))
+        assert np.isfinite(rep.x).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cyclic_raises_at_the_visit_after_a_non_finite_step(self, bad):
+        x0 = np.array([0.0, 10.0])
+        steps = []
+
+        def step(x, p, dist, index, visit):
+            steps.append(visit)
+            return np.array([1.0, bad]), ("spoil",), None
+
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="x has non-finite entries"):
+            solvers._cyclic(x0, x0, two_circles_sets(), SolverOptions(), {"projections": 0}, step)
+        assert steps == [1]
+        # a cap at the spoiled step's visit ends the solve before the check
+        rep = solvers._cyclic(x0, x0, two_circles_sets(), SolverOptions(max_outer_iters=1),
+                              {"projections": 0}, step)
+        assert rep.status == "iteration_limit"
+
+
 class TestOptionValidation:
     """Each field is checked on construction; a bad value names its field."""
 
@@ -545,7 +607,7 @@ class TestLinearScreen:
     def test_screen_skips_most_clean_visits(self, monkeypatch):
         sets, x0 = _slab_file(10, 40, 4)
         calls = []
-        monkeypatch.setattr(solvers, "project_set", lambda k, x: calls.append(k) or project_set(k, x))
+        monkeypatch.setattr(solvers, "_project", lambda k, x: calls.append(k) or project_set(k, x))
         rep = solve_map(x0, sets, SolverOptions(max_outer_iters=100_000))
         assert rep.status == "solved"
         assert len(calls) < rep.counts["projections"] / 2
@@ -565,7 +627,7 @@ class TestLinearScreen:
     def test_cap_inside_a_screened_run(self, monkeypatch, method):
         sets, x0 = _slab_file(10, 40, 4)
         calls = []
-        monkeypatch.setattr(solvers, "project_set", lambda k, x: calls.append(k) or project_set(k, x))
+        monkeypatch.setattr(solvers, "_project", lambda k, x: calls.append(k) or project_set(k, x))
 
         def capped(cap):
             calls.clear()
