@@ -39,9 +39,9 @@ from .linalg import (
     SMALL_SIZE,
     DependentColumn,
     QrFactors,
+    _qr_append,
     as_matrix,
     as_vector,
-    qr_append_column,
     qr_delete_column,
     qr_factorize,
     solve_upper,
@@ -235,15 +235,19 @@ _EMPTY_QR_CACHE: dict[int, QrFactors] = {}
 _EMPTY_U = np.zeros(0)
 
 
-def empty_s_tuple(x_star) -> STuple:
-    """Initial s-tuple: x = x*, empty active set."""
-    x = as_vector(x_star, "x_star")
-    n = x.shape[0]
+def _empty_qr(n: int) -> QrFactors:
+    """The factors of the empty n x 0 matrix, shared between calls."""
     qr = _EMPTY_QR_CACHE.get(n)
     if qr is None:
         qr = qr_factorize(np.zeros((n, 0)))
         _EMPTY_QR_CACHE[n] = qr
-    return STuple(x.copy(), (), _EMPTY_U, qr)
+    return qr
+
+
+def empty_s_tuple(x_star) -> STuple:
+    """Initial s-tuple: x = x*, empty active set."""
+    x = as_vector(x_star, "x_star")
+    return STuple(x.copy(), (), _EMPTY_U, _empty_qr(x.shape[0]))
 
 
 def _nrm(v: np.ndarray) -> float:
@@ -370,6 +374,17 @@ def _check_v_increase(
     mon.checks += 1
     if not v_after > v_before - STEP_TOL * (1.0 + abs(v_before)):
         mon.fail(f"{where}: v did not increase ({v_before:.6e} -> {v_after:.6e})")
+
+
+def _violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> bool:
+    """False exactly when ``_require_violated`` refuses c_p^T y >= b_p as
+    satisfied at x (a zero normal reads True and is refused there).
+
+    A driver asks before it hands the steps a cut: at a distance within
+    round-off of the set the computed residual can come out >= 0.
+    """
+    nrm = _nrm(c_p)
+    return nrm == 0.0 or not (float(c_p.dot(x)) - b_p) / nrm >= 0.0
 
 
 def _require_violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> tuple[float, float]:
@@ -506,7 +521,7 @@ def inner_gi_step(
             x = x + t2 * z
             u_plus = _dual_update(u_plus, t2, r)
             try:
-                qr2 = qr_append_column(qr, c_p)
+                qr2 = _qr_append(qr, c_p)
             except DependentColumn as exc:  # z != 0 should preclude this
                 raise NumericalError(f"dependent column on full step: {exc}") from exc
             s2 = STuple(x, tuple(j_work) + (p,), u_plus, qr2)
@@ -554,7 +569,7 @@ def _refine_direction(
         j_in = min(j for j, _ in eligible)
         c_in = qp.column(j_in)
         try:
-            qr_plus = qr_append_column(qr, c_in)
+            qr_plus = _qr_append(qr, c_in)
         except DependentColumn:
             pool_left.remove(j_in)
             events.append(f"skip-dependent:{j_in}")
@@ -656,7 +671,7 @@ def degenerate_inner_gi_step(
     x2 = x + t2 * z
     u2 = _clip_dual(_appended(-t2 * r, t2))
     try:
-        qr2 = qr_append_column(qr, c_p)
+        qr2 = _qr_append(qr, c_p)
     except DependentColumn as exc:
         raise NumericalError(f"dependent column on degenerate step: {exc}") from exc
     s2 = STuple(x2, tuple(j_work) + (p,), u2, qr2)
@@ -694,11 +709,19 @@ def gi_solve(qp: QpProblem) -> Solution | Infeasible:
     Raises ``IterationLimitError`` after ``100 + 20 m`` steps, which is a
     different outcome from a certified ``Infeasible``.
     """
+    return _gi_from(qp, empty_s_tuple(qp.x_star))
+
+
+def _gi_from(qp: QpProblem, s: STuple) -> Solution | Infeasible:
+    """``gi_solve`` from the s-tuple ``s`` of ``qp`` in place of the empty one.
+
+    A start whose active constraints are already among the answer's leaves
+    the engine fewer inner steps to take.
+    """
     cap = 100 + 20 * qp.m
     col_norms = np.linalg.norm(qp.c_mat, axis=0)
     if 0.0 in col_norms.tolist():
         raise PreconditionViolated("zero constraint normal in problem")
-    s = empty_s_tuple(qp.x_star)
     inner = 0
     while True:
         resid = (qp.c_mat.T.dot(s.x) - qp.b) / col_norms

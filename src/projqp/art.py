@@ -39,6 +39,14 @@ from .solvers import _check_fields, _is_count
 CASE2_CLOSE_FRAC = 0.1
 # consecutive P_circ steps are capped at this factor * (active set size + 1)
 CIRC_CAP_FACTOR = 3
+# a face of slab j is tight at x, and joins the faces x_plus extrapolates
+# along, when |a_j^T x - L_j| (or U_j) <= TIGHT_TOL (1 + |a_j^T x|)
+TIGHT_TOL = 1e-9
+# a violation of slab j by the point fed to the engine is round-off when it
+# is <= NUDGE_TOL (1 + |a_j^T feed|); unless x_plus violates the slab by more
+# than NUDGE_TOL (absolute, in a_j^T x), the visit then nudges: it projects
+# x_plus onto the slab inset by 10 NUDGE_TOL (1 + |a_j^T x_plus|)
+NUDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,7 @@ def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.n
     return None
 
 
-def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = TIGHT_TOL) -> tuple[int, ...]:
     # an infinite bound is never tight: for finite ax, |ax -+ inf| = inf
     ax = system.a_mat @ x
     scale = tol * (1.0 + np.abs(ax))
@@ -371,7 +379,6 @@ def extended_art_solve(
         counts["inner_steps"] += 1
         return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store))
 
-    nudge_tol = 1e-12
     # membership of x_plus is tested only when x_plus is a new array: every
     # update rebinds it, and the case-1 visits in between leave it alone
     tested = None
@@ -398,8 +405,8 @@ def extended_art_solve(
             feed = x_plus if choice == "plus" else x_times
             feed_viol = raw_violation(feed, j)
             if choice != "times" or case != 5:
-                if feed_viol <= nudge_tol * (1.0 + abs(float(system.a_mat[j] @ feed))):
-                    choice = "plus" if raw_violation(x_plus, j) > nudge_tol else "nudge"
+                if feed_viol <= NUDGE_TOL * (1.0 + abs(float(system.a_mat[j] @ feed))):
+                    choice = "plus" if raw_violation(x_plus, j) > NUDGE_TOL else "nudge"
             if choice == "circ":
                 face = _violated_face(system, j, x_times)
                 if face is None:
@@ -427,7 +434,7 @@ def extended_art_solve(
                 # product, and any interior point with a larger margin stays
                 # closer afterwards
                 lo, up = system.lower[j], system.upper[j]
-                eta = nudge_tol * 10.0 * (1.0 + abs(s_val))
+                eta = NUDGE_TOL * 10.0 * (1.0 + abs(s_val))
                 if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
                     target = 0.5 * (lo + up)
                 elif s_val < lo:

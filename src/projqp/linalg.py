@@ -199,6 +199,16 @@ def qr_append_column(f: QrFactors, v) -> QrFactors:
     v = as_vector(v, "appended column")
     if v.shape[0] != f.n:
         raise ValueError(f"column has length {v.shape[0]}, expected {f.n}")
+    return _qr_append(f, v)
+
+
+def _qr_append(f: QrFactors, v: np.ndarray) -> QrFactors:
+    """``qr_append_column`` for a finite float column of length ``f.n``.
+
+    The active-set engine appends only columns it already holds in that
+    form (stored halfspace normals, columns of a validated problem), so it
+    calls this directly and skips the checks.
+    """
     qn = f.ncols
     if qn == 0:
         # nothing to orthogonalize against: v is its own residual

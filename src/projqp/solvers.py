@@ -31,15 +31,17 @@ from .activeset_qp import (
     InfeasibilityCertificate,
     QpProblem,
     STuple,
+    _empty_qr,
+    _gi_from,
+    _violated,
     check_s_tuple,
     degenerate_inner_gi_step,
     empty_s_tuple,
-    gi_solve,
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
 from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _project, project_set
-from .linalg import RANK_TOL, _RowScreen, as_start, qr_append_column, qr_delete_column
+from .linalg import RANK_TOL, _qr_append, _RowScreen, as_start, qr_delete_column
 
 
 class DegenerateAggregate(ValueError):
@@ -385,7 +387,7 @@ def aggregate_columns(store: HalfspaceStore, s: STuple, i: int, j: int) -> tuple
     u = np.delete(s.u, hi)
     u = np.delete(u, lo)
     j_kept = tuple(jj for k, jj in enumerate(s.j_set) if k not in (pi, pj))
-    qr = qr_append_column(qr, m_hat)
+    qr = _qr_append(qr, m_hat)
     u = np.append(u, u_hat)
     j_new = _after_remove(_after_remove(j_kept + (new_idx,), first), second)
     return store, STuple(s.x, j_new, u, qr)
@@ -519,7 +521,9 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     ``step(x, p, dist, index, visit)`` moves x and returns the new iterate,
     the trace row's events and, when the sets are proven disjoint, the
     certificate and the system it certifies (x is then left where it was).
-    Row 0 is x0, and every step adds a row.  ``counts["projections"]``
+    A step that returns None instead finds x inside the set as far as it
+    can tell, and the visit is clean.  Row 0 is x0, and every step that
+    moves x adds a row.  ``counts["projections"]``
     counts set visits.
 
     The solvers build every iterate themselves from a validated start, so
@@ -568,26 +572,28 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
         counts["projections"] += 1
         diff = x - p
         dist = math.sqrt(float(diff.dot(diff)))
-        if dist <= opts.feas_tol * (1.0 + x_norm):
-            clean += 1
-            exact_clean += 1
-            run += 1
-            if not most_violated and _screen_due(run, exact_clean, r):
-                if screen is None:
-                    screen = _LinearScreen(sets)
-                inside = screen.flags(x)
-            continue
-        if not dist < math.inf and not np.isfinite(p).all():
-            raise ValueError(f"the projection onto set {index} has non-finite entries")
-        clean = 0
-        run = 0
-        inside = None
-        x, events, proof = step(x, p, dist, index, visits)
-        x_norm = None
-        rows.append(_trace_row(len(rows), x, events, opts))
-        if proof is not None:
-            status = "infeasible"
-            break
+        if not dist <= opts.feas_tol * (1.0 + x_norm):  # NaN included
+            if not dist < math.inf and not np.isfinite(p).all():
+                raise ValueError(f"the projection onto set {index} has non-finite entries")
+            moved = step(x, p, dist, index, visits)
+            if moved is not None:
+                clean = 0
+                run = 0
+                inside = None
+                x, events, proof = moved
+                x_norm = None
+                rows.append(_trace_row(len(rows), x, events, opts))
+                if proof is not None:
+                    status = "infeasible"
+                    break
+                continue
+        clean += 1
+        exact_clean += 1
+        run += 1
+        if not most_violated and _screen_due(run, exact_clean, r):
+            if screen is None:
+                screen = _LinearScreen(sets)
+            inside = screen.flags(x)
     else:
         status = "solved"
     certificate, cert_system = proof or (None, None)
@@ -655,8 +661,11 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
 
     def step(x, p, dist, index, visit):
         nonlocal s
+        c, b = _cut(x, p, dist)
+        if not _violated(c, b, x):
+            return None
         counts["outer_iterations"] += 1
-        idx = store.add(*_cut(x, p, dist), source=index, birth=visit)
+        idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
         s, proof = _settle(s, inner_gi_step(s, idx, view), view, events, opts, counts)
         if proof is not None:
@@ -691,12 +700,15 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
 
     def step(x, p, dist, index, visit):
         nonlocal s
+        c, b = _cut(x, p, dist)
+        if not _violated(c, b, x):
+            return None
         counts["outer_iterations"] += 1
         if opts.max_store == 0:
             # keeping no normals reduces the method to alternating projections
             store.clear()
             s = empty_s_tuple(x)
-        idx = store.add(*_cut(x, p, dist), source=index, birth=visit)
+        idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
         view = _StoreView(x.copy(), store)
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
@@ -789,13 +801,29 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     return _report(status, x, rows, counts)
 
 
+def _haugazeau_start(x: np.ndarray, c2: np.ndarray, wn: float) -> STuple:
+    """The s-tuple of Haugazeau's subproblem at x_i with the second column active.
+
+    x_i solved the previous subproblem, so x0 - x_i = -N u there, and
+    c2 = -(x0 - x_i) / wn with wn = ||x0 - x_i|| aggregates those active
+    halfspaces: x0 - x_i = -c2 wn.  With c2^T x_i = b2, (x_i, (1,), [wn])
+    and the QR of [c2] are a valid s-tuple of the new subproblem.
+    """
+    return STuple(x, (1,), np.array([wn]), _qr_append(_empty_qr(x.shape[0]), c2))
+
+
 def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Haugazeau-style best approximation.
 
     Each iteration projects x0 onto the intersection of the halfspace
     generated at the current iterate and the halfspace with normal x0 - x_i
     whose boundary passes through x_i; the tiny QP runs through the
-    active-set engine.
+    active-set engine.  The second halfspace aggregates the active
+    halfspaces of the previous subproblem, so the engine starts warm from
+    x_i with that halfspace active (``_haugazeau_start``), and in the
+    common case one inner step that enters the new cut solves it.  Only
+    while ||x0 - x_i|| <= feas_tol (1 + ||x0||) is there no second
+    halfspace, and the engine starts cold.
 
     When those two halfspaces have no point in common the sets do not
     intersect, and the report ends ``infeasible`` with the engine's
@@ -811,16 +839,16 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
 
     def step(x, p, dist, index, visit):
         c1, b1 = _cut(x, p, dist)
-        cols = [c1]
-        rhs = [b1]
         w = x0 - x
         wn = math.sqrt(float(w.dot(w)))
         if wn > opts.feas_tol * (1.0 + x0_norm):
             c2 = -w / wn
-            cols.append(c2)
-            rhs.append(float(c2.dot(x)))
-        c_mat, b_vec = np.column_stack(cols), np.asarray(rhs)
-        res = gi_solve(QpProblem(x0, c_mat, b_vec))
+            c_mat, b_vec = np.column_stack([c1, c2]), np.array([b1, float(c2.dot(x))])
+            start = _haugazeau_start(x, c2, wn)
+        else:
+            c_mat, b_vec = np.column_stack([c1]), np.array([b1])
+            start = empty_s_tuple(x0)
+        res = _gi_from(QpProblem(x0, c_mat, b_vec), start)
         if isinstance(res, Infeasible):
             return x, ("qp", "infeasible"), (res.certificate, (c_mat, b_vec))
         counts["inner_steps"] += res.inner_steps

@@ -16,12 +16,15 @@ from projqp.activeset_qp import (
     STuple,
     _dual_update,
     _dual_update_general,
+    _gi_from,
     _invariant_residuals,
     _invariant_residuals_general,
     _pick_violated,
     _pick_violated_general,
     _ratio_test,
     _ratio_test_general,
+    _require_violated,
+    _violated,
     check_s_tuple,
     cone_project_reduced,
     degenerate_inner_gi_step,
@@ -297,6 +300,46 @@ class TestGiSolve:
         with pytest.raises(IterationLimitError, match="budget 140 exhausted"):
             gi_solve(qp)
         assert len(calls) == 100 + 20 * qp.m
+
+
+class TestWarmStartedSolve:
+    def test_optimal_start_takes_no_step(self):
+        c = np.column_stack([np.eye(2), np.array([1.0, 1.0])])
+        qp = QpProblem(np.zeros(2), c, np.array([1.0, 1.0, 1.0]))
+        res = gi_solve(qp)
+        again = _gi_from(qp, res.s_tuple)
+        assert again.inner_steps == 0 and again.x.tobytes() == res.x.tobytes()
+
+    def test_zero_normal_rejected(self):
+        qp = QpProblem(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+        with pytest.raises(PreconditionViolated, match="zero constraint normal"):
+            _gi_from(qp, empty_s_tuple(qp.x_star))
+
+
+class TestViolatedTest:
+    """``_violated`` is False exactly when the steps refuse a constraint as
+    satisfied at x."""
+
+    def test_agrees_with_the_steps_near_the_boundary(self):
+        rng = np.random.default_rng(32)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            c, x = rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.integers(-3, 8)
+            b = float(c.dot(x)) + float(rng.integers(-3, 4)) * np.spacing(float(c.dot(x)))
+            try:
+                _require_violated(c, b, x)
+                refused = False
+            except PreconditionViolated:
+                refused = True
+            assert _violated(c, b, x) is not refused
+            seen.add(refused)
+        assert seen == {True, False}
+
+    def test_zero_normal_is_left_to_the_steps(self):
+        assert _violated(np.zeros(3), 1.0, np.ones(3))
+        with pytest.raises(PreconditionViolated, match="normal is zero"):
+            _require_violated(np.zeros(3), 1.0, np.ones(3))
 
 
 class TestReductions:

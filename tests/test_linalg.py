@@ -100,6 +100,14 @@ class TestAppend:
         f2 = qr_append_column(f, rng.normal(size=8))
         np.testing.assert_allclose(f2.r_mat[:3, :3], r_before, atol=1e-10)
 
+    def test_public_append_checks_its_column(self):
+        f = qr_factorize(np.array([[1.0], [0.0], [0.0]]))
+        with pytest.raises(ValueError, match="appended column has non-finite entries"):
+            qr_append_column(f, np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="column has length 2, expected 3"):
+            qr_append_column(f, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(qr_append_column(f, [0, 1, 0]).mat, np.eye(3)[:, :2])
+
 
 class TestDelete:
     def test_delete_only_column(self):

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from projqp.activeset_qp import PreconditionViolated, STuple, verify_certificate
+from projqp.activeset_qp import (
+    MONITOR,
+    Infeasible,
+    InvariantMonitor,
+    PreconditionViolated,
+    QpProblem,
+    STuple,
+    _gi_from,
+    check_s_tuple,
+    gi_solve,
+    verify_certificate,
+)
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
 from projqp import solvers
@@ -230,6 +241,104 @@ class TestHaugazeau:
         assert verify_certificate(rep.certificate, c_mat, b_vec)
         # the generated halfspace holds a ball whole: c.center - r >= b
         assert any(float(c_mat[:, 0] @ k.center) - k.radius >= b_vec[0] - 1e-12 for k in sets)
+
+
+def haugazeau_subproblem(rng, n: int, case: str):
+    """A random subproblem of Haugazeau's step at x, built as
+    ``solve_haugazeau`` builds it: ``(x0, x, c2, ||x0 - x||, C, b)``.
+
+    The cut c1 is violated at x.  "w-tiny" puts x 1e-7 from x0, and
+    "infeasible" takes c1 = -c2 with a gap between the two halfspaces.
+    """
+    x0 = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+    x = x0 + d * ((1e-7 if case == "w-tiny" else rng.uniform(0.5, 3.0)) / np.linalg.norm(d))
+    w = x0 - x
+    wn = math.sqrt(float(w.dot(w)))
+    c2 = -w / wn
+    b2 = float(c2.dot(x))
+    if case == "infeasible":
+        c1, b1 = -c2, -b2 + rng.uniform(0.1, 1.0)
+    else:
+        c1 = rng.standard_normal(n)
+        c1 /= np.linalg.norm(c1)
+        b1 = float(c1.dot(x)) + rng.uniform(0.1, 2.0)
+    return x0, x, c2, wn, np.column_stack([c1, c2]), np.array([b1, b2])
+
+
+class TestHaugazeauWarmStart:
+    """Each subproblem starts at x_i with the aggregate halfspace active;
+    its answer must be the cold engine's."""
+
+    CASES = ("feasible", "w-tiny", "infeasible")
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_cold_solve(self, n, case):
+        rng = np.random.default_rng([n, self.CASES.index(case)])
+        steps = {"cold": 0, "warm": 0}
+        for _ in range(40):
+            x0, x, c2, wn, c_mat, b_vec = haugazeau_subproblem(rng, n, case)
+            qp = QpProblem(x0, c_mat, b_vec)
+            cold = gi_solve(qp)
+            warm = _gi_from(qp, solvers._haugazeau_start(x, c2, wn))
+            if case == "infeasible":
+                assert isinstance(cold, Infeasible) and isinstance(warm, Infeasible)
+                assert verify_certificate(warm.certificate, c_mat, b_vec)
+                continue
+            assert np.linalg.norm(warm.x - cold.x) <= 1e-12 * (1.0 + np.linalg.norm(x0))
+            assert warm.inner_steps <= cold.inner_steps
+            steps["cold"] += cold.inner_steps
+            steps["warm"] += warm.inner_steps
+        assert steps["warm"] < steps["cold"] or case == "infeasible"
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_start_is_a_valid_s_tuple(self, n, case):
+        rng = np.random.default_rng([n, self.CASES.index(case), 1])
+        for _ in range(10):
+            x0, x, c2, wn, c_mat, b_vec = haugazeau_subproblem(rng, n, case)
+            mon = InvariantMonitor()
+            start = solvers._haugazeau_start(x, c2, wn)
+            assert check_s_tuple(start, QpProblem(x0, c_mat, b_vec), "start", mon)
+            assert (mon.checks, mon.violations) == (5, 0)
+
+    def test_one_inner_step_per_iteration_on_two_circles(self):
+        rep = solve_haugazeau(np.array([0.0, 10.0]), two_circles_sets(),
+                              SolverOptions(feas_tol=1e-15, max_outer_iters=500))
+        assert rep.counts["inner_steps"] == len(rep.rows) - 1 == 500
+
+    def test_large_offset_runs_clean(self):
+        # cold, each subproblem's scan re-entered the active halfspace and raised
+        checks, violations = MONITOR.checks, MONITOR.violations
+        rep = solve("haugazeau", np.array([1e8, 1e8]), two_circles_sets(),
+                    SolverOptions(max_outer_iters=2000))
+        assert rep.status == "iteration_limit" and np.isfinite(rep.x).all()
+        assert MONITOR.checks > checks and MONITOR.violations == violations
+
+
+class TestRoundOffCut:
+    """With feas_tol = 0 a visit at a round-off distance from a set gives a
+    cut the steps see as satisfied at x; the visit is clean."""
+
+    @pytest.mark.parametrize("method", ["bap-gi", "sip-gi"])
+    def test_tol0_hyperslabs_solve(self, method):
+        sets, x0, _ = problem_from_dict(generate_problem("hyperslabs-with-interior", 10, 6, 3))
+        rep = solve(method, x0, sets, SolverOptions(feas_tol=0.0))
+        assert rep.status == "solved"
+        scale = 1e-12 * (1.0 + np.linalg.norm(rep.x))
+        assert all(np.linalg.norm(rep.x - project_set(k, rep.x)) <= scale for k in sets)
+        np.testing.assert_allclose(rep.x, solve(method, x0, sets).x, atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["bap-gi", "sip-gi"])
+    def test_clean_cut_adds_no_row(self, method, monkeypatch):
+        # a cut whose boundary passes through x is satisfied there by the
+        # steps' own test, so every visit is clean: no step, no row
+        monkeypatch.setattr(solvers, "_cut", lambda x, p, dist: ((p - x) / dist, float(((p - x) / dist).dot(x))))
+        sets = [Ball(np.zeros(2), 1.0)]
+        rep = solve(method, np.array([3.0, 4.0]), sets, SolverOptions(max_outer_iters=5))
+        assert rep.status == "solved" and len(rep.rows) == 1
+        assert rep.counts["outer_iterations"] == rep.counts["inner_steps"] == 0
 
 
 def disjoint_on_axis(n: int, seed: int):
