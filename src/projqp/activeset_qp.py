@@ -14,13 +14,20 @@ infeasibility is certified), its degenerate variant for the all-zero
 multiplier state, a primal refinement of the degenerate step direction,
 and two dimension reductions through the QR factors.
 
-The outer solvers spend most of their time on active sets of one or two
-columns, where numpy's per-call overhead dwarfs the arithmetic.  For
-``q <= SMALL_Q`` the ratio test, the multiplier update and the invariant
-checks therefore work on Python floats, and so does the violation scan
-over at most ``SMALL_SIZE`` constraints.  Every product that feeds the
-iterates still goes through the same numpy call on both paths, so the
-small and the general paths give bit-identical results.
+At the active-set sizes of the outer solvers (one or two columns most of
+the time, up to about fifty on n = 50 hyperslab systems) numpy's per-call
+overhead dwarfs the arithmetic of the engine's scans.  The ratio test, the
+multiplier update and the degenerate step's drop scan therefore run on
+Python floats at every size.  They are elementwise IEEE operations
+(divides, products, sums and compares), so for finite operands they give
+the numpy expressions' results bit for bit.  The violation scan over at
+most ``SMALL_SIZE`` constraints runs on Python floats too; only the
+invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
+size-2 branches.  Every product that feeds the iterates goes through the
+same numpy call on every path, and a full step hands ``_qr_append`` the
+first orthogonalization pass (Q^T c_p and z) it has already formed.  The
+invariant check gathers the active columns and right-hand sides with one
+``rows`` and one ``rhs_at`` call on the problem view.
 
 The engine runs on ten fixed thresholds, ``FEAS_TOL`` to ``ENTER_WARN_TOL``
 below.  Each multiplies a scale of at least 1 where it is applied, so it
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Union
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .linalg import (
     SMALL_SIZE,
     DependentColumn,
     QrFactors,
+    _project_out,
     _qr_append,
     as_matrix,
     as_vector,
@@ -133,13 +141,21 @@ MONITOR = InvariantMonitor()
 
 
 class ConstraintView(Protocol):
-    """Anything that exposes a point to project from and constraint columns."""
+    """Anything that exposes a point to project from and constraint columns.
+
+    ``rows(js)`` and ``rhs_at(js)`` gather the columns ``js`` (as the rows
+    of a q x n matrix) and their right-hand sides in one call each.
+    """
 
     x_star: np.ndarray
 
     def column(self, p: int) -> np.ndarray: ...
 
     def rhs(self, p: int) -> float: ...
+
+    def rows(self, js: Sequence[int]) -> np.ndarray: ...
+
+    def rhs_at(self, js: Sequence[int]) -> np.ndarray: ...
 
     @property
     def m(self) -> int: ...
@@ -176,6 +192,22 @@ class QpProblem:
 
     def rhs(self, p: int) -> float:
         return float(self.b[p])
+
+    def rows(self, js: Sequence[int]) -> np.ndarray:
+        return self.c_mat.T.take(js, axis=0)
+
+    def rhs_at(self, js: Sequence[int]) -> np.ndarray:
+        return self.b.take(js)
+
+
+def _trusted_problem(x_star: np.ndarray, c_mat: np.ndarray, b: np.ndarray) -> QpProblem:
+    """``QpProblem(x_star, c_mat, b)`` without its checks, for finite float
+    arrays of matching shapes that the caller built itself."""
+    qp = object.__new__(QpProblem)
+    object.__setattr__(qp, "x_star", x_star)
+    object.__setattr__(qp, "c_mat", c_mat)
+    object.__setattr__(qp, "b", b)
+    return qp
 
 
 @dataclass(frozen=True)
@@ -246,7 +278,11 @@ def _empty_qr(n: int) -> QrFactors:
 
 def empty_s_tuple(x_star) -> STuple:
     """Initial s-tuple: x = x*, empty active set."""
-    x = as_vector(x_star, "x_star")
+    return _empty_s_tuple(as_vector(x_star, "x_star"))
+
+
+def _empty_s_tuple(x: np.ndarray) -> STuple:
+    """``empty_s_tuple`` for a finite float vector the caller built itself."""
     return STuple(x.copy(), (), _EMPTY_U, _empty_qr(x.shape[0]))
 
 
@@ -301,20 +337,27 @@ def _invariant_residuals(s: STuple, qp: ConstraintView) -> tuple:
     return bad, tight, min(s.u.tolist()), kkt, orth, recon
 
 
+def _abs_max(a: np.ndarray) -> float:
+    """max |a_ij|, overwriting a with |a|."""
+    return float(np.abs(a, out=a).max())
+
+
 def _invariant_residuals_general(s: STuple, qp: ConstraintView) -> tuple:
-    n_mat = s.qr.mat
+    n_mat, q_mat = s.qr.mat, s.qr.q_mat
     kkt = _nrm((qp.x_star - s.x) + n_mat @ s.u)
     if not s.q:
         return [], 0.0, INF, kkt, 0.0, 0.0
     # one exact compare for all columns: as in np.array_equal, a NaN
     # mismatches and -0.0 equals 0.0
-    stored = np.array([qp.column(j) for j in s.j_set])
-    bad = np.flatnonzero((n_mat.T != stored).any(axis=1)).tolist()
-    b_j = np.array([qp.rhs(j) for j in s.j_set])
-    tight = float(np.max(np.abs(n_mat.T @ s.x - b_j)))
-    orth = float(np.max(np.abs(s.qr.q_mat.T @ s.qr.q_mat - _eye(s.q))))
-    recon = float(np.max(np.abs(s.qr.q_mat @ s.qr.r_mat - n_mat)))
-    return bad, tight, float(s.u.min()), kkt, orth, recon
+    differ = n_mat.T != qp.rows(s.j_set)
+    bad = np.flatnonzero(differ.any(axis=1)).tolist() if differ.any() else []
+    ax = n_mat.T @ s.x
+    ax -= qp.rhs_at(s.j_set)
+    gram = q_mat.T @ q_mat
+    gram -= _eye(s.q)
+    qr_n = q_mat @ s.qr.r_mat
+    qr_n -= n_mat
+    return bad, _abs_max(ax), float(s.u.min()), kkt, _abs_max(gram), _abs_max(qr_n)
 
 
 def check_s_tuple(
@@ -413,33 +456,28 @@ def _clip_dual(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _dual_update(u_plus: np.ndarray, t: float, r: np.ndarray) -> np.ndarray:
-    """Multipliers after a step of length t: ``u_plus + t * (-r, 1)``."""
-    if r.shape[0] > SMALL_Q:
-        return _dual_update_general(u_plus, t, r)
-    u = u_plus.tolist()
-    for i, r_i in enumerate(r.tolist()):
-        u[i] = u[i] + t * -r_i
-    u[-1] = u[-1] + t
+def _dual_update(u_plus: list[float], t: float, r: list[float]) -> list[float]:
+    """Multipliers after a step of length t: ``u_plus + t * (-r, 1)``, with
+    those in [-DUAL_TOL, 0) set to 0 as ``_clip_dual`` does."""
+    u = [u_i + t * -r_i for u_i, r_i in zip(u_plus, r)]
+    u.append(u_plus[-1] + t)
     if min(u) < 0.0:
         u = [0.0 if -DUAL_TOL <= u_i < 0.0 else u_i for u_i in u]
-    return np.array(u)
+    return u
 
 
-def _dual_update_general(u_plus: np.ndarray, t: float, r: np.ndarray) -> np.ndarray:
-    return _clip_dual(u_plus + t * _appended(-r, 1.0))
+def _positive_tol(r: list[float]) -> float:
+    """The bound above which an entry of r counts as positive."""
+    return R_POS_TOL * (1.0 + max(map(abs, r), default=0.0))
 
 
-def _ratio_test(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
+def _ratio_test(u_plus: list[float], r: list[float]) -> tuple[float, int]:
     """Dual step bound ``t1 = min u_i / r_i`` over the clearly positive
     ``r_i``, with the position attaining it (first minimum, i.e. the lowest
     position in J); ``(inf, -1)`` when no ``r_i`` is positive."""
-    if r.shape[0] > SMALL_Q:
-        return _ratio_test_general(u_plus, r)
-    r_list = r.tolist()
-    thresh = R_POS_TOL * (1.0 + max(map(abs, r_list), default=0.0))
+    thresh = _positive_tol(r)
     t1, l = INF, -1
-    for i, (u_i, r_i) in enumerate(zip(u_plus.tolist(), r_list)):
+    for i, (u_i, r_i) in enumerate(zip(u_plus, r)):
         if r_i > thresh:
             ratio = u_i / r_i
             if l < 0 or ratio < t1:
@@ -447,14 +485,10 @@ def _ratio_test(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     return t1, l
 
 
-def _ratio_test_general(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
-    r_scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
-    pos = np.flatnonzero(r > R_POS_TOL * r_scale)
-    if pos.size == 0:
-        return INF, -1
-    ratios = u_plus[pos] / r[pos]
-    k = int(np.argmin(ratios))
-    return float(ratios[k]), int(pos[k])
+def _first_positive(r: list[float]) -> int:
+    """The lowest position of a clearly positive ``r_i``, or -1."""
+    thresh = _positive_tol(r)
+    return next((i for i, r_i in enumerate(r) if r_i > thresh), -1)
 
 
 def inner_gi_step(
@@ -480,7 +514,7 @@ def inner_gi_step(
 
     x = s.x
     j_work = list(s.j_set)
-    u_plus = _appended(s.u, 0.0)
+    u_plus = s.u.tolist() + [0.0]
     qr = s.qr
     events: list[str] = []
     v0 = v_value(x, qp.x_star)
@@ -488,13 +522,16 @@ def inner_gi_step(
 
     for _ in range(max_cycles):
         if j_work:
-            qtc = qr.q_mat.T.dot(c_p)
-            z = c_p - qr.q_mat.dot(qtc)
+            # also the first orthogonalization pass of a full step's append
+            first = _project_out(qr.q_mat, c_p)
+            qtc, z = first
             r = solve_upper(qr.r_mat, qtc)
+            r_list = r.tolist()
             z_norm = _nrm(z)
-            t1, l = _ratio_test(u_plus, r)
+            t1, l = _ratio_test(u_plus, r_list)
         else:  # no active normals: z = c_p and no multiplier can block
-            r = _EMPTY_U
+            first = None
+            r, r_list = _EMPTY_U, []
             z, z_norm = c_p, c_norm
             t1, l = INF, -1
         z_zero = z_norm <= Z_TOL * scale
@@ -519,12 +556,12 @@ def inner_gi_step(
 
         if t2 <= t1:  # full step; ties resolve to the full step
             x = x + t2 * z
-            u_plus = _dual_update(u_plus, t2, r)
+            u_new = np.array(_dual_update(u_plus, t2, r_list))
             try:
-                qr2 = _qr_append(qr, c_p)
+                qr2 = _qr_append(qr, c_p, first)
             except DependentColumn as exc:  # z != 0 should preclude this
                 raise NumericalError(f"dependent column on full step: {exc}") from exc
-            s2 = STuple(x, tuple(j_work) + (p,), u_plus, qr2)
+            s2 = STuple(x, tuple(j_work) + (p,), u_new, qr2)
             events += ["full", f"add:{p}"]
             check_s_tuple(s2, qp, "inner_gi_step", monitor)
             _check_v_increase(v0, v_value(x, qp.x_star), "inner_gi_step", monitor)
@@ -537,7 +574,8 @@ def inner_gi_step(
             x = x + t1 * z
             cx = float(c_p.dot(x))
             events.append("partial")
-        u_plus = np.delete(_dual_update(u_plus, t1, r), l)
+        u_plus = _dual_update(u_plus, t1, r_list)
+        del u_plus[l]
         events.append(f"drop:{j_work[l]}")
         del j_work[l]
         qr = qr_delete_column(qr, l)
@@ -627,7 +665,7 @@ def degenerate_inner_gi_step(
     """
     if p in s.j_set:
         raise PreconditionViolated(f"constraint {p} already active")
-    if s.u.size and float(np.max(np.abs(s.u))) > DUAL_TOL:
+    if max(map(abs, s.u.tolist()), default=0.0) > DUAL_TOL:
         raise PreconditionViolated("multipliers are not zero; use inner_gi_step")
     c_p = qp.column(p)
     b_p = qp.rhs(p)
@@ -641,11 +679,9 @@ def degenerate_inner_gi_step(
 
     while True:
         r = solve_upper(qr.r_mat, qr.q_mat.T @ c_p)
-        scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
-        pos = np.flatnonzero(r > R_POS_TOL * scale)
-        if pos.size == 0:
+        l = _first_positive(r.tolist())
+        if l < 0:
             break
-        l = int(pos[0])  # lowest index
         events.append(f"drop:{j_work[l]}")
         del j_work[l]
         qr = qr_delete_column(qr, l)
@@ -655,7 +691,9 @@ def degenerate_inner_gi_step(
         j_work, qr, r, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus_rounds)
         events += ev
 
-    z = c_p - qr.q_mat.dot(qr.q_mat.T.dot(c_p))
+    # also the first orthogonalization pass of the append below
+    first = _project_out(qr.q_mat, c_p)
+    z = first[1]
     if _nrm(z) <= Z_TOL * (1.0 + _nrm(c_p)):
         lam = np.append(np.maximum(-r, 0.0), 1.0)
         cert = InfeasibilityCertificate(tuple(j_work) + (p,), lam)
@@ -671,7 +709,7 @@ def degenerate_inner_gi_step(
     x2 = x + t2 * z
     u2 = _clip_dual(_appended(-t2 * r, t2))
     try:
-        qr2 = _qr_append(qr, c_p)
+        qr2 = _qr_append(qr, c_p, first)
     except DependentColumn as exc:
         raise NumericalError(f"dependent column on degenerate step: {exc}") from exc
     s2 = STuple(x2, tuple(j_work) + (p,), u2, qr2)

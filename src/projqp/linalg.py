@@ -10,11 +10,17 @@ on Python floats: at that size numpy's per-call overhead dwarfs the work.
 ``QrFactors`` maintains an economy QR factorization of a tall matrix under
 two update operations: appending a column (one orthogonalization pass plus
 a re-orthogonalization, the Householder-grade alternative) and deleting a
-column (a sweep of at most q Givens rotations).  Updates never refactorize
-from scratch, but a shadow copy of the factored matrix is kept so that the
-factors can be refreshed every ``REFRESH_EVERY`` updates to bound drift.
-Signs are canonicalized so the diagonal of R is nonnegative, which makes
-factors deterministic for tests.
+column (a sweep of at most q Givens rotations; deleting the last column is
+a slice of the leading blocks).  Updates never refactorize from scratch,
+but a shadow copy of the factored matrix is kept so that the factors can
+be refreshed every ``REFRESH_EVERY`` updates to bound drift; a delete
+counts as one update whether it slices or sweeps.  Signs are canonicalized
+so the diagonal of R is nonnegative, which makes factors deterministic for
+tests.
+
+Every update returns C-contiguous factors, slices included: BLAS kernels
+may sum in a different order for another memory layout, so a strided view
+of Q would change the rounding of every product the engine forms with it.
 
 ``solve_upper`` calls LAPACK's ``dtrtrs`` directly for systems of three or
 more unknowns, with the arguments ``scipy.linalg.solve_triangular`` passes
@@ -202,12 +208,14 @@ def qr_append_column(f: QrFactors, v) -> QrFactors:
     return _qr_append(f, v)
 
 
-def _qr_append(f: QrFactors, v: np.ndarray) -> QrFactors:
+def _qr_append(f: QrFactors, v: np.ndarray, first: tuple | None = None) -> QrFactors:
     """``qr_append_column`` for a finite float column of length ``f.n``.
 
     The active-set engine appends only columns it already holds in that
     form (stored halfspace normals, columns of a validated problem), so it
-    calls this directly and skips the checks.
+    calls this directly and skips the checks.  A step that has already
+    formed ``_project_out(f.q_mat, v)`` passes it as ``first``, the first
+    of the two orthogonalization passes.
     """
     qn = f.ncols
     if qn == 0:
@@ -217,7 +225,7 @@ def _qr_append(f: QrFactors, v: np.ndarray) -> QrFactors:
             raise DependentColumn(f"residual norm {rho:.3e}")
         col = v.reshape(-1, 1)
         return _maybe_refresh(QrFactors(col / rho, np.array([[rho]]), col.copy(), f.updates + 1))
-    w, v_perp = _project_out(f.q_mat, v)
+    w, v_perp = _project_out(f.q_mat, v) if first is None else first
     # one re-orthogonalization pass keeps Q orthonormal to working precision
     w2, v_perp = _project_out(f.q_mat, v_perp)
     w = w + w2
@@ -254,22 +262,35 @@ def _givens(a: float, b: float) -> tuple[float, float]:
 
 
 def qr_delete_column(f: QrFactors, l: int) -> QrFactors:
-    """QR of ``mat`` with column ``l`` removed, via a Givens sweep (O(nq))."""
+    """QR of ``mat`` with column ``l`` removed, via a Givens sweep (O(nq)).
+
+    Deleting the last column needs no rotation: the factors are the
+    leading blocks, copied.  Every result is C-contiguous (see the module
+    docstring).
+    """
     q = f.ncols
     if not 0 <= l < q:
         raise IndexError(f"column index {l} out of range for {q} columns")
-    r1 = np.delete(f.r_mat, l, axis=1)
-    q1 = f.q_mat.copy()
-    for i in range(l, q - 1):
-        c, s = _givens(r1[i, i], r1[i + 1, i])
-        g = np.array([[c, s], [-s, c]])
-        r1[i:i + 2, i:] = g @ r1[i:i + 2, i:]
-        r1[i + 1, i] = 0.0
-        q1[:, i:i + 2] = q1[:, i:i + 2] @ g.T
-    r_new = np.triu(r1[:q - 1, :])
-    q_new = q1[:, :q - 1]
-    q_new, r_new = _canonicalize(q_new, r_new)
-    mat_new = np.delete(f.mat, l, axis=1)
+    if l == q - 1:
+        q_new = f.q_mat[:, :l].copy()
+        r_new = f.r_mat[:l, :l].copy()
+        mat_new = f.mat[:, :l].copy()
+    else:
+        r1 = np.delete(f.r_mat, l, axis=1)
+        q1 = f.q_mat.copy()
+        for i in range(l, q - 1):
+            c, s = _givens(r1[i, i], r1[i + 1, i])
+            g = np.array([[c, s], [-s, c]])
+            r1[i:i + 2, i:] = g @ r1[i:i + 2, i:]
+            r1[i + 1, i] = 0.0
+            q1[:, i:i + 2] = q1[:, i:i + 2] @ g.T
+        q_new = q1[:, :q - 1].copy()
+        r_new = r1[:q - 1, :]
+        mat_new = np.delete(f.mat, l, axis=1)
+    # a rotation leaves its diagonal entry >= 0 and the sweep writes exact
+    # zeros below it, so signs need fixing only where R had a negative entry
+    if not all(d >= 0.0 for d in r_new.diagonal().tolist()):  # NaN included
+        q_new, r_new = _canonicalize(q_new, np.triu(r_new))
     return _maybe_refresh(QrFactors(q_new, r_new, mat_new, f.updates + 1))
 
 

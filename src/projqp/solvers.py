@@ -29,14 +29,14 @@ from .activeset_qp import (
     DUAL_TOL,
     Infeasible,
     InfeasibilityCertificate,
-    QpProblem,
     STuple,
     _empty_qr,
+    _empty_s_tuple,
     _gi_from,
+    _trusted_problem,
     _violated,
     check_s_tuple,
     degenerate_inner_gi_step,
-    empty_s_tuple,
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
@@ -58,48 +58,66 @@ class HalfspaceStore:
     ``source`` is the set (or slab) a halfspace was generated from and
     ``birth`` the visit that generated it.  Column indices are positions in
     the store; removing a column shifts every later index down by one.
+
+    The normals are the first ``m`` rows of one buffer, whose capacity
+    doubles when it fills, so ``rows`` gathers any of them in one indexing
+    call.  ``column(j)`` is a view of row j: a later ``remove`` shifts the
+    rows, so a caller keeps it only while the store is unchanged.
     """
 
     def __init__(self):
-        self.cols: list[np.ndarray] = []
-        self.b: list[float] = []
+        self._c = np.zeros((0, 0))
+        self._b = np.zeros(0)
         self.source: list[int] = []
         self.birth: list[int] = []
 
     @property
     def m(self) -> int:
-        return len(self.cols)
+        return len(self.source)
 
     def add(self, c, b: float, source: int = -1, birth: int = 0) -> int:
-        self.cols.append(np.asarray(c, dtype=float))
-        self.b.append(float(b))
+        c = np.asarray(c, dtype=float)
+        m = self.m
+        if m == self._b.shape[0]:  # full: double the capacity
+            cap = max(8, 2 * m)
+            c_buf, b_buf = np.empty((cap, c.shape[0])), np.empty(cap)
+            if m:
+                c_buf[:m], b_buf[:m] = self._c, self._b
+            self._c, self._b = c_buf, b_buf
+        self._c[m] = c
+        self._b[m] = float(b)
         self.source.append(int(source))
         self.birth.append(int(birth))
-        return len(self.cols) - 1
+        return m
 
     def column(self, j: int) -> np.ndarray:
-        return self.cols[j]
+        return self._c[:self.m][j]
 
     def rhs(self, j: int) -> float:
-        return self.b[j]
+        return float(self._b[:self.m][j])
+
+    def rows(self, js: Sequence[int]) -> np.ndarray:
+        return self._c[:self.m].take(js, axis=0)
+
+    def rhs_at(self, js: Sequence[int]) -> np.ndarray:
+        return self._b[:self.m].take(js)
 
     def matrix(self) -> np.ndarray:
-        if not self.cols:
+        if not self.m:
             return np.zeros((0, 0))
-        return np.column_stack(self.cols)
+        return self._c[:self.m].T.copy()
 
     def rhs_vector(self) -> np.ndarray:
-        return np.asarray(self.b, dtype=float)
+        return self._b[:self.m].copy()
 
     def remove(self, j: int) -> None:
-        del self.cols[j]
-        del self.b[j]
+        m = self.m
+        self._c[j:m - 1] = self._c[j + 1:m]
+        self._b[j:m - 1] = self._b[j + 1:m]
         del self.source[j]
         del self.birth[j]
 
     def clear(self) -> None:
-        self.cols.clear()
-        self.b.clear()
         self.source.clear()
         self.birth.clear()
 
@@ -117,6 +135,8 @@ class _StoreView:
         self.store = store
         self.column = store.column
         self.rhs = store.rhs
+        self.rows = store.rows
+        self.rhs_at = store.rhs_at
 
     @property
     def m(self) -> int:
@@ -656,7 +676,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     x0 = _start(x0, sets)
     store = HalfspaceStore()
     view = _StoreView(x0, store)
-    s = empty_s_tuple(x0)
+    s = _empty_s_tuple(x0)
     counts = _gi_counts()
 
     def step(x, p, dist, index, visit):
@@ -695,7 +715,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     if opts.use_box_fast_path and len(boxes) == 1 and len(sets) >= 2:
         return _solve_sip_one_box(x0, sets, boxes[0], opts)
     store = HalfspaceStore()
-    s = empty_s_tuple(x0)
+    s = _empty_s_tuple(x0)
     counts = _gi_counts()
 
     def step(x, p, dist, index, visit):
@@ -707,7 +727,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         if opts.max_store == 0:
             # keeping no normals reduces the method to alternating projections
             store.clear()
-            s = empty_s_tuple(x)
+            s = _empty_s_tuple(x)
         idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
         view = _StoreView(x.copy(), store)
@@ -847,8 +867,8 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
             start = _haugazeau_start(x, c2, wn)
         else:
             c_mat, b_vec = np.column_stack([c1]), np.array([b1])
-            start = empty_s_tuple(x0)
-        res = _gi_from(QpProblem(x0, c_mat, b_vec), start)
+            start = _empty_s_tuple(x0)
+        res = _gi_from(_trusted_problem(x0, c_mat, b_vec), start)
         if isinstance(res, Infeasible):
             return x, ("qp", "infeasible"), (res.certificate, (c_mat, b_vec))
         counts["inner_steps"] += res.inner_steps

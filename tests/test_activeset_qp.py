@@ -5,7 +5,10 @@ import pytest
 
 from projqp import activeset_qp
 from projqp.activeset_qp import (
+    DUAL_TOL,
+    INF,
     MONITOR,
+    R_POS_TOL,
     Advanced,
     Infeasible,
     InfeasibilityCertificate,
@@ -15,15 +18,16 @@ from projqp.activeset_qp import (
     QpProblem,
     STuple,
     _dual_update,
-    _dual_update_general,
+    _empty_s_tuple,
+    _first_positive,
     _gi_from,
     _invariant_residuals,
     _invariant_residuals_general,
     _pick_violated,
     _pick_violated_general,
     _ratio_test,
-    _ratio_test_general,
     _require_violated,
+    _trusted_problem,
     _violated,
     check_s_tuple,
     cone_project_reduced,
@@ -316,6 +320,33 @@ class TestWarmStartedSolve:
             _gi_from(qp, empty_s_tuple(qp.x_star))
 
 
+class TestTrustedConstructors:
+    """The solvers' unchecked constructors build what the checked ones do."""
+
+    def test_trusted_problem_matches_the_checked_one(self):
+        x, c, b = np.array([1.0, 2.0]), np.column_stack([[1.0, 0.0], [0.0, 1.0]]), np.array([3.0, 4.0])
+        qp, trusted = QpProblem(x, c, b), _trusted_problem(x, c, b)
+        assert isinstance(trusted, QpProblem)
+        assert (trusted.x_star, trusted.c_mat, trusted.b) == (qp.x_star, qp.c_mat, qp.b) == (x, c, b)
+        assert gi_solve(trusted).x.tobytes() == gi_solve(qp).x.tobytes()
+
+    def test_public_problem_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="x_star has non-finite entries"):
+            QpProblem(np.array([np.nan, 0.0]), np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="b has length 1, C has 2 columns"):
+            QpProblem(np.zeros(2), np.eye(2), np.zeros(1))
+        with pytest.raises(ValueError, match="x_star has length 3, C has 2 rows"):
+            QpProblem(np.zeros(3), np.eye(2), np.zeros(2))
+
+    def test_empty_s_tuple(self):
+        x = np.array([0.5, -1.0, 2.0])
+        s, checked = _empty_s_tuple(x), empty_s_tuple(x)
+        assert s.x is not x and s.x.tobytes() == checked.x.tobytes()
+        assert (s.j_set, s.u.size, s.qr) == ((), 0, checked.qr)
+        with pytest.raises(ValueError, match="x_star has non-finite entries"):
+            empty_s_tuple(np.array([np.inf]))
+
+
 class TestViolatedTest:
     """``_violated`` is False exactly when the steps refuse a constraint as
     satisfied at x."""
@@ -423,23 +454,64 @@ def kkt_state(rng, n, q, m):
     return STuple(x, j_set, u, qr_factorize(n_mat)), qp
 
 
-class TestSmallActiveSetPaths:
-    """Active sets of at most two columns take Python-scalar branches; they
-    must reproduce the general code, which every larger active set uses."""
+def ratio_test_general(u_plus: np.ndarray, r: np.ndarray) -> tuple[float, int]:
+    """The engine's former numpy ratio test, kept as the reference."""
+    r_scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
+    pos = np.flatnonzero(r > R_POS_TOL * r_scale)
+    if pos.size == 0:
+        return INF, -1
+    ratios = u_plus[pos] / r[pos]
+    k = int(np.argmin(ratios))
+    return float(ratios[k]), int(pos[k])
 
-    @pytest.mark.parametrize("q", [0, 1, 2])
+
+def dual_update_general(u_plus: np.ndarray, t: float, r: np.ndarray) -> np.ndarray:
+    """The engine's former numpy multiplier update, kept as the reference."""
+    u = u_plus + t * np.append(-r, 1.0)
+    mask = (u < 0.0) & (u >= -DUAL_TOL)
+    u[mask] = 0.0
+    return u
+
+
+def drop_scan_general(r: np.ndarray) -> int:
+    """The degenerate step's former numpy drop scan, kept as the reference."""
+    scale = 1.0 + (float(np.max(np.abs(r))) if r.size else 0.0)
+    pos = np.flatnonzero(r > R_POS_TOL * scale)
+    return int(pos[0]) if pos.size else -1
+
+
+SCAN_SIZES = [0, 1, 2, 3, 10, 50]
+
+
+class TestSmallActiveSetPaths:
+    """The ratio test, the multiplier update and the drop scan run on Python
+    floats at every active-set size, and the invariant residuals take
+    Python-scalar branches for at most two columns; each must reproduce its
+    numpy reference bit for bit."""
+
+    @pytest.mark.parametrize("q", SCAN_SIZES)
     def test_ratio_test_matches_general(self, q):
         rng = np.random.default_rng(100 + q)
         for _ in range(400):
             u_plus = np.abs(rng.normal(size=q + 1)) * (rng.uniform(size=q + 1) < 0.7)
             r = rng.normal(size=q) * (rng.uniform(size=q) < 0.8)
-            assert _ratio_test(u_plus, r) == _ratio_test_general(u_plus, r)
+            if q > 1 and rng.uniform() < 0.3:
+                # a tie between two ratios, and from q = 3 an r_h on the
+                # positive bound or one ulp either side of it
+                i, k, *h = rng.choice(q, min(q, 3), replace=False)
+                r[i] = r[k] = abs(r[i]) + 0.1
+                u_plus[i] = u_plus[k] = 1.0
+                if h:
+                    r[h[0]] = 0.0
+                    thresh = R_POS_TOL * (1.0 + float(np.max(np.abs(r))))
+                    r[h[0]] = np.nextafter(thresh, rng.choice([0.0, thresh, 1.0]))
+            assert _ratio_test(u_plus.tolist(), r.tolist()) == ratio_test_general(u_plus, r)
 
     def test_ratio_test_ties_pick_lowest_position(self):
         u_plus, r = np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0])
-        assert _ratio_test(u_plus, r) == _ratio_test_general(u_plus, r) == (0.5, 0)
+        assert _ratio_test(u_plus.tolist(), r.tolist()) == ratio_test_general(u_plus, r) == (0.5, 0)
 
-    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("q", SCAN_SIZES)
     def test_dual_update_matches_general(self, q):
         rng = np.random.default_rng(200 + q)
         for _ in range(400):
@@ -447,10 +519,35 @@ class TestSmallActiveSetPaths:
             r = rng.normal(size=q)
             t = float(rng.uniform(0.0, 2.0))
             if q and rng.uniform() < 0.3:
-                # land one multiplier within the clipping band just below zero
-                u_plus[0] = t * r[0] - 1e-12
-            small = _dual_update(u_plus, t, r)
-            np.testing.assert_array_equal(small, _dual_update_general(u_plus, t, r))
+                # land multipliers within the clipping band just below zero,
+                # and one just below the band
+                for i in rng.choice(q, min(q, 3), replace=False):
+                    u_plus[i] = t * r[i] - float(rng.choice([1e-12, DUAL_TOL, 2 * DUAL_TOL]))
+            small = _dual_update(u_plus.tolist(), t, r.tolist())
+            assert np.array(small).tobytes() == dual_update_general(u_plus, t, r).tobytes()
+
+    def test_dual_update_clips_the_band_only(self):
+        small = _dual_update([1.0, 1.0, 0.0], 1.0, [1.0 + 1e-12, 1.0 + 2 * DUAL_TOL])
+        assert small[0] == 0.0 and small[1] < -DUAL_TOL and small[2] == 1.0
+        # r_i = 0 leaves u_i as it is: the band's edges exactly
+        below = float(np.nextafter(-DUAL_TOL, -1.0))
+        u_plus, r = np.array([-DUAL_TOL, below, 0.0]), np.zeros(2)
+        small = _dual_update(u_plus.tolist(), 1.0, r.tolist())
+        assert small == [0.0, below, 1.0]
+        assert np.array(small).tobytes() == dual_update_general(u_plus, 1.0, r).tobytes()
+
+    @pytest.mark.parametrize("q", SCAN_SIZES)
+    def test_drop_scan_matches_general(self, q):
+        rng = np.random.default_rng(250 + q)
+        for _ in range(400):
+            r = rng.normal(size=q) * (rng.uniform(size=q) < 0.5)
+            if q and rng.uniform() < 0.5:
+                r = -np.abs(r)  # often nothing to drop
+                if rng.uniform() < 0.5:
+                    # an entry at the positive bound, or one ulp either side
+                    thresh = R_POS_TOL * (1.0 + float(np.max(np.abs(r))))
+                    r[rng.integers(q)] = np.nextafter(thresh, float(rng.choice([0.0, 1.0, thresh])))
+            assert _first_positive(r.tolist()) == drop_scan_general(r)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_invariant_residuals_match_general(self, q):
@@ -525,6 +622,12 @@ class _Columns:
 
     def rhs(self, j):
         return self.b[j]
+
+    def rows(self, js):
+        return np.array([self.cols[j] for j in js])
+
+    def rhs_at(self, js):
+        return np.array([self.b[j] for j in js])
 
     @property
     def m(self):

@@ -3,9 +3,13 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from projqp.linalg import (
+    REFRESH_EVERY,
     SMALL_SIZE,
     DependentColumn,
+    QrFactors,
     RankDeficient,
+    _givens,
+    _maybe_refresh,
     as_matrix,
     as_vector,
     qr_append_column,
@@ -134,6 +138,72 @@ class TestDelete:
         f = qr_factorize(np.array([[1.0], [0.0]]))
         with pytest.raises(IndexError):
             qr_delete_column(f, 1)
+
+
+def delete_reference(f, l):
+    """The Givens-sweep delete as it was before the trailing slice: every
+    column, the last included, went through this code."""
+    q = f.ncols
+    r1 = np.delete(f.r_mat, l, axis=1)
+    q1 = f.q_mat.copy()
+    for i in range(l, q - 1):
+        c, s = _givens(r1[i, i], r1[i + 1, i])
+        g = np.array([[c, s], [-s, c]])
+        r1[i:i + 2, i:] = g @ r1[i:i + 2, i:]
+        r1[i + 1, i] = 0.0
+        q1[:, i:i + 2] = q1[:, i:i + 2] @ g.T
+    r_new = np.triu(r1[:q - 1, :])
+    q_new = q1[:, :q - 1]
+    d = np.sign(np.diag(r_new))
+    d[d == 0.0] = 1.0
+    q_new, r_new = q_new * d, d[:, None] * r_new
+    mat_new = np.delete(f.mat, l, axis=1)
+    return _maybe_refresh(QrFactors(q_new, r_new, mat_new, f.updates + 1))
+
+
+def same_factors(a, b) -> bool:
+    return a.updates == b.updates and all(
+        x.shape == y.shape and x.flags.c_contiguous and x.tobytes() == y.tobytes()
+        for x, y in ((a.q_mat, b.q_mat), (a.r_mat, b.r_mat), (a.mat, b.mat))
+    )
+
+
+class TestDeleteMatchesTheSweep:
+    """The trailing slice and the sweep without its no-op steps give the
+    reference sweep's factors byte for byte, C-contiguous, with the same
+    update count."""
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_every_column_of_factored_matrices(self, n):
+        rng = np.random.default_rng(800 + n)
+        for q in range(1, min(n, 12) + 1):
+            f = qr_factorize(rng.normal(size=(n, q)))
+            for l in range(q):
+                assert same_factors(qr_delete_column(f, l), delete_reference(f, l)), (q, l)
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_every_column_of_updated_factors(self, n):
+        # factors that appends and deletes built, on both sides of a refresh
+        rng = np.random.default_rng(810 + n)
+        f = qr_factorize(np.zeros((n, 0)))
+        for step in range(3 * REFRESH_EVERY):
+            if f.ncols < min(n, 12) and (f.ncols < 2 or rng.uniform() < 0.6):
+                f = qr_append_column(f, rng.normal(size=n))
+                continue
+            for l in range(f.ncols):
+                assert same_factors(qr_delete_column(f, l), delete_reference(f, l)), (step, l)
+            f = qr_delete_column(f, int(rng.integers(f.ncols)))
+
+    def test_negative_diagonal_is_canonicalized(self):
+        # R keeps +0.0 below its diagonal, as every factor of this module does
+        rng = np.random.default_rng(820)
+        f = qr_factorize(rng.normal(size=(6, 4)))
+        flip = np.array([-1.0, 1.0, -1.0, 1.0])
+        g = QrFactors(f.q_mat * flip, np.triu(flip[:, None] * f.r_mat), f.mat.copy(), 5)
+        for l in range(4):
+            got = qr_delete_column(g, l)
+            assert same_factors(got, delete_reference(g, l))
+            assert min(np.diag(got.r_mat)) >= 0.0
 
 
 class TestUpdateSequences:

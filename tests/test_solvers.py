@@ -406,6 +406,79 @@ class TestAggregation:
         assert rep.extras["store_normals"].shape[1] <= 2
 
 
+class TestHalfspaceStore:
+    """The row buffer against a plain list of the same halfspaces."""
+
+    @staticmethod
+    def filled(count: int, n: int = 3):
+        rng = np.random.default_rng(count)
+        store, ref = HalfspaceStore(), []
+        for k in range(count):
+            c, b = rng.normal(size=n), float(rng.normal())
+            assert store.add(c, b, source=k % 4, birth=10 + k) == k
+            ref.append((c, b, k % 4, 10 + k))
+        return store, ref
+
+    @staticmethod
+    def agrees(store, ref) -> None:
+        assert store.m == len(ref)
+        for j, (c, b, source, birth) in enumerate(ref):
+            assert store.column(j).tobytes() == c.tobytes()
+            assert store.rhs(j) == b and type(store.rhs(j)) is float
+            assert (store.source[j], store.birth[j]) == (source, birth)
+        normals, rhs = store.matrix(), store.rhs_vector()
+        if ref:
+            assert normals.tobytes() == np.column_stack([c for c, *_ in ref]).tobytes()
+            assert normals.flags.c_contiguous
+        else:
+            assert normals.shape == (0, 0)
+        assert rhs.tobytes() == np.array([b for _, b, *_ in ref], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 8, 9, 40])
+    def test_growth_past_capacity(self, count):
+        store, ref = self.filled(count)
+        self.agrees(store, ref)
+        js = [count - 1, 0, count // 2]
+        assert store.rows(js).tobytes() == np.array([ref[j][0] for j in js]).tobytes()
+        assert store.rhs_at(js).tolist() == [ref[j][1] for j in js]
+
+    def test_remove_shifts_later_columns(self):
+        store, ref = self.filled(20)
+        for j in (7, 0, 17, 5):
+            store.remove(j)
+            del ref[j]
+            self.agrees(store, ref)
+        assert store.column(6).tobytes() == ref[6][0].tobytes()
+
+    def test_indices_past_the_last_column_raise(self):
+        store, ref = self.filled(3)  # capacity 8
+        assert store.column(-1).tobytes() == ref[-1][0].tobytes() and store.rhs(-1) == ref[-1][1]
+        for bad in (3, 7):
+            with pytest.raises(IndexError):
+                store.column(bad)
+            with pytest.raises(IndexError):
+                store.rhs(bad)
+            with pytest.raises(IndexError):
+                store.rows([0, bad])
+
+    def test_clear_then_refill(self):
+        store, _ = self.filled(12)
+        store.clear()
+        self.agrees(store, [])
+        c = np.array([1.0, -2.0, 0.5])
+        assert store.add(c, 3.0, source=1, birth=99) == 0
+        self.agrees(store, [(c, 3.0, 1, 99)])
+
+    def test_snapshots_do_not_follow_the_store(self):
+        store, ref = self.filled(9)
+        normals, rhs, rows = store.matrix(), store.rhs_vector(), store.rows([1, 2])
+        store.remove(0)
+        store.add(np.zeros(3), 0.0)
+        assert normals.tobytes() == np.column_stack([c for c, *_ in ref]).tobytes()
+        assert rhs.tolist() == [b for _, b, *_ in ref]
+        assert rows.tobytes() == np.array([ref[1][0], ref[2][0]]).tobytes()
+
+
 class TestBapDykstraAgreement:
     @pytest.mark.parametrize("seed", [3, 8, 15])
     def test_limits_agree(self, seed):
