@@ -84,25 +84,32 @@ class HyperslabSystem:
         return self.a_mat.shape[1]
 
     def contains(self, x: np.ndarray) -> bool:
-        # Exact membership: L_j <= float(a_j @ x) <= U_j for every row j,
-        # bit-for-bit as the update and classification rules compute it.
-        # ``_RowScreen`` clears the rows inside by a margin its rounding
-        # bound covers; every other row gets the per-row test, and so does
-        # every row where the screen decides nothing.
-        x = np.asarray(x, dtype=float)
-        inside = self._screen.inside(x)
-        if inside is not None:
-            rows = (~inside).nonzero()[0].tolist()
-        elif not math.isfinite(float(np.abs(x).max())):  # NaN would compare false on every face
-            return False
+        return self._screened(np.asarray(x, dtype=float))[1]
+
+    def _screened(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """(cleared, inside) at a float array x.
+
+        ``cleared[j]`` is True for each row that ``_RowScreen`` proves x
+        inside by a margin its rounding bound covers, so L_j <= float(a_j @ x)
+        <= U_j holds for it bit for bit as the update and classification
+        rules compute it; no row is cleared where the screen decides
+        nothing.  ``inside`` is exact membership: every row not cleared gets
+        that per-row test.
+        """
+        cleared = self._screen.inside(x)
+        if cleared is not None:
+            rows = (~cleared).nonzero()[0].tolist()
         else:
+            cleared = np.zeros(self.m, dtype=bool)
+            if not math.isfinite(float(np.abs(x).max())):  # NaN would compare false on every face
+                return cleared, False
             rows = range(self.m)
         a_mat = self.a_mat
         for j in rows:
             s = float(a_mat[j] @ x)
             if s < self.lower[j] or s > self.upper[j]:
-                return False
-        return True
+                return cleared, False
+        return cleared, True
 
     def to_text(self) -> str:
         def enc(v):
@@ -241,10 +248,18 @@ def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveRe
     i = 0
     j = 0
     status = "iteration_limit"
+    cleared = None  # the screen of x, taken at the first exact clean visit since x moved
     while i < max_iters:
-        x_new = art3_update(x, a_mat[j], lo[j], up[j])
-        changed = not np.array_equal(x_new, x)
-        x = x_new
+        if cleared is not None and cleared[j]:
+            changed = False  # art3_update would return x unchanged
+        else:
+            x_new = art3_update(x, a_mat[j], lo[j], up[j])
+            changed = not np.array_equal(x_new, x)
+            x = x_new
+            if changed:
+                cleared = None
+            elif cleared is None:
+                cleared = system._screened(x)[0]
         clean = 0 if changed else clean + 1
         i += 1
         j = (j + 1) % m
@@ -380,7 +395,8 @@ def extended_art_solve(
         return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store))
 
     # membership of x_plus is tested only when x_plus is a new array: every
-    # update rebinds it, and the case-1 visits in between leave it alone
+    # update rebinds it, and the case-1 visits in between leave it alone.
+    # The test's screen mask marks rows where x_plus is provably in case 1
     tested = None
     in_s = False
     outcome = None
@@ -388,11 +404,14 @@ def extended_art_solve(
     while i < max_iters:
         if x_plus is not tested:
             tested = x_plus
-            in_s = system.contains(x_plus)
+            cleared, in_s = system._screened(x_plus)
             if in_s:
                 status = "solved"
                 break
-        case = classify_case(x_times, x_plus, system.a_mat[j], system.lower[j], system.upper[j])
+        if cleared[j]:
+            case = 1
+        else:
+            case = classify_case(x_times, x_plus, system.a_mat[j], system.lower[j], system.upper[j])
         events: list[str] = []
         if case != 1:
             choice = {2: pol.case2, 3: "plus", 4: pol.case4, 5: pol.case5}[case]

@@ -52,6 +52,30 @@ def tight_slabs_loop(system, x, tol=1e-9):
     return tuple(out)
 
 
+def art3_loop(x0, system, max_iters=100_000):
+    """``art3_solve``'s sweep with an ``art3_update`` call on every visit."""
+    x = np.array(x0, dtype=float)
+    clean = i = j = 0
+    status = "iteration_limit"
+    while i < max_iters:
+        x_new = art3_update(x, system.a_mat[j], system.lower[j], system.upper[j])
+        changed = not np.array_equal(x_new, x)
+        x = x_new
+        clean = 0 if changed else clean + 1
+        i += 1
+        j = (j + 1) % system.m
+        if clean >= system.m:
+            status = "solved"
+            break
+    return x, status, {"iterations": i}, contains_loop(system, x)
+
+
+def same_as_loop(rep, loop):
+    x, status, counts, membership = loop
+    assert rep.x.tobytes() == x.tobytes()
+    assert (rep.status, rep.counts, rep.extras["membership"]) == (status, counts, membership)
+
+
 def ulps(v, k):
     """v moved k ulps up (k > 0) or down (k < 0)."""
     for _ in range(abs(k)):
@@ -376,6 +400,7 @@ class TestScreenedMembership:
             system, x0, witness = generated_system(n, slabs, 500 + seed)
             fast = extended_art_solve(x0, system, witness=witness)
             with monkeypatch.context() as mp:
+                mp.setattr(art._RowScreen, "inside", lambda self, x: None)  # no row is cleared
                 mp.setattr(HyperslabSystem, "contains", contains_loop)
                 mp.setattr(art, "_tight_slabs", tight_slabs_loop)
                 slow = extended_art_solve(x0, system, witness=witness)
@@ -393,16 +418,61 @@ class TestScreenedMembership:
     def test_unchanged_x_plus_is_not_retested(self, monkeypatch):
         system, x0, witness = generated_system(10, 40, 77)
         seen = []
+        screened = HyperslabSystem._screened
 
         def spy(self, x):
             seen.append(x)
-            return contains_loop(self, x)
+            return screened(self, x)
 
-        monkeypatch.setattr(HyperslabSystem, "contains", spy)
+        monkeypatch.setattr(HyperslabSystem, "_screened", spy)
         rep = extended_art_solve(x0, system, witness=witness)
         assert rep.status == "solved"
         assert all(a is not b for a, b in zip(seen, seen[1:]))
         assert len(seen) < rep.counts["iterations"]
+
+
+class TestScreenedArt3:
+    @pytest.mark.parametrize("n,slabs,seeds", [(2, 8, range(40)), (10, 40, range(6)), (50, 200, range(2))])
+    def test_matches_the_loop(self, n, slabs, seeds):
+        for seed in seeds:
+            system, x0, _ = generated_system(n, slabs, 700 + seed)
+            rep = art3_solve(x0, system)
+            assert rep.status == "solved"
+            same_as_loop(rep, art3_loop(x0, system))
+
+    def test_every_cap_matches_the_loop(self, monkeypatch):
+        system, x0, _ = generated_system(10, 40, 3)
+        updates = []
+        update = art.art3_update
+        monkeypatch.setattr(art, "art3_update", lambda x, *row: updates.append(1) or update(x, *row))
+        total = art3_solve(x0, system).counts["iterations"]
+        screened_last = 0
+        for cap in range(1, total + 2):
+            updates.clear()
+            rep = art3_solve(x0, system, max_iters=cap)
+            screened_last += len(updates) < min(cap, total)  # some visit up to `cap` was screened
+            assert rep.status == ("solved" if cap >= total else "iteration_limit")
+            same_as_loop(rep, art3_loop(x0, system, max_iters=cap))
+        assert screened_last > total // 2
+
+    def test_row_inside_by_less_than_the_slack_takes_the_exact_test(self, monkeypatch):
+        # row 2 holds x by one ulp of a_2 x, far below the screen's slack;
+        # the other rows hold it by a wide margin
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 4))
+        x0 = rng.normal(size=4)
+        s = np.array([float(a[j] @ x0) for j in range(6)])
+        lo, up = s - 1.0, s + 1.0
+        lo[2] = ulps(s[2], -1)
+        system = HyperslabSystem(a, lo, up)
+        assert system._screened(x0)[0].tolist() == [True, True, False, True, True, True]
+        rows = []
+        update = art.art3_update
+        monkeypatch.setattr(art, "art3_update", lambda x, a_j, *b: rows.append(a_j) or update(x, a_j, *b))
+        rep = art3_solve(x0, system)
+        assert rep.status == "solved" and rep.counts["iterations"] == 6
+        assert [r.tobytes() for r in rows] == [a[0].tobytes(), a[2].tobytes()]
+        same_as_loop(rep, art3_loop(x0, system))
 
 
 class TestEntryPoints:
