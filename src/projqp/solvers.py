@@ -532,6 +532,9 @@ def _screen_due(run: int, exact_clean: int, r: int) -> bool:
     return run == 2 and exact_clean >= r
 
 
+# Near the overflow threshold a squared norm or a dot may overflow to inf;
+# each such site tests for the inf, so the warning says nothing new
+@np.errstate(over="ignore")
 def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated: bool = False) -> SolveReport:
     """Visit ``sets`` from x until a full pass leaves x in every one of them.
 
@@ -780,6 +783,7 @@ def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
                    lambda x, p, *_: (p, ("project",), None))
 
 
+@np.errstate(over="ignore")  # as in _cyclic
 def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Classical cyclic Dykstra with one correction vector per set.
 
