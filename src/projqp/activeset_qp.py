@@ -72,7 +72,8 @@ STEP_TOL = 1e-12
 # z, the part of c_p outside the active span, is zero when ||z|| <= Z_TOL (1 + ||c_p||)
 Z_TOL = 1e-10
 # with ||z|| <= COND_TOL (1 + ||c_p||) and a blocking multiplier, the step drops
-# that column rather than divide by the tiny z^T c_p, which amplifies round-off
+# that column rather than divide by the tiny z^T c_p, which amplifies round-off;
+# unless z is zero it still moves x by t1 z, which keeps x* - x + N u as it was
 COND_TOL = 1e-8
 # r_i counts as positive (it blocks the dual step, or the degenerate step
 # drops its column) when r_i > R_POS_TOL (1 + max |r|)
@@ -541,7 +542,10 @@ def inner_gi_step(
             # so replace a blocking column instead of stepping along z
             t2 = INF
         else:
-            t2 = (b_p - cx) / float(z.dot(c_p))
+            # z^T c_p = ||z||^2 > 0 in exact arithmetic; just above COND_TOL its
+            # round-off can flip the sign, and then c_p is dependent as computed
+            zc = float(z.dot(c_p))
+            t2 = (b_p - cx) / zc if zc > 0.0 else INF
 
         if t1 == INF and t2 == INF:
             lam = np.append(np.maximum(-r, 0.0), 1.0)
@@ -567,8 +571,8 @@ def inner_gi_step(
             _check_v_increase(v0, v_value(x, qp.x_star), "inner_gi_step", monitor)
             return Advanced(s2, tuple(events))
 
-        # dual-only step when t2 = inf, otherwise partial step in both spaces
-        if math.isinf(t2):
+        # dual-only step when z = 0, otherwise partial step in both spaces
+        if z_zero:
             events.append("dual")
         else:
             x = x + t1 * z

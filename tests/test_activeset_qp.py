@@ -103,6 +103,23 @@ class TestInnerGiStep:
         np.testing.assert_allclose(s2.x, oracle.x, atol=1e-10)
         assert "full" in out.events
 
+    def test_near_dependent_cut_moves_x_with_its_drop(self):
+        # ||z|| = delta lies between Z_TOL and COND_TOL of 1 + ||c_1||: the
+        # blocking multiplier of c_0 drops it, and x moves by t1 z = (0, delta)
+        # so that x* - x + N u stays 0; left at x, it would be off by delta
+        delta = 5e-9
+        qp = QpProblem(np.array([-1.0, 0.0]), np.array([[1.0, 1.0], [0.0, delta]]), np.array([0.0, 1e-3]))
+        s = tight_s_tuple([0.0, 0.0], (0,), [1.0], qp)
+        monitor = InvariantMonitor()
+        out = inner_gi_step(s, 1, qp, monitor)
+        assert out.events == ("partial", "drop:0", "full", "add:1")
+        s2 = out.s_tuple
+        kkt = qp.x_star - s2.x + qp.c_mat[:, list(s2.j_set)] @ s2.u
+        assert float(np.abs(kkt).max()) <= 1e-15
+        assert monitor.violations == 0
+        oracle = project_polyhedron_enum(qp.x_star, qp.c_mat, qp.b)
+        np.testing.assert_allclose(s2.x, oracle.x, atol=1e-12)
+
     def test_infeasible_certificate(self):
         # x1 >= 1 together with -x1 >= 0 is empty
         qp = QpProblem(np.zeros(1), np.array([[1.0, -1.0]]), np.array([1.0, 0.0]))

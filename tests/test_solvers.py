@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from projqp.activeset_qp import (
+    FEAS_TOL,
     MONITOR,
     Infeasible,
     InvariantMonitor,
@@ -90,6 +91,28 @@ class TestBap:
         b_vec = rep.extras["store_rhs"]
         if c_mat.size:
             assert float(np.min(c_mat.T @ w - b_vec)) >= -1e-9
+
+    # `projqp gen --count 6` files whose BAP broke the s-tuple invariants.  On
+    # the first three, a cut nearly dependent on the active normals took a
+    # dual-only step, which left the final KKT residual above FEAS_TOL
+    # (1 + ||x0||).  On the others, a cut just above COND_TOL got
+    # z^T c_p <= 0 from round-off and a negative full step.
+    @pytest.mark.parametrize("kind,n,seed", [
+        ("balls-with-common-point", 10, 1477800422),
+        ("balls-with-common-point", 10, 310589303),
+        ("balls-with-common-point", 10, 1351353841),
+        ("balls-with-common-point", 10, 1510822925),
+        ("box-plus-ball", 10, 1126693252),
+        ("box-plus-ball", 50, 523940182),
+    ])
+    def test_near_dependent_cuts_keep_the_kkt_identity(self, kind, n, seed):
+        sets, x0, _ = problem_from_dict(generate_problem(kind, n, 6, seed))
+        rep = solve_bap(x0, sets, SolverOptions(feas_tol=1e-9, max_outer_iters=100_000))
+        assert rep.status == "solved"
+        assert "partial" in [e for row in rep.rows for e in row.events]
+        e = rep.extras
+        kkt = x0 - rep.x + e["store_normals"][:, e["active_set"]] @ e["multipliers"]
+        assert float(np.linalg.norm(kkt)) <= FEAS_TOL * (1.0 + float(np.linalg.norm(x0)))
 
     def test_most_violated_visit_order(self):
         opts = SolverOptions(feas_tol=1e-12, max_outer_iters=100,
