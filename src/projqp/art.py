@@ -14,6 +14,14 @@ place (P_circ, an inner GI step from x_circ), restart from x_times
 x_plus (P_plus, a fresh degenerate step, the reflection-like move).
 Restart steps are the ones that advance the underlying Fejer-monotone
 subsequence.
+
+Most visits of either sweep change nothing.  ``HyperslabSystem._screened``
+proves a row clean with one gemv and ``linalg._RowScreen``'s rounding
+slack.  A row it clears satisfies L_j <= float(a_j @ x) <= U_j, the exact
+per-row test that ``art3_update`` and ``classify_case`` make.  Both sweeps
+count a cleared row as a clean (case 1) visit without calling them, and
+give every other row the exact test, so outputs are bit-identical to
+visiting every row.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ class HyperslabSystem:
         return self.a_mat.shape[1]
 
     def contains(self, x: np.ndarray) -> bool:
+        """Exact membership: L_j <= float(a_j @ x) <= U_j for every row j."""
         return self._screened(np.asarray(x, dtype=float))[1]
 
     def _screened(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -239,6 +248,11 @@ def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveRe
     covers the first pass (the literal j = k initialization could stop one
     row early before anything has been verified).  The report has no
     trace rows.
+
+    At the first clean visit after x moves, the sweep screens x once;
+    while x stays put, every row the screen clears is a clean visit
+    without an ``art3_update`` call.  Those visits count toward the
+    iterations, the clean pass and ``max_iters`` as visited rows do.
     """
     _check_max_iters(max_iters)
     x = as_start(x0, system.n).copy()
@@ -346,6 +360,10 @@ def extended_art_solve(
     and collapses the extrapolation; there is nothing to feed the QP there.
     The report tracks the restart subsequence and, given a ``witness``
     inside S, its worst Fejer-monotonicity violation.
+
+    The membership test of each new x_plus also returns the screen's mask.
+    A row the mask clears is case 1 without a ``classify_case`` call, so
+    the case-1 visits between updates cost no extra matrix product.
     """
     _check_max_iters(max_iters)
     pol = policy or ArtPolicy()
@@ -395,8 +413,7 @@ def extended_art_solve(
         return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store))
 
     # membership of x_plus is tested only when x_plus is a new array: every
-    # update rebinds it, and the case-1 visits in between leave it alone.
-    # The test's screen mask marks rows where x_plus is provably in case 1
+    # update rebinds it, and the case-1 visits in between leave it alone
     tested = None
     in_s = False
     outcome = None

@@ -415,6 +415,15 @@ class TestScreenedMembership:
             for f in ("x_circ", "x_times", "x_plus"):
                 assert getattr(ft, f).tobytes() == getattr(st, f).tobytes()
 
+    def test_cleared_rows_skip_the_classification(self, monkeypatch):
+        system, x0, witness = generated_system(10, 40, 77)
+        calls = []
+        classify = art.classify_case
+        monkeypatch.setattr(art, "classify_case", lambda *a: calls.append(1) or classify(*a))
+        rep = extended_art_solve(x0, system, witness=witness)
+        assert rep.status == "solved"
+        assert len(calls) < rep.counts["iterations"] / 2
+
     def test_unchanged_x_plus_is_not_retested(self, monkeypatch):
         system, x0, witness = generated_system(10, 40, 77)
         seen = []
