@@ -3,7 +3,8 @@
 Subcommands: ``two-circles`` (benchmark table for one method), ``solve``
 (run a method on a problem file), ``gen`` (write a random problem), and
 ``oracle-suite`` (randomized equivalence suites).  Exit codes: 0 solved or
-suites passed, 2 infeasible, 3 iteration limit, 1 usage error.
+suites passed, 2 infeasible, 3 iteration limit, 4 numerical breakdown,
+1 usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 from . import bench
+from .activeset_qp import IterationLimitError, NumericalError, PreconditionViolated
 from .art import HyperslabSystem, extended_art_solve, art3_solve, load_system
 from .convex_sets import load_problem, save_problem, problem_from_dict
 from .solvers import _METHODS, SolveReport, SolverOptions, _is_tol, solve as solve_dispatch
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_ITERATION_LIMIT = 3
+EXIT_BREAKDOWN = 4
 
 STATUS_EXIT = {"solved": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "iteration_limit": EXIT_ITERATION_LIMIT}
 
@@ -154,10 +157,16 @@ def _cmd_oracle_suite(args) -> int:
     return EXIT_OK if all_pass else EXIT_USAGE
 
 
+# built on first use; parse_args leaves a parser as it found it
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -169,6 +178,11 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "oracle-suite":
             return _cmd_oracle_suite(args)
+    # the engine's breakdowns; PreconditionViolated is a ValueError, so this
+    # clause comes before the usage errors
+    except (PreconditionViolated, NumericalError, IterationLimitError) as exc:
+        print(f"projqp: error: numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     except (ValueError, OSError) as exc:
         print(f"projqp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

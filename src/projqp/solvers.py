@@ -264,7 +264,8 @@ class SolveReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        # one line: indent would select json's pure-Python encoder
+        return json.dumps(self.to_json_dict())
 
     def csv_rows(self) -> list[str]:
         def fmt(v):

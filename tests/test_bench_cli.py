@@ -4,18 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from projqp import cli
+from projqp import cli, solvers
+from projqp.activeset_qp import IterationLimitError, NumericalError, PreconditionViolated
 from projqp.art import art3_solve, extended_art_solve
 from projqp.bench import (
+    TWO_CIRCLES_X0,
     NonPositiveDistance,
     compute_measures,
     generate_problem,
     hyperslab_system_from_sets,
     measure_rows_to_csv,
     run_two_circles,
+    two_circles_sets,
 )
 from projqp.convex_sets import Ball, Hyperslab, problem_from_dict, project_set, save_problem
-from projqp.solvers import _METHODS
+from projqp.solvers import _METHODS, SolveReport
 
 from test_solvers import disjoint_on_axis
 
@@ -102,6 +105,18 @@ class TestRunTwoCircles:
         assert len(rows) == len(table) > 10
         for r, t in zip(rows, table):
             assert (r.iteration, r.dist, r.measure1, r.measure2) == (t.iteration, t.dist, t.measure1, t.measure2)
+
+
+def float_bits(doc):
+    """``doc`` with every float replaced by its exact hex form, so that
+    equal results mean bit-identical floats (0.0 and -0.0 differ)."""
+    if isinstance(doc, float):
+        return float.hex(doc)
+    if isinstance(doc, dict):
+        return {k: float_bits(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [float_bits(v) for v in doc]
+    return doc
 
 
 class TestCli:
@@ -234,3 +249,75 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "suite box-qp: PASS" in captured.out
+
+    @pytest.mark.parametrize("kind, method", [
+        *[("balls-with-common-point", m) for m in _METHODS],
+        ("hyperslabs-with-interior", "art3"),
+        ("hyperslabs-with-interior", "ext-art"),
+        ("infeasible-balls", "bap-gi"),
+    ])
+    def test_json_report_is_the_report(self, tmp_path, monkeypatch, kind, method):
+        written = []
+        to_json = SolveReport.to_json
+
+        def spy(report):
+            written.append(report)
+            return to_json(report)
+
+        monkeypatch.setattr(SolveReport, "to_json", spy)
+        problem = tmp_path / "p.json"
+        assert cli.main(["gen", "--kind", kind, "--n", "3", "--count", "4", "--seed", "5",
+                         "--out", str(problem)]) == 0
+        out = tmp_path / "r.json"
+        code = cli.main(["solve", "--problem", str(problem), "--method", method, "--max-iter", "200",
+                         "--json", str(out)])
+        [report] = written
+        assert code == cli.STATUS_EXIT[report.status]
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text)
+        assert float_bits(doc) == float_bits(report.to_json_dict())
+        if kind == "infeasible-balls":
+            assert report.status == "infeasible" and doc["certificate"]["lambda"]
+
+    def test_repeated_solves_are_identical(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        assert cli.main(["gen", "--kind", "box-plus-ball", "--n", "4", "--count", "3", "--seed", "8",
+                         "--out", str(problem)]) == 0
+        parser = cli._PARSER
+        capsys.readouterr()
+
+        def solve_once(name):
+            report = tmp_path / name
+            code = cli.main(["solve", "--problem", str(problem), "--method", "sip-gi", "--json", str(report)])
+            return code, capsys.readouterr().out, report.read_bytes()
+
+        first = solve_once("first.json")
+        assert cli.main(["solve", "--problem", str(problem), "--method", "bogus"]) == cli.EXIT_USAGE
+        assert cli.main(["oracle-suite", "--seed", "5", "--suite", "box-qp"]) == 0
+        capsys.readouterr()
+        assert solve_once("second.json") == first
+        assert first[0] == 0 and first[1].startswith("method=sip-gi status=solved")
+        assert parser is not None and cli._PARSER is parser
+
+    @pytest.mark.parametrize("exc", [
+        PreconditionViolated("constraint 0 already active"),
+        NumericalError("direction refinement failed to settle"),
+        IterationLimitError("inner step budget 8 exhausted"),
+    ], ids=lambda exc: type(exc).__name__)
+    @pytest.mark.parametrize("command", ["solve", "two-circles"])
+    def test_engine_breakdown_exit_four(self, tmp_path, capsys, monkeypatch, exc, command):
+        def broken(x0, sets, options=None):
+            raise exc
+
+        monkeypatch.setitem(solvers._METHODS, "bap-gi", broken)
+        argv = ["two-circles", "--method", "bap-gi"]
+        if command == "solve":
+            problem = tmp_path / "p.json"
+            save_problem(problem, two_circles_sets(), TWO_CIRCLES_X0)
+            argv = ["solve", "--problem", str(problem), "--method", "bap-gi"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BREAKDOWN == 4
+        assert captured.out == ""
+        assert captured.err == f"projqp: error: numerical breakdown: {exc}\n"
