@@ -10,8 +10,12 @@ on Python floats: at that size numpy's per-call overhead dwarfs the work.
 ``QrFactors`` maintains an economy QR factorization of a tall matrix under
 two update operations: appending a column (one orthogonalization pass plus
 a re-orthogonalization, the Householder-grade alternative) and deleting a
-column (a sweep of at most q Givens rotations; deleting the last column is
-a slice of the leading blocks).  Updates never refactorize from scratch,
+column.  Deleting the last column is a slice of the leading blocks; any
+other delete is a sweep of Givens rotations (Daniel, Gragg, Kaufman and
+Stewart, Math. Comp. 30, 1976), run by ``scipy.linalg.qr_delete``'s
+compiled code at q >= 3 and as one numpy rotation at q = 2, where the
+compiled call is no faster and numpy keeps the rounding of the outputs in
+the plane (the paper's Table 1).  Updates never refactorize from scratch,
 but a shadow copy of the factored matrix is kept so that the factors can
 be refreshed every ``REFRESH_EVERY`` updates to bound drift; a delete
 counts as one update whether it slices or sweeps.  Signs are canonicalized
@@ -37,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr_delete
 from scipy.linalg.lapack import dtrtrs
 
 RANK_TOL = 1e-12
@@ -262,11 +267,14 @@ def _givens(a: float, b: float) -> tuple[float, float]:
 
 
 def qr_delete_column(f: QrFactors, l: int) -> QrFactors:
-    """QR of ``mat`` with column ``l`` removed, via a Givens sweep (O(nq)).
+    """QR of ``mat`` with column ``l`` removed (O(nq)).
 
-    Deleting the last column needs no rotation: the factors are the
-    leading blocks, copied.  Every result is C-contiguous (see the module
-    docstring).
+    The last column is a slice, the first of two is one numpy rotation, and
+    any other goes to ``scipy.linalg.qr_delete`` (see the module docstring)
+    after a ``ValueError`` for a non-finite factor.  Short of a refresh,
+    Q's columns below l and R's leading l x l block keep their bytes.  Every
+    result is
+    C-contiguous with a nonnegative diagonal of R, and counts one update.
     """
     q = f.ncols
     if not 0 <= l < q:
@@ -275,20 +283,28 @@ def qr_delete_column(f: QrFactors, l: int) -> QrFactors:
         q_new = f.q_mat[:, :l].copy()
         r_new = f.r_mat[:l, :l].copy()
         mat_new = f.mat[:, :l].copy()
+    elif q == 2:
+        c, s = _givens(f.r_mat[0, 1], f.r_mat[1, 1])
+        g = np.array([[c, s], [-s, c]])
+        r_new = (g @ f.r_mat[:, 1:])[:1]
+        q_new = (f.q_mat @ g.T)[:, :1].copy()
+        mat_new = f.mat[:, 1:].copy()
     else:
-        r1 = np.delete(f.r_mat, l, axis=1)
-        q1 = f.q_mat.copy()
-        for i in range(l, q - 1):
-            c, s = _givens(r1[i, i], r1[i + 1, i])
-            g = np.array([[c, s], [-s, c]])
-            r1[i:i + 2, i:] = g @ r1[i:i + 2, i:]
-            r1[i + 1, i] = 0.0
-            q1[:, i:i + 2] = q1[:, i:i + 2] @ g.T
-        q_new = q1[:, :q - 1].copy()
-        r_new = r1[:q - 1, :]
-        mat_new = np.delete(f.mat, l, axis=1)
-    # a rotation leaves its diagonal entry >= 0 and the sweep writes exact
-    # zeros below it, so signs need fixing only where R had a negative entry
+        if not (_all_finite(f.q_mat) and _all_finite(f.r_mat)):
+            raise ValueError("QR factors have non-finite entries")
+        # overwrite_qr stays off: the caller may still hold f.  At n == q
+        # scipy takes Q as the full factor and returns R with q rows.
+        q_full, r_full = qr_delete(f.q_mat, f.r_mat, l, 1, "col", check_finite=False)
+        # LAPACK gives a rotated diagonal entry its pivot's sign: negate the
+        # rows of R and columns of Q from l on where that sign is negative
+        sign = np.copysign(1.0, r_full.diagonal()[:q - 1])
+        sign[:l] = 1.0
+        q_new = np.multiply(q_full[:, :q - 1], sign, order="C")
+        r_new = np.multiply(r_full[:q - 1, :q - 1], sign[:, None], order="C")
+        r_new[l:] += 0.0  # turns the -0.0 that negation left below the diagonal to +0.0
+        mat_new = np.concatenate((f.mat[:, :l], f.mat[:, l + 1:]), axis=1)
+    # each path leaves its new diagonal entries >= 0 and exact zeros below
+    # them, so signs need fixing only where R had a negative entry
     if not all(d >= 0.0 for d in r_new.diagonal().tolist()):  # NaN included
         q_new, r_new = _canonicalize(q_new, np.triu(r_new))
     return _maybe_refresh(QrFactors(q_new, r_new, mat_new, f.updates + 1))

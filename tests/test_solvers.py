@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import qr_delete
 
 from projqp.activeset_qp import (
     FEAS_TOL,
@@ -18,7 +19,7 @@ from projqp.activeset_qp import (
 )
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
 from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
-from projqp import solvers
+from projqp import linalg, solvers
 from projqp.linalg import _RowScreen, qr_factorize
 from projqp.solvers import (
     DegenerateAggregate,
@@ -511,6 +512,30 @@ class TestBapDykstraAgreement:
         dyk = solve_dykstra(x0, sets, SolverOptions(feas_tol=1e-11, max_outer_iters=300_000))
         assert bap.status == "solved"
         assert float(np.linalg.norm(bap.x - dyk.x)) <= 1e-6
+
+
+class TestLargeActiveSets:
+    """BAP on n = 50 hyperslab systems holds active sets of 10 and more
+    normals, where a blocking multiplier deletes an interior QR column
+    through scipy's compiled sweep; the warm answer must still be the cold
+    projection onto the final store."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_warm_bap_matches_cold_projection(self, seed, monkeypatch):
+        sweeps = []
+
+        def counted(q_mat, r_mat, *args, **kwargs):
+            sweeps.append(r_mat.shape[0])
+            return qr_delete(q_mat, r_mat, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "qr_delete", counted)
+        sets, x0, _ = problem_from_dict(generate_problem("hyperslabs-with-interior", 50, 200, seed))
+        rep = solve_bap(x0, sets, SolverOptions(feas_tol=1e-9, max_outer_iters=100_000))
+        assert rep.status == "solved"
+        assert sum(q >= 10 for q in sweeps) >= 1
+        cold = gi_solve(QpProblem(x0, rep.extras["store_normals"], rep.extras["store_rhs"]))
+        gap = float(np.linalg.norm(rep.x - cold.x))
+        assert gap <= 1e-12 * float(np.linalg.norm(cold.x))
 
 
 class TestStartValidation:
