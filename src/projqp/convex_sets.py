@@ -12,7 +12,9 @@ non-finite bounds explicitly rather than computing with them.
 
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
-iterates they build themselves.
+iterates they build themselves.  ``_linear_step`` holds the projection
+rule of halfspaces and hyperslabs, exact membership test included, for
+``_project`` and for the solvers that skip a visit x does not need.
 
 The JSON problem schema is::
 
@@ -158,18 +160,13 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
             return x.copy()
         return k.center + (k.radius / nd) * d
     if isinstance(k, Halfspace):
-        gap = k.b - float(k.c @ x)
-        if gap <= 0.0:
-            return x.copy()
-        return x + (gap / k._c_sq) * k.c
+        t = _linear_step(k, x)
+        return x.copy() if t is None else x + t * k.c
     if isinstance(k, Box):
         return np.clip(x, k.lower, k.upper)
     if isinstance(k, Hyperslab):
-        s = float(k.a @ x)
-        target = min(max(s, k.lower), k.upper)
-        if target == s:
-            return x.copy()
-        return x + ((target - s) / k._a_sq) * k.a
+        t = _linear_step(k, x)
+        return x.copy() if t is None else x + t * k.a
     if isinstance(k, Polyhedron):
         n, cols = k.c_mat.shape
         if cols < n / 2:
@@ -179,6 +176,22 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
             raise ValueError("polyhedron is empty")
         return res.x
     raise TypeError(f"unknown set descriptor {type(k)!r}")
+
+
+def _linear_step(k: Halfspace | Hyperslab, x: np.ndarray) -> float | None:
+    """The multiple of k's normal that projects x onto the halfspace or
+    hyperslab k, or None when x is inside k and ``_project`` returns x.
+
+    The test is exact: x is inside when ``b - c.x <= 0``, or when clamping
+    ``s = a.x`` to the slab's bounds leaves s unchanged.  A NaN dot is
+    never inside, and its step is NaN.
+    """
+    if isinstance(k, Hyperslab):
+        s = float(k.a @ x)
+        target = min(max(s, k.lower), k.upper)
+        return None if target == s else (target - s) / k._a_sq
+    gap = k.b - float(k.c @ x)
+    return None if gap <= 0.0 else gap / k._c_sq
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ All solvers but Dykstra run on one cyclic driver, ``_cyclic``: it visits
 the sets in turn and declares success once a full pass finds every set
 satisfied within ``feas_tol * (1 + ||x||)``; each method supplies the step
 it takes from a set that x violates.  Dykstra tests for a stop once per
-full cycle instead, so it keeps its own loop.
+full cycle instead, so it keeps its own loop.  Both skip the projection on
+a visit that finds x inside a hyperslab or halfspace: ``_cyclic`` where
+one gemv screen proves it, Dykstra where the set's correction is zero and
+``_linear_step``'s exact test passes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
-from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _project, project_set
+from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _linear_step, _project
 from .linalg import RANK_TOL, _qr_append, _RowScreen, as_start, qr_delete_column
 
 
@@ -310,14 +313,20 @@ def _trace_row(index: int, x: np.ndarray, events: tuple[str, ...], opts: SolverO
     return TraceRow(index, dist, None, None, events, x.copy() if opts.record_iterates else None)
 
 
-def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
-    """The validated start of a solve over ``sets``."""
+def _start(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> np.ndarray:
+    """The validated start of a solve over ``sets``, whose dimension
+    ``opts.reference`` must have too."""
     if not sets:
         raise ValueError("need at least one set")
     dims = {k.dim for k in sets}
     if len(dims) > 1:
         raise ValueError(f"the sets have different dimensions {sorted(dims)}")
-    return as_start(x0, dims.pop())
+    dim = dims.pop()
+    x0 = as_start(x0, dim)
+    if opts.reference is not None and len(opts.reference) != dim:
+        raise ValueError(f"SolverOptions.reference has length {len(opts.reference)}, "
+                         f"but the problem has dimension {dim}")
+    return x0
 
 
 def _norm(x: np.ndarray) -> float:
@@ -337,11 +346,9 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-def _solved_status(x, sets, tol) -> bool:
-    return all(
-        float(np.linalg.norm(x - project_set(k, x))) <= tol * (1.0 + _norm(x))
-        for k in sets
-    )
+def _solved_status(x: np.ndarray, sets, bound: float) -> bool:
+    """Whether a finite x is within ``bound`` of every set."""
+    return all(float(np.linalg.norm(x - _project(k, x))) <= bound for k in sets)
 
 
 def _cut(x: np.ndarray, p: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
@@ -677,7 +684,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     intersection.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets)
+    x0 = _start(x0, sets, opts)
     store = HalfspaceStore()
     view = _StoreView(x0, store)
     s = _empty_s_tuple(x0)
@@ -714,7 +721,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     optimality.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets)
+    x0 = _start(x0, sets, opts)
     boxes = [k for k in sets if isinstance(k, Box)]
     if opts.use_box_fast_path and len(boxes) == 1 and len(sets) >= 2:
         return _solve_sip_one_box(x0, sets, boxes[0], opts)
@@ -779,7 +786,7 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], box: Box, opts: SolverOpti
 def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Cyclic alternating projections; each visit that moves x is one trace row."""
     opts = options or SolverOptions()
-    x0 = _start(x0, sets)
+    x0 = _start(x0, sets, opts)
     return _cyclic(x0, x0.copy(), sets, opts, {"projections": 0},
                    lambda x, p, *_: (p, ("project",), None))
 
@@ -791,36 +798,56 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     Converges to the projection of x0 onto the intersection.  One trace
     row per projection, matching how the benchmark counts iterations;
     termination is checked after each full cycle.
+
+    A hyperslab's or halfspace's correction that is zero is kept as None.
+    A visit to such a set that finds x inside it (``_linear_step``'s exact
+    test) is idle: x, the correction and the row's distance stay as they
+    are, and only the count and the trace row are added.  Every other
+    visit projects x plus its correction with ``_project``.  Skipping the
+    sum x + 0 keeps a -0.0 entry of x that the textbook loop turns into
+    +0.0; nothing else differs.  The visit that follows a non-finite
+    projection raises, idle or not: each new iterate, and each x plus a
+    correction, is checked once.
     """
     opts = options or SolverOptions()
-    x = _start(x0, sets).copy()
+    x = _start(x0, sets, opts).copy()
     r = len(sets)
-    corrections = [np.zeros_like(x) for _ in range(r)]
+    linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
+    corrections = [None if lin else np.zeros_like(x) for lin in linear]
     rows = [_trace_row(0, x, (), opts)]
     counts = {"projections": 0, "cycles": 0}
     status = "iteration_limit"
     visits = 0
     moved = 0.0
+    finite = x  # the last array found finite
     while visits < opts.max_outer_iters:
         i = visits % r
         if i == 0:
             moved = 0.0
-        z = x + corrections[i]
+        c = corrections[i]
+        z = x if c is None else x + c
         # z.z is finite unless z has a non-finite entry or its square overflows
-        if not math.isfinite(float(z.dot(z))) and not np.isfinite(z).all():
-            raise ValueError("x has non-finite entries")
-        p = _project(sets[i], z)
+        if z is not finite:
+            if not math.isfinite(float(z.dot(z))) and not np.isfinite(z).all():
+                raise ValueError("x has non-finite entries")
+            finite = z
         counts["projections"] += 1
-        corrections[i] = z - p
-        moved = max(moved, float(np.linalg.norm(x - p)))
-        x = p
         visits += 1
-        rows.append(_trace_row(len(rows), x, ("project",), opts))
+        if c is None and _linear_step(sets[i], x) is None:
+            rows.append(TraceRow(len(rows), rows[-1].dist, None, None, ("project",),
+                                 x.copy() if opts.record_iterates else None))
+        else:
+            p = _project(sets[i], z)
+            c = z - p
+            corrections[i] = None if linear[i] and not c.any() else c
+            d = x - p
+            moved = max(moved, math.sqrt(float(d.dot(d))))
+            x = p
+            rows.append(_trace_row(len(rows), x, ("project",), opts))
         if i == r - 1:
             counts["cycles"] += 1
-            if moved <= opts.feas_tol * (1.0 + _norm(x)) and _solved_status(
-                x, sets, opts.feas_tol
-            ):
+            bound = opts.feas_tol * (1.0 + _norm(x))
+            if moved <= bound and _solved_status(x, sets, bound):
                 status = "solved"
                 break
     return _report(status, x, rows, counts)
@@ -858,7 +885,7 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     projection of x0 onto an intersection of halfspaces that contain C.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets)
+    x0 = _start(x0, sets, opts)
     x0_norm = math.sqrt(float(x0.dot(x0)))
     counts = {"projections": 0, "inner_steps": 0}
 

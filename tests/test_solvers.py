@@ -231,6 +231,119 @@ class TestDykstra:
         np.testing.assert_allclose(rep.x, [0.0, 0.0], atol=1e-8)
 
 
+def textbook_dykstra(x0, sets, opts):
+    """Cyclic Dykstra as printed: every correction an array, every visit a
+    projection of x plus its correction, the stop test after each cycle.
+    Returns (status, x, counts, [(dist, iterate)] per row)."""
+    def row(x):
+        dist = None if opts.reference is None else float(np.linalg.norm(x - opts.reference))
+        return dist, (x.copy() if opts.record_iterates else None)
+
+    x = np.asarray(x0, dtype=float).copy()
+    corrections = [np.zeros_like(x) for _ in sets]
+    rows = [row(x)]
+    counts = {"projections": 0, "cycles": 0}
+    moved = 0.0
+    for visit in range(opts.max_outer_iters):
+        i = visit % len(sets)
+        if i == 0:
+            moved = 0.0
+        z = x + corrections[i]
+        p = project_set(sets[i], z)
+        counts["projections"] += 1
+        corrections[i] = z - p
+        moved = max(moved, float(np.linalg.norm(x - p)))
+        x = p
+        rows.append(row(x))
+        if i == len(sets) - 1:
+            counts["cycles"] += 1
+            tol = opts.feas_tol * (1.0 + float(np.linalg.norm(x)))
+            if moved <= tol and all(float(np.linalg.norm(x - project_set(k, x))) <= tol for k in sets):
+                return "solved", x, counts, rows
+    return "iteration_limit", x, counts, rows
+
+
+def slab_system(seed):
+    """An n = 50 system of 200 slabs with an interior, and Dykstra's cap for it."""
+    sets, x0, _ = problem_from_dict(generate_problem("hyperslabs-with-interior", 50, 200, seed))
+    return sets, x0, 1000
+
+
+class TestDykstraIdleVisits:
+    """A visit that finds x inside a hyperslab or halfspace whose correction
+    is zero skips the projection; the solve must still be the textbook
+    loop's, byte for byte."""
+
+    CASES = {
+        "slabs-1000": lambda: slab_system(1000),
+        "slabs-1001": lambda: slab_system(1001),
+        "repeated-halfspaces": lambda: (
+            [Halfspace(np.array([0.0, 1.0]), 1.0)] * 3 + [Halfspace(np.array([1.0, 1.0]), 0.5)] * 2,
+            np.array([0.3, -2.0]), 200),
+        "infinite-bounds": lambda: (
+            [Hyperslab(np.array([1.0, 2.0]), -np.inf, 1.0), Ball(np.array([0.5, 0.5]), 1.0),
+             Hyperslab(np.array([1.0, -1.0]), 0.25, np.inf)],
+            np.array([3.0, 1.0]), 3000),
+        "ball-box-slab": lambda: (
+            [Ball(np.array([1.0, 0.0, 0.0]), 1.5), Box(np.full(3, -0.5), np.full(3, 2.0)),
+             Hyperslab(np.array([1.0, 1.0, 1.0]), 0.0, 0.75), Halfspace(np.array([0.0, 1.0, -1.0]), 0.1),
+             Hyperslab(np.array([0.0, 0.0, 1.0]), -10.0, 10.0)],
+            np.array([4.0, -3.0, 2.0]), 3000),
+        "start-inside": lambda: (
+            [Hyperslab(np.array([1.0, 0.0]), -1.0, 1.0), Halfspace(np.array([1.0, 1.0]), -1.0),
+             Ball(np.zeros(2), 2.0), Box(np.full(2, -1.5), np.full(2, 1.5))],
+            np.array([0.25, 0.5]), 100),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_textbook_loop(self, case):
+        sets, x0, cap = self.CASES[case]()
+        opts = SolverOptions(feas_tol=1e-9, max_outer_iters=cap, reference=np.ones(x0.shape[0]),
+                             record_iterates=True)
+        status, x, counts, rows = textbook_dykstra(x0, sets, opts)
+        rep = solve_dykstra(x0, sets, opts)
+        assert rep.x.tobytes() == x.tobytes()
+        assert (rep.status, rep.counts) == (status, counts)
+        assert [r.dist for r in rep.rows] == [d for d, _ in rows]
+        assert all(r.x.tobytes() == it.tobytes() for r, (_, it) in zip(rep.rows, rows))
+
+    def test_slab_solves_are_mostly_idle(self, monkeypatch):
+        projected = []
+
+        def counted(k, x):
+            projected.append(k)
+            return project_set(k, x)
+
+        monkeypatch.setattr(solvers, "_project", counted)
+        sets, x0, cap = slab_system(1000)
+        rep = solve_dykstra(x0, sets, SolverOptions(feas_tol=1e-9, max_outer_iters=cap))
+        assert rep.counts["projections"] == cap
+        assert len(projected) < cap // 2
+
+    # the first visit is spoiled; the second set then has no correction (the
+    # unbounded slab would hold even an inf x) or, after a cycle, a nonzero one
+    SPOILED = {
+        "idle": ([Hyperslab(np.array([1.0, 0.0]), 0.0, 1.0),
+                  Hyperslab(np.array([1.0, 1.0]), -np.inf, np.inf)], 1, 1),
+        "not-idle": ([Hyperslab(np.array([1.0, 0.0]), 0.0, 1.0),
+                      Hyperslab(np.array([0.0, 1.0]), 0.0, 1.0)], 3, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPOILED))
+    def test_spoiled_projection_raises_at_the_next_visit(self, case, monkeypatch):
+        sets, at, visit = self.SPOILED[case]
+        x0 = np.array([5.0, 5.0])
+        calls = TestNonFiniteIterates._spoil(monkeypatch, at)
+        with np.errstate(invalid="ignore"):
+            # a cap at the spoiled visit ends the solve before the next one
+            rep = solve_dykstra(x0, sets, SolverOptions(max_outer_iters=visit))
+            assert rep.status == "iteration_limit" and not np.isfinite(rep.x).all()
+            calls.clear()
+            with pytest.raises(ValueError, match="x has non-finite entries"):
+                solve_dykstra(x0, sets, SolverOptions(max_outer_iters=visit + 1))
+        assert len(calls) == at
+
+
 class TestHaugazeau:
     def test_feasible_start(self):
         sets = two_circles_sets()
@@ -557,6 +670,15 @@ class TestStartValidation:
     def test_dimension_mismatch_names_both(self, entry):
         with pytest.raises(ValueError, match="x0 has dimension 3, but the problem has dimension 2"):
             self.ENTRY_POINTS[entry](np.zeros(3), two_circles_sets())
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_reference_length_names_both(self, method, length):
+        # a length-1 reference would broadcast into wrong distances
+        opts = SolverOptions(reference=np.zeros(length))
+        with pytest.raises(ValueError, match=f"SolverOptions.reference has length {length}, "
+                                             "but the problem has dimension 2"):
+            solve(method, np.zeros(2), two_circles_sets(), opts)
 
     def test_sets_of_different_dimensions(self):
         sets = [Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)]
