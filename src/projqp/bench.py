@@ -124,7 +124,8 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         sets = []
         for _ in range(max(count, 1)):
             center = w + rng.uniform(-1.5, 1.5, n)
-            radius = float(np.linalg.norm(center - w)) + float(rng.uniform(0.1, 0.8))
+            d = center - w
+            radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.8))
             sets.append(Ball(center, radius))
         x0 = w + _random_direction(rng, n) * float(rng.uniform(2.0, 5.0))
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
@@ -135,7 +136,8 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         sets: list = [Box(lower, upper)]
         for _ in range(max(count - 1, 1)):
             center = w + rng.uniform(-1.0, 1.0, n)
-            radius = float(np.linalg.norm(center - w)) + float(rng.uniform(0.1, 0.6))
+            d = center - w
+            radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.6))
             sets.append(Ball(center, radius))
         x0 = w + _random_direction(rng, n) * float(rng.uniform(1.5, 4.0))
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
@@ -144,8 +146,8 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         sets = []
         for _ in range(max(count, 1)):
             a = _random_direction(rng, n) * float(rng.uniform(0.5, 2.0))
-            mid = float(a @ w)
-            na = float(np.linalg.norm(a))
+            mid = float(a.dot(w))
+            na = math.sqrt(a.dot(a))
             # margin is measured as slack in a^T x, scaled so the euclidean
             # margin of the witness is at least 0.1
             lo = mid - 0.1 * na - float(rng.uniform(0.0, 1.0))
@@ -169,7 +171,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
 def _random_direction(rng, n: int) -> np.ndarray:
     while True:
         v = rng.normal(size=n)
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v.dot(v))
         if nv > 1e-6:
             return v / nv
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import bench
 from .activeset_qp import IterationLimitError, NumericalError, PreconditionViolated
 from .art import HyperslabSystem, extended_art_solve, art3_solve, load_system
-from .convex_sets import load_problem, save_problem, problem_from_dict
+from .convex_sets import load_problem, save_problem_dict
 from .solvers import _METHODS, SolveReport, SolverOptions, _is_tol, solve as solve_dispatch
 
 EXIT_OK = 0
@@ -140,9 +140,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    doc = bench.generate_problem(args.kind, args.n, args.count, args.seed)
-    sets, x0, extras = problem_from_dict(doc)
-    save_problem(args.out, sets, x0, **extras)
+    # the generator built and checked every set; its document is the file
+    save_problem_dict(args.out, bench.generate_problem(args.kind, args.n, args.count, args.seed))
     print(f"wrote {args.out} ({args.kind}, n={args.n}, count={args.count}, seed={args.seed})")
     return EXIT_OK
 

@@ -10,6 +10,14 @@ outer solvers (``projqp.solvers``) accumulate those halfspaces.
 Bounds use IEEE infinities for unbounded sides; arithmetic paths mask
 non-finite bounds explicitly rather than computing with them.
 
+A halfspace or hyperslab checks its normal with one dot product,
+``np.vdot(a, a)`` in ``_as_normal``.  A finite square proves every entry
+finite.  A square of 0 rejects the normal as zero, as its root
+``np.linalg.norm`` would, so [1e-200, 0], whose square underflows, is
+rejected too.  Only a square that is not finite falls back to
+``as_vector``, which tells an overflowed square (accepted; vdot, unlike
+dot, raises no overflow warning) from a NaN or inf entry (rejected).
+
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
 iterates they build themselves.  ``_linear_step`` holds the projection
@@ -43,6 +51,19 @@ from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_re
 from .linalg import as_matrix, as_vector
 
 
+def _as_normal(x, name: str, kind: str) -> np.ndarray:
+    """``as_vector`` for a nonzero normal, checked with one dot."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    sq = np.vdot(v, v)  # unlike dot, vdot raises no overflow warning
+    if not math.isfinite(sq):
+        as_vector(v, name)  # raises on a NaN or inf entry; an overflowed square passes
+    elif sq == 0.0:
+        raise ValueError(f"{kind} normal must be nonzero")
+    return v
+
+
 @dataclass(frozen=True)
 class Ball:
     center: np.ndarray
@@ -66,9 +87,7 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", as_vector(self.c, "c"))
-        if float(np.linalg.norm(self.c)) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        object.__setattr__(self, "c", _as_normal(self.c, "c", "halfspace"))
 
     @property
     def dim(self) -> int:
@@ -110,9 +129,7 @@ class Hyperslab:
     upper: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a, "a"))
-        if float(np.linalg.norm(self.a)) == 0.0:
-            raise ValueError("hyperslab normal must be nonzero")
+        object.__setattr__(self, "a", _as_normal(self.a, "a", "hyperslab"))
         if not self.lower <= self.upper:
             raise ValueError("hyperslab requires lower <= upper")
 
@@ -187,10 +204,10 @@ def _linear_step(k: Halfspace | Hyperslab, x: np.ndarray) -> float | None:
     never inside, and its step is NaN.
     """
     if isinstance(k, Hyperslab):
-        s = float(k.a @ x)
+        s = float(k.a.dot(x))
         target = min(max(s, k.lower), k.upper)
         return None if target == s else (target - s) / k._a_sq
-    gap = k.b - float(k.c @ x)
+    gap = k.b - float(k.c.dot(x))
     return None if gap <= 0.0 else gap / k._c_sq
 
 
@@ -199,9 +216,9 @@ def _linear_step(k: Halfspace | Hyperslab, x: np.ndarray) -> float | None:
 
 
 def _encode_value(v: float):
-    if np.isposinf(v):
+    if v == math.inf:
         return "inf"
-    if np.isneginf(v):
+    if v == -math.inf:
         return "-inf"
     return float(v)
 
@@ -216,27 +233,27 @@ def _decode_value(v) -> float:
 
 def set_to_dict(k: ConvexSet) -> dict:
     if isinstance(k, Ball):
-        return {"type": "ball", "center": [float(v) for v in k.center], "radius": float(k.radius)}
+        return {"type": "ball", "center": k.center.tolist(), "radius": float(k.radius)}
     if isinstance(k, Halfspace):
-        return {"type": "halfspace", "c": [float(v) for v in k.c], "b": float(k.b)}
+        return {"type": "halfspace", "c": k.c.tolist(), "b": float(k.b)}
     if isinstance(k, Box):
         return {
             "type": "box",
-            "lower": [_encode_value(v) for v in k.lower],
-            "upper": [_encode_value(v) for v in k.upper],
+            "lower": [_encode_value(v) for v in k.lower.tolist()],
+            "upper": [_encode_value(v) for v in k.upper.tolist()],
         }
     if isinstance(k, Hyperslab):
         return {
             "type": "hyperslab",
-            "a": [float(v) for v in k.a],
+            "a": k.a.tolist(),
             "lower": _encode_value(k.lower),
             "upper": _encode_value(k.upper),
         }
     if isinstance(k, Polyhedron):
         return {
             "type": "polyhedron",
-            "c_mat": [[float(v) for v in row] for row in k.c_mat],
-            "b": [float(v) for v in k.b],
+            "c_mat": k.c_mat.tolist(),
+            "b": k.b.tolist(),
         }
     raise TypeError(f"unknown set descriptor {type(k)!r}")
 
@@ -264,12 +281,12 @@ def set_from_dict(d: dict) -> ConvexSet:
 
 
 def problem_to_dict(sets, x0, **extras) -> dict:
-    doc = {"sets": [set_to_dict(k) for k in sets], "x0": [float(v) for v in x0]}
+    doc = {"sets": [set_to_dict(k) for k in sets], "x0": np.asarray(x0, dtype=float).tolist()}
     for key, value in extras.items():
         if value is None:
             doc[key] = None
         elif isinstance(value, (list, tuple, np.ndarray)):
-            doc[key] = [float(v) for v in value]
+            doc[key] = np.asarray(value, dtype=float).tolist()
         else:
             doc[key] = value
     return doc
@@ -283,9 +300,13 @@ def problem_from_dict(doc: dict) -> tuple[list[ConvexSet], np.ndarray, dict]:
 
 
 def save_problem(path, sets, x0, **extras) -> None:
+    save_problem_dict(path, problem_to_dict(sets, x0, **extras))
+
+
+def save_problem_dict(path, doc: dict) -> None:
+    """Write a problem document as ``save_problem`` does, in one write."""
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(sets, x0, **extras), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_problem(path) -> tuple[list[ConvexSet], np.ndarray, dict]:

@@ -802,18 +802,20 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     A hyperslab's or halfspace's correction that is zero is kept as None.
     A visit to such a set that finds x inside it (``_linear_step``'s exact
     test) is idle: x, the correction and the row's distance stay as they
-    are, and only the count and the trace row are added.  Every other
-    visit projects x plus its correction with ``_project``.  Skipping the
-    sum x + 0 keeps a -0.0 entry of x that the textbook loop turns into
-    +0.0; nothing else differs.  The visit that follows a non-finite
+    are, and only the count and the trace row are added.  A visit with no
+    correction that moves x takes the step that test computed, as
+    ``_project`` would; every other visit projects x plus its correction
+    with ``_project``.  Skipping the sum x + 0 keeps a -0.0 entry of x
+    that the textbook loop turns into +0.0; nothing else differs.  The visit that follows a non-finite
     projection raises, idle or not: each new iterate, and each x plus a
     correction, is checked once.
     """
     opts = options or SolverOptions()
     x = _start(x0, sets, opts).copy()
     r = len(sets)
-    linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
-    corrections = [None if lin else np.zeros_like(x) for lin in linear]
+    normals = [k.a if isinstance(k, Hyperslab) else k.c if isinstance(k, Halfspace) else None
+               for k in sets]
+    corrections = [None if a is not None else np.zeros_like(x) for a in normals]
     rows = [_trace_row(0, x, (), opts)]
     counts = {"projections": 0, "cycles": 0}
     status = "iteration_limit"
@@ -833,13 +835,17 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
             finite = z
         counts["projections"] += 1
         visits += 1
-        if c is None and _linear_step(sets[i], x) is None:
+        if c is None:
+            t = _linear_step(sets[i], x)
+            p = None if t is None else x + t * normals[i]  # _project's step, not recomputed
+        else:
+            p = _project(sets[i], z)
+        if p is None:
             rows.append(TraceRow(len(rows), rows[-1].dist, None, None, ("project",),
                                  x.copy() if opts.record_iterates else None))
         else:
-            p = _project(sets[i], z)
             c = z - p
-            corrections[i] = None if linear[i] and not c.any() else c
+            corrections[i] = None if normals[i] is not None and not c.any() else c
             d = x - p
             moved = max(moved, math.sqrt(float(d.dot(d))))
             x = p

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 
@@ -8,6 +10,7 @@ from projqp import cli, solvers
 from projqp.activeset_qp import IterationLimitError, NumericalError, PreconditionViolated
 from projqp.art import art3_solve, extended_art_solve
 from projqp.bench import (
+    GENERATOR_KINDS,
     TWO_CIRCLES_X0,
     NonPositiveDistance,
     compute_measures,
@@ -17,7 +20,14 @@ from projqp.bench import (
     run_two_circles,
     two_circles_sets,
 )
-from projqp.convex_sets import Ball, Hyperslab, problem_from_dict, project_set, save_problem
+from projqp.convex_sets import (
+    Ball,
+    Hyperslab,
+    problem_from_dict,
+    problem_to_dict,
+    project_set,
+    save_problem,
+)
 from projqp.solvers import _METHODS, SolveReport
 
 from test_solvers import disjoint_on_axis
@@ -77,6 +87,50 @@ class TestGenerate:
         norms = np.linalg.norm(system.a_mat, axis=1)
         margins = np.minimum(ax - system.lower, system.upper - ax) / norms
         assert float(np.min(margins)) >= 0.1 - 1e-12
+
+    # sha256 of json.dumps of generated documents.  The benchmark's inputs and
+    # ``projqp gen``'s files are such documents, so a change to the generator's
+    # arithmetic or to its random stream shows here
+    DIGESTS = {
+        ("balls-with-common-point", 0, 6, 8):
+            "30fed0a39e64170fc4e194a7194d187e7718283104a9478c3eabf09a11239a1f",
+        ("balls-with-common-point", 0, 50, 200):
+            "2a972979706050cc96baa6eb60ecba7acca5e0509fc18fdd2b3721f706f488e4",
+        ("balls-with-common-point", 100, 6, 8):
+            "51e9a04b2fa637b45c45d95f6964045264e7501d778dca6a5dac3f23a0fc025c",
+        ("balls-with-common-point", 100, 50, 200):
+            "26a66080a9e44d1b186cb3bf65fd38993afdaa8e92b8730eb999d716660e098b",
+        ("box-plus-ball", 0, 6, 8):
+            "6053a9a57b8e0506ba0967afe636edad029b6c728a2640d81c539cff81d32c37",
+        ("box-plus-ball", 0, 50, 200):
+            "3f9520b20d21f0989d56c0dad4383ef94d2e76c4b44789c03c05c90308a194c5",
+        ("box-plus-ball", 100, 6, 8):
+            "0e8e3aec51f46f334cc26a6cf3cf3c90a0cc4f48e994af02d3276df73506895d",
+        ("box-plus-ball", 100, 50, 200):
+            "960567e63060c7074d3136ea773e5c830c857d6ef57a576772e1beb415dc95f3",
+        ("hyperslabs-with-interior", 0, 6, 8):
+            "11bf83e7f60e688d444fb796e539be6c138df6b979fa98de7506faf38c4f9c6e",
+        ("hyperslabs-with-interior", 0, 50, 200):
+            "6be60e760828c29fafdbf99c9f353b7922ca9fce8d34cb877e2f6e4a80ab39f0",
+        ("hyperslabs-with-interior", 100, 6, 8):
+            "3813715b841ff44e6af8a2cbb0281352ffbefe300368f0aef94deed3d0258358",
+        ("hyperslabs-with-interior", 100, 50, 200):
+            "7ebe110763cba8fc90e1b78776973be063214e4108a2d30aa280b40a881009a1",
+        ("infeasible-balls", 0, 6, 8):
+            "c9d8005512dfe4b2da85d412501412018f45c7f9b6457729fb19e735f58fe8e6",
+        ("infeasible-balls", 0, 50, 200):
+            "79cec27e06e1d64f3ea6941cb441b9d30bc6509d71f8ee57b4e54acbae29b3d2",
+        ("infeasible-balls", 100, 6, 8):
+            "8d42549a064b59ecfca3ae6ce45b57c3d9b0f2064801f4bc2e0e41e4eb14c6af",
+        ("infeasible-balls", 100, 50, 200):
+            "64b99f11920aafedad715be28e5c3f78c7a6ca361b1b82dcdc4dc6c602dc2fcb",
+    }
+
+    @pytest.mark.parametrize("kind, seed, n, count", sorted(DIGESTS))
+    def test_documents_are_pinned(self, kind, seed, n, count):
+        doc = generate_problem(kind, n, count, seed)
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == self.DIGESTS[kind, seed, n, count]
 
     def test_deterministic(self):
         a = generate_problem("balls-with-common-point", 3, 2, 99)
@@ -146,6 +200,18 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["status"] == "solved"
         assert csv_out.read_text().startswith("iter,dist")
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_gen_writes_the_round_tripped_document(self, tmp_path, kind):
+        out = tmp_path / "gen.json"
+        assert cli.main(["gen", "--kind", kind, "--n", "7", "--count", "9", "--seed", "12",
+                         "--out", str(out)]) == 0
+        sets, x0, extras = problem_from_dict(generate_problem(kind, 7, 9, 12))
+        save_problem(tmp_path / "saved.json", sets, x0, **extras)
+        streamed = io.StringIO()
+        json.dump(problem_to_dict(sets, x0, **extras), streamed, indent=2)
+        assert out.read_bytes() == (tmp_path / "saved.json").read_bytes()
+        assert out.read_text() == streamed.getvalue() + "\n"
 
     def test_solve_infeasible_exit_code(self, tmp_path):
         problem = tmp_path / "gap.json"

@@ -203,3 +203,60 @@ class TestJsonSchema:
             Box(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             Hyperslab(np.zeros(2), 0.0, 1.0)
+
+
+class TestConstruction:
+    """A halfspace or hyperslab checks its normal with one dot.  It accepts
+    and rejects what ``as_vector`` followed by ``np.linalg.norm`` did, with
+    the same messages."""
+
+    LINEAR = {
+        "halfspace": ("c", lambda v: Halfspace(v, 0.5)),
+        "hyperslab": ("a", lambda v: Hyperslab(v, -0.5, 1.5)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR))
+    @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf],
+                                         [np.inf, -np.inf], [1e200, np.nan]])
+    def test_non_finite_entries(self, kind, entries):
+        name, make = self.LINEAR[kind]
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            make(np.array(entries))
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR))
+    @pytest.mark.parametrize("entries", [[0.0, 0.0], [1e-200, 0.0], [-1e-170, 1e-170], []])
+    def test_zero_normal(self, kind, entries):
+        # (1e-200)^2 underflows to 0, so np.linalg.norm said 0 as well
+        with pytest.raises(ValueError, match=f"^{kind} normal must be nonzero$"):
+            self.LINEAR[kind][1](np.array(entries, dtype=float))
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR))
+    @pytest.mark.parametrize("entries", [[1e200, 1e200], [1e-160, 0.0], [-3.0, 4.0]])
+    def test_accepted(self, kind, entries):
+        # the square of [1e200, 1e200] overflows; it passes with no overflow warning
+        name, make = self.LINEAR[kind]
+        k = make(entries)
+        normal = getattr(k, name)
+        assert isinstance(normal, np.ndarray) and normal.dtype == float
+        assert normal.tolist() == entries
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR))
+    def test_two_dimensional_normal(self, kind):
+        name, make = self.LINEAR[kind]
+        with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape \(2, 2\)$"):
+            make(np.eye(2))
+
+    def test_box_infinities_serialize_as_strings(self):
+        box = Box(np.array([-np.inf, 0.0, -1.0]), np.array([1.0, np.inf, np.inf]))
+        doc = problem_to_dict([box], np.zeros(3))
+        assert doc["sets"][0] == {"type": "box", "lower": ["-inf", 0.0, -1.0],
+                                  "upper": [1.0, "inf", "inf"]}
+        assert json.dumps(doc["sets"][0]) == (
+            '{"type": "box", "lower": ["-inf", 0.0, -1.0], "upper": [1.0, "inf", "inf"]}')
+        assert np.array_equal(problem_from_dict(doc)[0][0].lower, box.lower)
+
+    def test_hyperslab_infinite_bounds_serialize_as_strings(self):
+        doc = problem_to_dict([Hyperslab([1.0, 2.0], -np.inf, np.inf)], [0, 1], witness=(2, 3))
+        assert doc == {"sets": [{"type": "hyperslab", "a": [1.0, 2.0], "lower": "-inf", "upper": "inf"}],
+                       "x0": [0.0, 1.0], "witness": [2.0, 3.0]}
+        assert all(type(v) is float for v in doc["x0"] + doc["witness"] + doc["sets"][0]["a"])

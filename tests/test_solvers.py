@@ -18,7 +18,15 @@ from projqp.activeset_qp import (
     verify_certificate,
 )
 from projqp.bench import TWO_CIRCLES_XBAR, generate_problem, two_circles_sets
-from projqp.convex_sets import Ball, Box, Halfspace, Hyperslab, problem_from_dict, project_set
+from projqp.convex_sets import (
+    Ball,
+    Box,
+    Halfspace,
+    Hyperslab,
+    _linear_step,
+    problem_from_dict,
+    project_set,
+)
 from projqp import linalg, solvers
 from projqp.linalg import _RowScreen, qr_factorize
 from projqp.solvers import (
@@ -307,14 +315,26 @@ class TestDykstraIdleVisits:
         assert [r.dist for r in rep.rows] == [d for d, _ in rows]
         assert all(r.x.tobytes() == it.tobytes() for r, (_, it) in zip(rep.rows, rows))
 
+    @staticmethod
+    def _spoil(monkeypatch, at):
+        """``TestNonFiniteIterates._spoil`` for Dykstra, whose visits to a set
+        with no correction take ``_linear_step``'s step without calling
+        ``_project``: a step that moves x counts as a projection too, and
+        the ``at``-th projection is spoiled either way."""
+        calls = TestNonFiniteIterates._spoil(monkeypatch, at)
+
+        def spoiled(k, x):
+            t = _linear_step(k, x)
+            if t is None:
+                return None
+            calls.append(k)
+            return math.inf if len(calls) == at else t
+
+        monkeypatch.setattr(solvers, "_linear_step", spoiled)
+        return calls
+
     def test_slab_solves_are_mostly_idle(self, monkeypatch):
-        projected = []
-
-        def counted(k, x):
-            projected.append(k)
-            return project_set(k, x)
-
-        monkeypatch.setattr(solvers, "_project", counted)
+        projected = self._spoil(monkeypatch, 0)  # counts the visits that move x
         sets, x0, cap = slab_system(1000)
         rep = solve_dykstra(x0, sets, SolverOptions(feas_tol=1e-9, max_outer_iters=cap))
         assert rep.counts["projections"] == cap
@@ -333,7 +353,7 @@ class TestDykstraIdleVisits:
     def test_spoiled_projection_raises_at_the_next_visit(self, case, monkeypatch):
         sets, at, visit = self.SPOILED[case]
         x0 = np.array([5.0, 5.0])
-        calls = TestNonFiniteIterates._spoil(monkeypatch, at)
+        calls = self._spoil(monkeypatch, at)
         with np.errstate(invalid="ignore"):
             # a cap at the spoiled visit ends the solve before the next one
             rep = solve_dykstra(x0, sets, SolverOptions(max_outer_iters=visit))
