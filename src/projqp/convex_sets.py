@@ -20,7 +20,7 @@ dot, raises no overflow warning) from a NaN or inf entry (rejected).
 
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
-iterates they build themselves.  ``_linear_step`` holds the projection
+iterates they build themselves.  ``_linear_project`` holds the projection
 rule of halfspaces and hyperslabs, exact membership test included, for
 ``_project`` and for the solvers that skip a visit x does not need.
 
@@ -48,14 +48,12 @@ from typing import Union
 import numpy as np
 
 from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
-from .linalg import as_matrix, as_vector
+from .linalg import as_1d, as_matrix, as_vector
 
 
 def _as_normal(x, name: str, kind: str) -> np.ndarray:
     """``as_vector`` for a nonzero normal, checked with one dot."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    v = as_1d(x, name)
     sq = np.vdot(v, v)  # unlike dot, vdot raises no overflow warning
     if not math.isfinite(sq):
         as_vector(v, name)  # raises on a NaN or inf entry; an overflowed square passes
@@ -176,14 +174,11 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
         if nd <= k.radius:
             return x.copy()
         return k.center + (k.radius / nd) * d
-    if isinstance(k, Halfspace):
-        t = _linear_step(k, x)
-        return x.copy() if t is None else x + t * k.c
+    if isinstance(k, (Halfspace, Hyperslab)):
+        p = _linear_project(k, x)
+        return x.copy() if p is None else p
     if isinstance(k, Box):
         return np.clip(x, k.lower, k.upper)
-    if isinstance(k, Hyperslab):
-        t = _linear_step(k, x)
-        return x.copy() if t is None else x + t * k.a
     if isinstance(k, Polyhedron):
         n, cols = k.c_mat.shape
         if cols < n / 2:
@@ -195,20 +190,20 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown set descriptor {type(k)!r}")
 
 
-def _linear_step(k: Halfspace | Hyperslab, x: np.ndarray) -> float | None:
-    """The multiple of k's normal that projects x onto the halfspace or
-    hyperslab k, or None when x is inside k and ``_project`` returns x.
+def _linear_project(k: Halfspace | Hyperslab, x: np.ndarray) -> np.ndarray | None:
+    """The projection of x onto the halfspace or hyperslab k, or None when
+    x is inside k and ``_project`` returns a copy of x.
 
     The test is exact: x is inside when ``b - c.x <= 0``, or when clamping
     ``s = a.x`` to the slab's bounds leaves s unchanged.  A NaN dot is
-    never inside, and its step is NaN.
+    never inside, and its projection is NaN.
     """
     if isinstance(k, Hyperslab):
         s = float(k.a.dot(x))
         target = min(max(s, k.lower), k.upper)
-        return None if target == s else (target - s) / k._a_sq
+        return None if target == s else x + ((target - s) / k._a_sq) * k.a
     gap = k.b - float(k.c.dot(x))
-    return None if gap <= 0.0 else gap / k._c_sq
+    return None if gap <= 0.0 else x + (gap / k._c_sq) * k.c
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Dense vector/matrix validation and incremental economy QR factorizations.
 
 Vectors and matrices are plain float ndarrays; ``as_vector``/``as_matrix``
-are the entry points that enforce finiteness and shape.
+are the entry points that enforce finiteness and shape, and ``as_1d``
+enforces the shape of a vector alone.
 
 Arrays of at most ``SMALL_SIZE`` entries (a 2x2 matrix, the largest array
 of the two-constraint projections in the plane) are checked for finiteness
@@ -72,10 +73,16 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.tolist() if a.ndim == 1 else a.ravel().tolist()))
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
+def as_1d(x, name: str = "vector") -> np.ndarray:
+    """x as a one-dimensional float array, its entries unchecked."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    return v
+
+
+def as_vector(x, name: str = "vector") -> np.ndarray:
+    v = as_1d(x, name)
     if not _all_finite(v):
         raise ValueError(f"{name} has non-finite entries")
     return v

@@ -16,7 +16,7 @@ it takes from a set that x violates.  Dykstra tests for a stop once per
 full cycle instead, so it keeps its own loop.  Both skip the projection on
 a visit that finds x inside a hyperslab or halfspace: ``_cyclic`` where
 one gemv screen proves it, Dykstra where the set's correction is zero and
-``_linear_step``'s exact test passes.
+``_linear_project``'s exact test passes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
-from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _linear_step, _project
+from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _linear_project, _project
 from .linalg import RANK_TOL, _qr_append, _RowScreen, as_start, qr_delete_column
 
 
@@ -799,23 +799,22 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     row per projection, matching how the benchmark counts iterations;
     termination is checked after each full cycle.
 
-    A hyperslab's or halfspace's correction that is zero is kept as None.
-    A visit to such a set that finds x inside it (``_linear_step``'s exact
-    test) is idle: x, the correction and the row's distance stay as they
-    are, and only the count and the trace row are added.  A visit with no
-    correction that moves x takes the step that test computed, as
-    ``_project`` would; every other visit projects x plus its correction
-    with ``_project``.  Skipping the sum x + 0 keeps a -0.0 entry of x
-    that the textbook loop turns into +0.0; nothing else differs.  The visit that follows a non-finite
-    projection raises, idle or not: each new iterate, and each x plus a
-    correction, is checked once.
+    A hyperslab's or halfspace's correction that is zero is kept as None,
+    and a visit to such a set projects x with ``_linear_project``.  When
+    that finds x inside the set (an exact test) the visit is idle: x, the
+    correction and the row's distance stay as they are, and only the count
+    and the trace row are added.  Every other visit projects x plus its
+    correction with ``_project``.  Skipping the sum x + 0 keeps a -0.0
+    entry of x that the textbook loop turns into +0.0; nothing else
+    differs.  The visit that follows a non-finite projection raises, idle
+    or not: each new iterate, and each x plus a correction, is checked
+    once.
     """
     opts = options or SolverOptions()
     x = _start(x0, sets, opts).copy()
     r = len(sets)
-    normals = [k.a if isinstance(k, Hyperslab) else k.c if isinstance(k, Halfspace) else None
-               for k in sets]
-    corrections = [None if a is not None else np.zeros_like(x) for a in normals]
+    linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
+    corrections = [None if lin else np.zeros_like(x) for lin in linear]
     rows = [_trace_row(0, x, (), opts)]
     counts = {"projections": 0, "cycles": 0}
     status = "iteration_limit"
@@ -835,17 +834,13 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
             finite = z
         counts["projections"] += 1
         visits += 1
-        if c is None:
-            t = _linear_step(sets[i], x)
-            p = None if t is None else x + t * normals[i]  # _project's step, not recomputed
-        else:
-            p = _project(sets[i], z)
+        p = _linear_project(sets[i], x) if c is None else _project(sets[i], z)
         if p is None:
             rows.append(TraceRow(len(rows), rows[-1].dist, None, None, ("project",),
                                  x.copy() if opts.record_iterates else None))
         else:
             c = z - p
-            corrections[i] = None if normals[i] is not None and not c.any() else c
+            corrections[i] = None if linear[i] and not c.any() else c
             d = x - p
             moved = max(moved, math.sqrt(float(d.dot(d))))
             x = p

@@ -23,7 +23,7 @@ from projqp.convex_sets import (
     Box,
     Halfspace,
     Hyperslab,
-    _linear_step,
+    _linear_project,
     problem_from_dict,
     project_set,
 )
@@ -318,19 +318,19 @@ class TestDykstraIdleVisits:
     @staticmethod
     def _spoil(monkeypatch, at):
         """``TestNonFiniteIterates._spoil`` for Dykstra, whose visits to a set
-        with no correction take ``_linear_step``'s step without calling
-        ``_project``: a step that moves x counts as a projection too, and
-        the ``at``-th projection is spoiled either way."""
+        with no correction call ``_linear_project`` instead of ``_project``:
+        such a visit that moves x counts as a projection too, and the
+        ``at``-th projection returns inf entries either way."""
         calls = TestNonFiniteIterates._spoil(monkeypatch, at)
 
         def spoiled(k, x):
-            t = _linear_step(k, x)
-            if t is None:
+            p = _linear_project(k, x)
+            if p is None:
                 return None
             calls.append(k)
-            return math.inf if len(calls) == at else t
+            return np.full_like(p, np.inf) if len(calls) == at else p
 
-        monkeypatch.setattr(solvers, "_linear_step", spoiled)
+        monkeypatch.setattr(solvers, "_linear_project", spoiled)
         return calls
 
     def test_slab_solves_are_mostly_idle(self, monkeypatch):
@@ -358,6 +358,8 @@ class TestDykstraIdleVisits:
             # a cap at the spoiled visit ends the solve before the next one
             rep = solve_dykstra(x0, sets, SolverOptions(max_outer_iters=visit))
             assert rep.status == "iteration_limit" and not np.isfinite(rep.x).all()
+            if case == "idle":  # the next visit would find the spoiled x inside its set
+                assert _linear_project(sets[visit], rep.x) is None
             calls.clear()
             with pytest.raises(ValueError, match="x has non-finite entries"):
                 solve_dykstra(x0, sets, SolverOptions(max_outer_iters=visit + 1))
