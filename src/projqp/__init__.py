@@ -19,11 +19,8 @@ from .activeset_qp import (
     QpProblem,
     Solution,
     STuple,
-    cone_project_reduced,
-    degenerate_inner_gi_step,
     empty_s_tuple,
     gi_solve,
-    inner_gi_step,
     project_polyhedron_reduced,
     verify_certificate,
 )
@@ -32,12 +29,9 @@ from .art import (
     ArtTriple,
     HyperslabSystem,
     art3_solve,
-    art3_update,
-    classify_case,
     extended_art_solve,
-    extrapolate_plus,
 )
-from .box_qp import BoxQp, BoxQpResult, box_step_direction, solve_box_qp
+from .box_qp import BoxQp, BoxQpResult, solve_box_qp
 from .convex_sets import (
     Ball,
     Box,
@@ -62,7 +56,6 @@ from .solvers import (
     SolveReport,
     SolverOptions,
     TraceRow,
-    aggregate_columns,
     solve,
     solve_bap,
     solve_dykstra,

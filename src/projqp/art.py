@@ -160,11 +160,6 @@ class HyperslabSystem:
         return cls(np.array(rows), np.array(lo), np.array(up))
 
 
-def save_system(path, sys_: HyperslabSystem) -> None:
-    with open(path, "w") as fh:
-        fh.write(sys_.to_text())
-
-
 def load_system(path) -> HyperslabSystem:
     with open(path) as fh:
         return HyperslabSystem.from_text(fh.read())

@@ -33,7 +33,7 @@ from .box_qp import BoxQp, solve_box_qp
 from .convex_sets import Ball, Box, Hyperslab, problem_from_dict, problem_to_dict
 from .linalg import qr_factorize
 from .oracles import cone_project_enum, project_polyhedron_enum
-from .solvers import SolveReport, SolverOptions, TraceRow, fill_measures, solve
+from .solvers import SolveReport, SolverOptions, TraceRow, fill_measures, solve, trace_csv
 
 
 class NonPositiveDistance(ValueError):
@@ -91,13 +91,7 @@ def run_two_circles(
 
 def measure_rows_to_csv(rows: list[TraceRow]) -> list[str]:
     """The table as CSV; the event column stays empty."""
-    def fmt(v):
-        return "" if v is None else f"{v:.5e}"
-
-    out = ["iter,dist,measure1,measure2,event"]
-    for r in rows:
-        out.append(f"{r.iteration},{fmt(r.dist)},{fmt(r.measure1)},{fmt(r.measure2)},")
-    return out
+    return trace_csv(TraceRow(r.iteration, r.dist, r.measure1, r.measure2) for r in rows)
 
 
 # ---------------------------------------------------------------------------

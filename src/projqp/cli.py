@@ -123,9 +123,6 @@ def _cmd_solve(args) -> int:
         if isinstance(loaded, HyperslabSystem):
             print("set-based methods need a JSON problem file", file=sys.stderr)
             return EXIT_USAGE
-        if x0 is None:
-            print("problem file lacks x0", file=sys.stderr)
-            return EXIT_USAGE
         opts = SolverOptions(
             feas_tol=args.tol,
             max_outer_iters=max_iter if max_iter is not None else 1000,

@@ -287,9 +287,35 @@ def problem_to_dict(sets, x0, **extras) -> dict:
     return doc
 
 
+def _document_fault(doc) -> str | None:
+    """Where a problem document that failed to load goes wrong; None if only x0 can."""
+    if not isinstance(doc, dict):
+        return "a problem document must be a JSON object"
+    for key in ("sets", "x0"):
+        if key not in doc:
+            return f'missing "{key}"'
+    if not isinstance(doc["sets"], (list, tuple)):
+        return '"sets" must be a list'
+    for i, d in enumerate(doc["sets"]):
+        if not isinstance(d, dict):
+            return f"sets[{i}]: a set must be a JSON object"
+        try:
+            set_from_dict(d)
+        except KeyError as exc:
+            return f'sets[{i}]: missing "{exc.args[0]}"'
+        except (TypeError, ValueError) as exc:
+            return f"sets[{i}]: {exc}"
+    return None
+
+
 def problem_from_dict(doc: dict) -> tuple[list[ConvexSet], np.ndarray, dict]:
-    sets = [set_from_dict(d) for d in doc["sets"]]
-    x0 = np.asarray(doc["x0"], dtype=float)
+    """The sets, x0 and other entries of a problem document; a malformed one
+    raises a ``ValueError`` that says where, as ``sets[0]: missing "radius"``."""
+    try:
+        sets = [set_from_dict(d) for d in doc["sets"]]
+        x0 = np.asarray(doc["x0"], dtype=float)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(_document_fault(doc) or f"x0: {exc}") from None
     extras = {k: v for k, v in doc.items() if k not in ("sets", "x0")}
     return sets, x0, extras
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,9 +177,8 @@ def _is_vector(v) -> bool:
 class SolverOptions:
     """Options of the set solvers; every field is checked on construction.
 
-    ``inner_steps_per_outer`` is a count or "to-optimality" (BAP and SIP
-    then step into violated stored halfspaces after each new one), and
-    ``set_visit_order`` is "cyclic" or "most-violated" (BAP and SIP only).
+    ``max_outer_iters`` caps set visits (projections), not outer
+    iterations: a visit that finds x inside its set counts too.
     ``max_store`` caps the halfspace store of BAP and SIP.  For SIP the cap
     is hard.  For BAP it is soft: compaction merges pairs of active
     halfspaces and evicts inactive ones, but an active halfspace it cannot
@@ -188,29 +187,20 @@ class SolverOptions:
 
     feas_tol: float = 1e-9
     max_outer_iters: int = 1000
-    inner_steps_per_outer: int | str = 1
-    set_visit_order: str = "cyclic"
     max_store: int | None = None
     reference: np.ndarray | None = None
     record_iterates: bool = False
-    sip_aplus_rounds: int = 0
     use_box_fast_path: bool = True
 
     def __post_init__(self):
-        steps = self.inner_steps_per_outer
         _check_fields(self, (
             ("feas_tol", _is_tol(self.feas_tol), "a finite number >= 0"),
             ("max_outer_iters", _is_count(self.max_outer_iters, 1), "an integer >= 1"),
-            ("inner_steps_per_outer", steps == "to-optimality" or _is_count(steps, 1),
-             'an integer >= 1 or "to-optimality"'),
-            ("set_visit_order", self.set_visit_order in ("cyclic", "most-violated"),
-             '"cyclic" or "most-violated"'),
             ("max_store", self.max_store is None or _is_count(self.max_store, 0),
              "None or an integer >= 0"),
             ("reference", self.reference is None or _is_vector(self.reference),
              "None or a finite vector"),
             ("record_iterates", isinstance(self.record_iterates, bool), "a bool"),
-            ("sip_aplus_rounds", _is_count(self.sip_aplus_rounds, 0), "an integer >= 0"),
             ("use_box_fast_path", isinstance(self.use_box_fast_path, bool), "a bool"),
         ))
 
@@ -270,19 +260,21 @@ class SolveReport:
         # one line: indent would select json's pure-Python encoder
         return json.dumps(self.to_json_dict())
 
-    def csv_rows(self) -> list[str]:
-        def fmt(v):
-            return "" if v is None else f"{v:.5e}"
-
-        lines = ["iter,dist,measure1,measure2,event"]
-        for r in self.rows:
-            event = ";".join(r.events)
-            lines.append(f"{r.iteration},{fmt(r.dist)},{fmt(r.measure1)},{fmt(r.measure2)},{event}")
-        return lines
-
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
+            fh.write("\n".join(trace_csv(self.rows)) + "\n")
+
+
+def trace_csv(rows: Iterable[TraceRow]) -> list[str]:
+    """The trace as CSV lines, one per row after the header."""
+    def fmt(v):
+        return "" if v is None else f"{v:.5e}"
+
+    lines = ["iter,dist,measure1,measure2,event"]
+    for r in rows:
+        event = ";".join(r.events)
+        lines.append(f"{r.iteration},{fmt(r.dist)},{fmt(r.measure1)},{fmt(r.measure2)},{event}")
+    return lines
 
 
 def fill_measures(rows: list[TraceRow]) -> None:
@@ -543,11 +535,10 @@ def _screen_due(run: int, exact_clean: int, r: int) -> bool:
 # Near the overflow threshold a squared norm or a dot may overflow to inf;
 # each such site tests for the inf, so the warning says nothing new
 @np.errstate(over="ignore")
-def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated: bool = False) -> SolveReport:
-    """Visit ``sets`` from x until a full pass leaves x in every one of them.
+def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport:
+    """Visit ``sets`` in turn from x until a full pass leaves x in every one of them.
 
-    Each visit projects x onto one set, cyclically or, with
-    ``most_violated``, onto the farthest.  A set x satisfies within
+    Each visit projects x onto one set.  A set x satisfies within
     ``feas_tol * (1 + ||x||)`` counts toward the clean pass; from any other
     ``step(x, p, dist, index, visit)`` moves x and returns the new iterate,
     the trace row's events and, when the sets are proven disjoint, the
@@ -563,7 +554,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
     ``project_set`` would.  A projection with a non-finite entry, which
     overflow can make of a finite x, raises with the set's index.
 
-    Cyclic visits skip the projection onto a hyperslab or halfspace that
+    Visits skip the projection onto a hyperslab or halfspace that
     ``_LinearScreen`` shows x to be inside: its distance would be 0, and
     the exact visit that refreshed the screen at this x passed, so the
     threshold is a number >= 0 and the visit is clean, with the same
@@ -589,10 +580,6 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
             x_norm = _norm(x)
             if math.isnan(x_norm):
                 raise ValueError("x has non-finite entries")
-        if most_violated:
-            dists = [float(np.linalg.norm(x - _project(k, x))) for k in sets]
-            counts["projections"] += r
-            l = int(np.argmax(dists))
         index = l
         l = (l + 1) % r
         if inside is not None and inside[index]:
@@ -621,7 +608,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step, most_violated:
         clean += 1
         exact_clean += 1
         run += 1
-        if not most_violated and _screen_due(run, exact_clean, r):
+        if _screen_due(run, exact_clean, r):
             if screen is None:
                 screen = _LinearScreen(sets)
             inside = screen.flags(x)
@@ -635,36 +622,14 @@ def _gi_counts() -> dict:
     return {"projections": 0, "inner_steps": 0, "outer_iterations": 0}
 
 
-def _settle(s: STuple, outcome, view: _StoreView, events: list[str], opts: SolverOptions, counts: dict):
+def _settle(s: STuple, outcome, store: HalfspaceStore, events: list[str], counts: dict):
     """The s-tuple after a new halfspace's engine step, and the proof of
-    disjointness if the stored halfspaces have none in common.
-
-    With ``inner_steps_per_outer`` above 1 (or "to-optimality"), further
-    inner steps enter the most violated stored halfspace.
-    """
-    store = view.store
+    disjointness if the stored halfspaces have none in common."""
     counts["inner_steps"] += 1
-    if isinstance(outcome, Infeasible):
-        events.extend(outcome.events)
-        return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
-    s = outcome.s_tuple
     events.extend(outcome.events)
-    extra = opts.inner_steps_per_outer
-    budget = 10 * store.m if extra == "to-optimality" else extra - 1
-    while budget > 0:
-        resid = np.array([store.rhs(j) - float(store.column(j) @ s.x) for j in range(store.m)])
-        resid[list(s.j_set)] = -np.inf
-        pbest = int(np.argmax(resid))
-        if resid[pbest] <= opts.feas_tol * (1.0 + _norm(s.x)):
-            break
-        outcome = inner_gi_step(s, pbest, view)
-        counts["inner_steps"] += 1
-        if isinstance(outcome, Infeasible):
-            return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
-        s = outcome.s_tuple
-        events.extend(outcome.events)
-        budget -= 1
-    return s, None
+    if isinstance(outcome, Infeasible):
+        return s, (outcome.certificate, (store.matrix(), store.rhs_vector()))
+    return outcome.s_tuple, None
 
 
 def _store_extras(store: HalfspaceStore, s: STuple) -> dict:
@@ -698,7 +663,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         counts["outer_iterations"] += 1
         idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
-        s, proof = _settle(s, inner_gi_step(s, idx, view), view, events, opts, counts)
+        s, proof = _settle(s, inner_gi_step(s, idx, view), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:
@@ -706,7 +671,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
             check_s_tuple(s, view, "bap-compaction")
         return s.x, tuple(events), None
 
-    report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")
+    report = _cyclic(x0, s.x, sets, opts, counts, step)
     report.extras = _store_extras(store, s)
     return report
 
@@ -743,8 +708,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         events = [f"H+{idx}"]
         view = _StoreView(x.copy(), store)
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
-        outcome = degenerate_inner_gi_step(s_zero, idx, view, opts.sip_aplus_rounds)
-        s, proof = _settle(s, outcome, view, events, opts, counts)
+        s, proof = _settle(s, degenerate_inner_gi_step(s_zero, idx, view), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:
@@ -754,7 +718,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
             check_s_tuple(s_next, _StoreView(s.x, store), "sip-compaction")
         return s.x, tuple(events), None
 
-    report = _cyclic(x0, s.x, sets, opts, counts, step, opts.set_visit_order == "most-violated")
+    report = _cyclic(x0, s.x, sets, opts, counts, step)
     report.extras = _store_extras(store, s)
     return report
 

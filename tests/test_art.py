@@ -13,7 +13,6 @@ from projqp.art import (
     extended_art_solve,
     extrapolate_plus,
     load_system,
-    save_system,
     tilde_bounds,
 )
 from projqp.bench import generate_problem, hyperslab_system_from_sets
@@ -282,7 +281,7 @@ class TestTextFormat:
             np.array([1.0, 2.5]),
         )
         path = tmp_path / "system.txt"
-        save_system(path, system)
+        path.write_text(system.to_text())
         loaded = load_system(path)
         np.testing.assert_array_equal(loaded.a_mat, system.a_mat)
         np.testing.assert_array_equal(loaded.lower, system.lower)

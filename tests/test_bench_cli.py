@@ -256,6 +256,19 @@ class TestCli:
         assert cli.main(["solve", "--problem", str(path), "--method", "art3"]) == 1
         assert "projqp: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"sets": [{"type": "hyperslab", "lower": 0, "upper": 1}], "x0": [0.0]}, 'sets[0]: missing "a"'),
+        ({"sets": [{"type": "ball", "center": [0.0], "radius": 1.0}]}, 'missing "x0"'),
+        ({"sets": [{"type": "ball", "center": [0.0]}], "x0": [0.0]}, 'sets[0]: missing "radius"'),
+        ({"sets": {"type": "ball", "center": [0.0], "radius": 1.0}, "x0": [0.0]}, '"sets" must be a list'),
+        ([{"type": "ball", "center": [0.0], "radius": 1.0}], "a problem document must be a JSON object"),
+    ], ids=["slab-without-a", "no-x0", "ball-without-radius", "sets-object", "top-level-list"])
+    def test_solve_malformed_json_file_exit_one(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--problem", str(path), "--method", "map"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"projqp: error: {message}"]
+
     @pytest.mark.parametrize("method", ["art3", "ext-art"])
     def test_solve_art_prints_iterations(self, tmp_path, capsys, method):
         problem = tmp_path / "slabs.json"

@@ -94,8 +94,7 @@ def test_two_circles_caps_cover_the_registry():
 
 def test_option_fields_are_pinned():
     assert list(SolverOptions.__dataclass_fields__) == [
-        "feas_tol", "max_outer_iters", "inner_steps_per_outer", "set_visit_order", "max_store",
-        "reference", "record_iterates", "sip_aplus_rounds", "use_box_fast_path",
+        "feas_tol", "max_outer_iters", "max_store", "reference", "record_iterates", "use_box_fast_path",
     ]
     assert list(art.ArtPolicy.__dataclass_fields__) == ["case2", "case4", "case5"]
 
@@ -109,6 +108,7 @@ PINNED_PARAMETERS = [
     (art.art3_solve, ["x0", "system", "max_iters"]),
     (art.extended_art_solve, ["x0", "system", "policy", "max_iters", "witness"]),
     (box_qp.solve_box_qp, ["p"]),
+    (solvers._cyclic, ["x0", "x", "sets", "opts", "counts", "step"]),
 ]
 
 

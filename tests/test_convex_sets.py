@@ -196,6 +196,19 @@ class TestJsonSchema:
         assert isinstance(sets[0], Ball)
         assert extras["kind"] == "demo"
 
+    @pytest.mark.parametrize("sets, x0, message", [
+        ([{"type": "ball", "center": [0.0], "radius": 1.0}, {"type": "ball", "center": [0.0], "radius": -1.0}],
+         [0.0], "sets[1]: radius must be positive"),
+        ([{"type": "halfspace", "c": [1.0], "b": None}], [0.0], "sets[0]: float() argument"),
+        (["ball"], [0.0], "sets[0]: a set must be a JSON object"),
+        ([{"type": "ball", "center": [0.0], "radius": 1.0}], {"x": 0.0}, "x0: float() argument"),
+        ([{"type": "ball", "center": [0.0], "radius": 1.0}], ["zero"], "x0: could not convert"),
+    ])
+    def test_malformed_document_names_where(self, sets, x0, message):
+        with pytest.raises(ValueError) as info:
+            problem_from_dict({"sets": sets, "x0": x0})
+        assert str(info.value).startswith(message)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Ball(np.zeros(2), -1.0)

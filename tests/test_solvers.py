@@ -123,21 +123,6 @@ class TestBap:
         kkt = x0 - rep.x + e["store_normals"][:, e["active_set"]] @ e["multipliers"]
         assert float(np.linalg.norm(kkt)) <= FEAS_TOL * (1.0 + float(np.linalg.norm(x0)))
 
-    def test_most_violated_visit_order(self):
-        opts = SolverOptions(feas_tol=1e-12, max_outer_iters=100,
-                             set_visit_order="most-violated")
-        rep = solve_bap(np.array([0.0, 10.0]), two_circles_sets(), opts)
-        assert rep.status == "solved"
-        assert float(np.linalg.norm(rep.x - TWO_CIRCLES_XBAR)) <= 1e-8
-
-    def test_to_optimality_mode(self):
-        sets = two_circles_sets()
-        opts = SolverOptions(feas_tol=1e-12, max_outer_iters=100,
-                             inner_steps_per_outer="to-optimality")
-        rep = solve_bap(np.array([0.0, 10.0]), sets, opts)
-        assert rep.status == "solved"
-        assert float(np.linalg.norm(rep.x - TWO_CIRCLES_XBAR)) <= 1e-6
-
 
 class TestSip:
     def test_two_circles_matches_table(self, two_circles_runs):
@@ -179,12 +164,6 @@ class TestSip:
         dists = [float(np.linalg.norm(r.x - w)) for r in rep.rows if r.x is not None]
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-9
-
-    def test_aplus_rounds_still_solve(self):
-        opts = SolverOptions(feas_tol=1e-12, max_outer_iters=60, sip_aplus_rounds=2)
-        rep = solve_sip(np.array([0.0, 10.0]), two_circles_sets(), opts)
-        assert rep.status == "solved"
-        assert float(np.linalg.norm(rep.x - TWO_CIRCLES_XBAR)) <= 1e-9
 
     def test_box_fast_path(self):
         doc = generate_problem("box-plus-ball", 3, 2, 10)
@@ -812,12 +791,9 @@ class TestOptionValidation:
     BAD = {
         "feas_tol": [-1e-9, math.nan, math.inf, "1e-9", True],
         "max_outer_iters": [0, -5, 10.0, "100", True],
-        "inner_steps_per_outer": [0, -1, "to_optimality", "all", 1.5],
-        "set_visit_order": ["most_violated", "random", None],
         "max_store": [-1, 2.5, "4"],
         "reference": [np.array([0.0, math.nan]), np.zeros((2, 2)), "origin"],
         "record_iterates": ["yes", 1, None],
-        "sip_aplus_rounds": [-1, 0.5, None],
         "use_box_fast_path": ["no", 0, None],
     }
 
@@ -831,10 +807,9 @@ class TestOptionValidation:
         assert set(self.BAD) == set(SolverOptions.__dataclass_fields__)
 
     def test_documented_values_accepted(self):
-        SolverOptions(feas_tol=0.0, max_outer_iters=1, inner_steps_per_outer="to-optimality",
-                      set_visit_order="most-violated", max_store=0, reference=[0.0, 1.0],
-                      record_iterates=True, sip_aplus_rounds=3, use_box_fast_path=False)
-        SolverOptions(max_outer_iters=np.int64(5), inner_steps_per_outer=4, max_store=np.int64(2))
+        SolverOptions(feas_tol=0.0, max_outer_iters=1, max_store=0, reference=[0.0, 1.0],
+                      record_iterates=True, use_box_fast_path=False)
+        SolverOptions(max_outer_iters=np.int64(5), max_store=np.int64(2))
 
 
 class TestStoreCompaction:
