@@ -12,7 +12,7 @@ Run:  python demos/hyperslab_art.py
 
 import numpy as np
 
-from projqp.art import ArtPolicy, art3_solve, extended_art_solve
+from projqp.art import art3_solve, extended_art_solve
 from projqp.bench import generate_problem, hyperslab_system_from_sets
 from projqp.convex_sets import problem_from_dict
 
@@ -37,11 +37,6 @@ def main():
           f" {c['p_plus']} reflection restarts, {c['inner_steps']} QP steps)")
     print(f"  exact membership: {system.contains(rep.x)}")
     print(f"  worst Fejer increase towards the witness: {rep.extras['fejer_max_increase']:.2e}")
-
-    rep = extended_art_solve(x0, system, witness=witness,
-                             policy=ArtPolicy(case2="plus", case4="plus", case5="plus"))
-    print(f"reflections-only policy: {rep.status} after {rep.counts['iterations']} visits"
-          f" (no QP assistance; this is the classical behavior re-expressed)")
 
     print()
     print("text format round-trip (header 'm n', rows, then L and U lines):")

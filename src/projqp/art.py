@@ -39,8 +39,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .linalg import _RowScreen, as_matrix, as_start, as_vector
-from .solvers import HalfspaceStore, SolveReport, TraceRow, _StoreView, _report
-from .solvers import _check_fields, _is_count
+from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count, _report
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
 # than this fraction of the slab width
@@ -55,6 +54,9 @@ TIGHT_TOL = 1e-9
 # than NUDGE_TOL (absolute, in a_j^T x), the visit then nudges: it projects
 # x_plus onto the slab inset by 10 NUDGE_TOL (1 + |a_j^T x_plus|)
 NUDGE_TOL = 1e-12
+# the one step each case prefers (case 1, x_plus inside the slab, takes none);
+# P_times never in the band cases 2 and 3 keeps the convergence finite
+STEP_BY_CASE = {2: "circ", 3: "plus", 4: "times", 5: "times"}
 
 
 @dataclass(frozen=True)
@@ -172,26 +174,6 @@ class ArtTriple:
     x_plus: np.ndarray
     active_slabs: tuple[int, ...]
     s_tuple: STuple | None = None
-
-
-@dataclass(frozen=True)
-class ArtPolicy:
-    """Step choices per case where the preference marks leave one open.
-
-    ``case2`` in {"circ", "plus"}, ``case4`` in {"times", "circ", "plus"},
-    ``case5`` in {"times", "plus"}.
-    """
-
-    case2: str = "circ"
-    case4: str = "times"
-    case5: str = "times"
-
-    def __post_init__(self):
-        _check_fields(self, (
-            ("case2", self.case2 in ("circ", "plus"), '"circ" or "plus"'),
-            ("case4", self.case4 in ("times", "circ", "plus"), '"times", "circ" or "plus"'),
-            ("case5", self.case5 in ("times", "plus"), '"times" or "plus"'),
-        ))
 
 
 def tilde_bounds(lower: float, upper: float) -> tuple[float, float]:
@@ -340,72 +322,95 @@ def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = TIGHT_TOL)
     return tuple(tight.nonzero()[0].tolist())
 
 
-def extended_art_solve(
-    x0,
-    system: HyperslabSystem,
-    policy: ArtPolicy | None = None,
-    max_iters: int = 100_000,
-    witness=None,
-) -> SolveReport:
+def _inset_projection(system: HyperslabSystem, j: int, x: np.ndarray) -> np.ndarray:
+    """Projection of x onto slab j inset by eta = 10 NUDGE_TOL (1 + |a_j^T x|).
+
+    A round-off violation needs an x-move large enough to register in the
+    dot product, and any interior point with a larger margin stays closer
+    afterwards.  A slab narrower than 2 eta maps x to its midplane.
+    """
+    a = system.a_mat[j]
+    s_val = float(a @ x)
+    lo, up = system.lower[j], system.upper[j]
+    eta = NUDGE_TOL * 10.0 * (1.0 + abs(s_val))
+    if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
+        target = 0.5 * (lo + up)
+    elif s_val < lo:
+        target = lo + eta
+    else:
+        target = up - eta
+    return x + ((target - s_val) / float(a @ a)) * a
+
+
+def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, witness=None) -> SolveReport:
     """Extended ART with QP-assisted steps; terminates when x_plus lands in S.
 
-    P_times is never taken in cases 2 or 3 (that restriction protects the
-    finite-convergence argument).  When case 5 offers P_times but x_times
-    already satisfies the slab, the step re-anchors the triple at x_times
-    and collapses the extrapolation; there is nothing to feed the QP there.
-    The report tracks the restart subsequence and, given a ``witness``
-    inside S, its worst Fejer-monotonicity violation.
+    Each case takes the one step ``STEP_BY_CASE`` names, so P_times is never
+    taken in cases 2 or 3 (that restriction protects the finite-convergence
+    argument); the report's ``forbidden_p_times`` counts the visits that
+    would break it, and stays 0.  A step whose engine feed violates the
+    slab only by round-off falls back to P_plus, or nudges x_plus into an
+    inset of the slab; P_circ falls back to P_plus when x_times is nearly
+    inside the slab or the slide refinement has run too long.  When case 5
+    offers P_times but x_times already satisfies the slab, the step
+    re-anchors the triple at x_times and collapses the extrapolation; there
+    is nothing to feed the QP there.  The report tracks the restart
+    subsequence and, given a ``witness`` inside S, its worst
+    Fejer-monotonicity violation.
 
     The membership test of each new x_plus also returns the screen's mask.
     A row the mask clears is case 1 without a ``classify_case`` call, so
     the case-1 visits between updates cost no extra matrix product.
     """
     _check_max_iters(max_iters)
-    pol = policy or ArtPolicy()
     x0 = as_start(x0, system.n)
     wit = None if witness is None else as_vector(witness, "witness")
+    if wit is not None and wit.shape != x0.shape:
+        raise ValueError(f"witness has dimension {wit.shape[0]}, but the system has dimension {system.n}")
 
     store = HalfspaceStore()
     s = empty_s_tuple(x0)
-    x_circ = s.x
-    x_times = s.x
-    x_plus = s.x
-    anchor = x0.copy()
+    x_circ = x_times = x_plus = s.x
+    anchor = x0  # the engine anchor of P_circ steps: the last restart point
 
-    counts = {"iterations": 0, "p_circ": 0, "p_times": 0, "p_plus": 0, "inner_steps": 0,
-              "reanchor": 0}
+    counts = {"iterations": 0, "p_circ": 0, "p_times": 0, "p_plus": 0, "inner_steps": 0, "reanchor": 0}
     rows: list[TraceRow] = [TraceRow(0, None, None, None, ())]
     fejer_max_increase = 0.0
     fejer_events = 0
     wit_dist = None if wit is None else float(np.linalg.norm(x_circ - wit))
-    forbidden_times = 0  # P_times attempts in cases 2/3; must stay zero
+    forbidden_times = 0  # P_times steps in cases 2/3; must stay zero
     consecutive_circ = 0
     status = "iteration_limit"
-    j = 0
-    i = 0
+    i = j = 0
 
-    def fejer_step(new_tilde: np.ndarray) -> None:
-        nonlocal wit_dist, fejer_max_increase, fejer_events
+    def restart(point: np.ndarray) -> None:
+        """Restart the triple from ``point``, the next member of the
+        Fejer-monotone restart subsequence."""
+        nonlocal consecutive_circ, anchor, x_circ, wit_dist, fejer_max_increase, fejer_events
+        consecutive_circ = 0
+        anchor = x_circ = point
         if wit is None:
             return
-        d = float(np.linalg.norm(new_tilde - wit))
+        d = float(np.linalg.norm(point - wit))
         fejer_events += 1
         if d > wit_dist:
             fejer_max_increase = max(fejer_max_increase, d - wit_dist)
         wit_dist = d
 
     def rebuild_plus() -> np.ndarray:
-        active = _tight_slabs(system, x_times)
-        return extrapolate_plus(x_circ, x_times, system, active)
+        return extrapolate_plus(x_circ, x_times, system, _tight_slabs(system, x_times))
 
     def raw_violation(point: np.ndarray, jj: int) -> float:
         s_val = float(system.a_mat[jj] @ point)
         return max(system.lower[jj] - s_val, s_val - system.upper[jj])
 
     def face_step(step, s_from: STuple, face, anchor_pt: np.ndarray):
-        """Store slab j's violated face and take the engine step onto it."""
+        """Store slab j's violated face and take the engine step onto it from
+        ``anchor_pt``: the next s-tuple, or the engine's ``Infeasible``."""
         counts["inner_steps"] += 1
-        return step(s_from, store.add(*face, source=j), _StoreView(anchor_pt, store))
+        store.x_star = anchor_pt
+        outcome = step(s_from, store.add(*face, source=j), store)
+        return outcome if isinstance(outcome, Infeasible) else outcome.s_tuple
 
     # membership of x_plus is tested only when x_plus is a new array: every
     # update rebinds it, and the case-1 visits in between leave it alone
@@ -426,109 +431,61 @@ def extended_art_solve(
             case = classify_case(x_times, x_plus, system.a_mat[j], system.lower[j], system.upper[j])
         events: list[str] = []
         if case != 1:
-            choice = {2: pol.case2, 3: "plus", 4: pol.case4, 5: pol.case5}[case]
-            if choice == "times" and case in (2, 3):
-                forbidden_times += 1
-                choice = "plus"
+            choice = STEP_BY_CASE[case]
             # violations at round-off scale defeat the QP step's violated
             # precondition; fall back to the plain slab projection, whose
             # extrapolation is exactly the classical reflection
             feed = x_plus if choice == "plus" else x_times
-            feed_viol = raw_violation(feed, j)
-            if choice != "times" or case != 5:
-                if feed_viol <= NUDGE_TOL * (1.0 + abs(float(system.a_mat[j] @ feed))):
-                    choice = "plus" if raw_violation(x_plus, j) > NUDGE_TOL else "nudge"
+            if case != 5 and raw_violation(feed, j) <= NUDGE_TOL * (1.0 + abs(float(system.a_mat[j] @ feed))):
+                choice = "plus" if raw_violation(x_plus, j) > NUDGE_TOL else "nudge"
             if choice == "circ":
+                # P_circ needs x_times outside the slab; reflect instead when
+                # x_times is nearly inside it, or when the slide refinement
+                # has run too long
                 face = _violated_face(system, j, x_times)
-                if face is None:
-                    choice = "plus"  # P_circ needs x_times outside the slab
-                else:
-                    # reflect instead when x_times is nearly inside the slab,
-                    # or when the slide refinement has run too long
-                    width = system.upper[j] - system.lower[j]
-                    resid = raw_violation(x_times, j) / float(np.linalg.norm(system.a_mat[j]))
-                    if math.isfinite(width) and resid < CASE2_CLOSE_FRAC * width and case == 2:
-                        choice = "plus"
-                    elif consecutive_circ >= CIRC_CAP_FACTOR * (s.q + 1):
-                        choice = "plus" if case == 2 else ("times" if case == 4 else "plus")
+                width = system.upper[j] - system.lower[j]
+                resid = raw_violation(x_times, j) / float(np.linalg.norm(system.a_mat[j]))
+                if (face is None or (math.isfinite(width) and resid < CASE2_CLOSE_FRAC * width)
+                        or consecutive_circ >= CIRC_CAP_FACTOR * (s.q + 1)):
+                    choice = "plus"
+            if choice == "times" and case in (2, 3):
+                forbidden_times += 1
 
-            if choice == "nudge":
-                counts["p_plus"] += 1
-                consecutive_circ = 0
-                fejer_step(x_plus)
-                anchor = x_plus.copy()
-                x_circ = x_plus
-                a = system.a_mat[j]
-                s_val = float(a @ x_plus)
-                # project onto the slab inset by eta: a round-off violation
-                # needs an x-move large enough to register in the dot
-                # product, and any interior point with a larger margin stays
-                # closer afterwards
-                lo, up = system.lower[j], system.upper[j]
-                eta = NUDGE_TOL * 10.0 * (1.0 + abs(s_val))
-                if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
-                    target = 0.5 * (lo + up)
-                elif s_val < lo:
-                    target = lo + eta
-                else:
-                    target = up - eta
-                x_times = x_plus + ((target - s_val) / float(a @ a)) * a
-                s = empty_s_tuple(x_times)
-                x_plus = rebuild_plus()
-                events.append(f"plus-nudge:{j}")
-            elif choice == "circ":
-                outcome = face_step(inner_gi_step, s, face, anchor)
+            if choice == "circ":
                 counts["p_circ"] += 1
                 consecutive_circ += 1
                 events.append(f"circ:{j}")
-                if isinstance(outcome, Infeasible):
-                    break
-                s = outcome.s_tuple
-                x_times = s.x
-                x_plus = rebuild_plus()
+                nxt = face_step(inner_gi_step, s, face, anchor)
             elif choice == "times":
-                consecutive_circ = 0
-                face = _violated_face(system, j, x_times)
                 counts["p_times"] += 1
-                if face is None:
-                    # case 5: the slab holds at x_times; re-anchor the triple
+                face = _violated_face(system, j, x_times)
+                nxt = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
+                if face is None:  # case 5: the slab holds at x_times; re-anchor the triple
                     counts["reanchor"] += 1
                     events.append(f"times-reanchor:{j}")
-                    fejer_step(x_times)
-                    anchor = x_times.copy()
-                    s = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-                    x_circ = x_times
-                    x_plus = x_times.copy()
                 else:
-                    s_zero = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-                    outcome = face_step(degenerate_inner_gi_step, s_zero, face, x_times.copy())
                     events.append(f"times:{j}")
-                    if isinstance(outcome, Infeasible):
-                        break
-                    fejer_step(x_times)
-                    anchor = x_times.copy()
-                    x_circ = x_times
-                    s = outcome.s_tuple
-                    x_times = s.x
-                    x_plus = rebuild_plus()
-            else:  # P_plus
-                consecutive_circ = 0
+                    nxt = face_step(degenerate_inner_gi_step, nxt, face, x_times)
+                if not isinstance(nxt, Infeasible):  # P_times restarts once its step succeeds
+                    restart(x_times)
+            else:  # P_plus restarts before its step, from the reflection-like point
                 counts["p_plus"] += 1
-                face = _violated_face(system, j, x_plus)
-                fejer_step(x_plus)
-                anchor = x_plus.copy()
-                x_circ = x_plus
-                s = empty_s_tuple(x_plus)
-                if face is not None:
-                    outcome = face_step(degenerate_inner_gi_step, s, face, anchor)
-                    events.append(f"plus:{j}")
-                    if isinstance(outcome, Infeasible):
-                        break
-                    s = outcome.s_tuple
-                    x_times = s.x
+                restart(x_plus)
+                if choice == "nudge":
+                    nxt = empty_s_tuple(_inset_projection(system, j, x_plus))
+                    events.append(f"plus-nudge:{j}")
                 else:
-                    x_times = x_plus
-                x_plus = rebuild_plus()
+                    face = _violated_face(system, j, x_plus)
+                    s = nxt = empty_s_tuple(x_plus)
+                    if face is not None:
+                        events.append(f"plus:{j}")
+                        nxt = face_step(degenerate_inner_gi_step, s, face, x_plus)
+            if isinstance(nxt, Infeasible):
+                outcome = nxt
+                break
+            s = nxt
+            x_times = s.x
+            x_plus = rebuild_plus()
         i += 1
         counts["iterations"] = i
         j = (j + 1) % system.m
@@ -536,7 +493,7 @@ def extended_art_solve(
             rows.append(TraceRow(len(rows), None, None, None, tuple(events)))
 
     certificate = cert_system = None
-    if isinstance(outcome, Infeasible):
+    if outcome is not None:
         status = "infeasible"
         certificate, cert_system = outcome.certificate, (store.matrix(), store.rhs_vector())
     triple = ArtTriple(

@@ -142,7 +142,12 @@ class Hyperslab:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """{x : C^T x >= b}"""
+    """{x : C^T x >= b}, nonempty, with a nonzero normal in each column of C.
+
+    A column is zero when its ``np.linalg.norm`` is 0.0, the test
+    ``gi_solve`` makes, and one ``gi_solve`` from the origin decides
+    emptiness.
+    """
 
     c_mat: np.ndarray
     b: np.ndarray
@@ -152,6 +157,10 @@ class Polyhedron:
         object.__setattr__(self, "b", as_vector(self.b, "b"))
         if self.c_mat.shape[1] != self.b.shape[0]:
             raise ValueError("C and b sizes disagree")
+        if 0.0 in np.linalg.norm(self.c_mat, axis=0).tolist():
+            raise ValueError("polyhedron normals (the columns of c_mat) must be nonzero")
+        if isinstance(gi_solve(QpProblem(np.zeros(self.dim), self.c_mat, self.b)), Infeasible):
+            raise ValueError("polyhedron is empty")
 
     @property
     def dim(self) -> int:

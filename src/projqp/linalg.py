@@ -75,7 +75,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def as_1d(x, name: str = "vector") -> np.ndarray:
     """x as a one-dimensional float array, its entries unchecked."""
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except TypeError as exc:  # a dict or another non-numeric object
+        raise ValueError(f"{name}: {exc}") from None
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     return v

@@ -66,9 +66,14 @@ class HalfspaceStore:
     doubles when it fills, so ``rows`` gathers any of them in one indexing
     call.  ``column(j)`` is a view of row j: a later ``remove`` shifts the
     rows, so a caller keeps it only while the store is unchanged.
+
+    ``x_star`` is the point the engine projects from, so the store is the
+    engine's ``ConstraintView``.  BAP sets it once, SIP at each cut and the
+    extended ART at each engine step.
     """
 
     def __init__(self):
+        self.x_star: np.ndarray | None = None
         self._c = np.zeros((0, 0))
         self._b = np.zeros(0)
         self.source: list[int] = []
@@ -128,22 +133,6 @@ class HalfspaceStore:
 def _after_remove(j_set, j: int) -> tuple[int, ...]:
     """Indices of ``j_set`` renumbered after column j left the store."""
     return tuple(k - (k > j) for k in j_set)
-
-
-class _StoreView:
-    """Adapts (anchor point, halfspace store) to the engine's problem view."""
-
-    def __init__(self, x_star: np.ndarray, store: HalfspaceStore):
-        self.x_star = x_star
-        self.store = store
-        self.column = store.column
-        self.rhs = store.rhs
-        self.rows = store.rows
-        self.rhs_at = store.rhs_at
-
-    @property
-    def m(self) -> int:
-        return self.store.m
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +640,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     opts = options or SolverOptions()
     x0 = _start(x0, sets, opts)
     store = HalfspaceStore()
-    view = _StoreView(x0, store)
+    store.x_star = x0
     s = _empty_s_tuple(x0)
     counts = _gi_counts()
 
@@ -663,12 +652,12 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         counts["outer_iterations"] += 1
         idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
-        s, proof = _settle(s, inner_gi_step(s, idx, view), store, events, counts)
+        s, proof = _settle(s, inner_gi_step(s, idx, store), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:
             s = _compact_bap(store, s, opts.max_store, events)
-            check_s_tuple(s, view, "bap-compaction")
+            check_s_tuple(s, store, "bap-compaction")
         return s.x, tuple(events), None
 
     report = _cyclic(x0, s.x, sets, opts, counts, step)
@@ -706,16 +695,17 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
             s = _empty_s_tuple(x)
         idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
-        view = _StoreView(x.copy(), store)
+        store.x_star = x.copy()
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
-        s, proof = _settle(s, degenerate_inner_gi_step(s_zero, idx, view), store, events, counts)
+        s, proof = _settle(s, degenerate_inner_gi_step(s_zero, idx, store), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:
             s = _compact_sip(store, s, opts.max_store, events)
             # the next step re-anchors at s.x with zero multipliers: check that state
             s_next = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-            check_s_tuple(s_next, _StoreView(s.x, store), "sip-compaction")
+            store.x_star = s.x
+            check_s_tuple(s_next, store, "sip-compaction")
         return s.x, tuple(events), None
 
     report = _cyclic(x0, s.x, sets, opts, counts, step)

@@ -5,7 +5,6 @@ import pytest
 
 from projqp import art
 from projqp.art import (
-    ArtPolicy,
     HyperslabSystem,
     art3_solve,
     art3_update,
@@ -240,17 +239,6 @@ class TestExtendedArt:
         assert rep.counts["iterations"] == 0
         np.testing.assert_array_equal(rep.x, x0)
 
-    def test_always_plus_policy_is_fejer(self):
-        doc = generate_problem("hyperslabs-with-interior", 4, 8, 23)
-        sets, x0, extras = problem_from_dict(doc)
-        system = hyperslab_system_from_sets(sets)
-        w = np.asarray(extras["witness"])
-        policy = ArtPolicy(case2="plus", case4="plus", case5="plus")
-        rep = extended_art_solve(x0, system, policy=policy, witness=w)
-        assert rep.status == "solved"
-        assert rep.counts["p_circ"] == 0 and rep.counts["p_times"] == 0
-        assert rep.extras["fejer_max_increase"] <= 1e-9
-
     def test_never_p_times_in_band_cases(self):
         rng = np.random.default_rng(9)
         for k in range(10):
@@ -261,6 +249,12 @@ class TestExtendedArt:
             rep = extended_art_solve(x0, system, witness=np.asarray(extras["witness"]))
             assert rep.status == "solved"
             assert rep.extras["forbidden_p_times"] == 0
+
+    @pytest.mark.parametrize("witness", [[0.5], [0.5, 0.5, 0.5]])
+    def test_witness_dimension_checked(self, witness):
+        system = HyperslabSystem(np.eye(2), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match=f"witness has dimension {len(witness)}, but the system has dimension 2"):
+            extended_art_solve(np.array([7.0, -5.0]), system, witness=witness)
 
     def test_infinite_width_rows(self):
         system = HyperslabSystem(
@@ -315,31 +309,6 @@ class TestTextFormat:
     def test_malformed_text_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             HyperslabSystem.from_text(text)
-
-
-class TestArtPolicyValidation:
-    """Each field is checked on construction; a bad value names its field."""
-
-    BAD = {
-        "case2": ["times", "bogus", None],
-        "case4": ["bogus", "P_plus", 4],
-        "case5": ["circ", "bogus"],
-    }
-
-    @pytest.mark.parametrize("name", sorted(BAD))
-    def test_bad_value_names_field(self, name):
-        for value in self.BAD[name]:
-            with pytest.raises(ValueError, match=f"ArtPolicy.{name} must be"):
-                ArtPolicy(**{name: value})
-
-    def test_every_field_is_checked(self):
-        assert set(self.BAD) == set(ArtPolicy.__dataclass_fields__)
-
-    def test_documented_values_accepted(self):
-        for case2 in ("circ", "plus"):
-            for case4 in ("times", "circ", "plus"):
-                for case5 in ("times", "plus"):
-                    ArtPolicy(case2=case2, case4=case4, case5=case5)
 
 
 class TestScreenedMembership:

@@ -262,7 +262,14 @@ class TestCli:
         ({"sets": [{"type": "ball", "center": [0.0]}], "x0": [0.0]}, 'sets[0]: missing "radius"'),
         ({"sets": {"type": "ball", "center": [0.0], "radius": 1.0}, "x0": [0.0]}, '"sets" must be a list'),
         ([{"type": "ball", "center": [0.0], "radius": 1.0}], "a problem document must be a JSON object"),
-    ], ids=["slab-without-a", "no-x0", "ball-without-radius", "sets-object", "top-level-list"])
+        ({"sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                   {"type": "polyhedron", "c_mat": [[1, 0], [0, 0]], "b": [0, 0]}], "x0": [3.0, 3.0]},
+         "sets[1]: polyhedron normals (the columns of c_mat) must be nonzero"),
+        ({"sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                   {"type": "polyhedron", "c_mat": [[1, -1], [0, 0]], "b": [1, 0]}], "x0": [3.0, 3.0]},
+         "sets[1]: polyhedron is empty"),
+    ], ids=["slab-without-a", "no-x0", "ball-without-radius", "sets-object", "top-level-list",
+            "polyhedron-zero-column", "polyhedron-empty"])
     def test_solve_malformed_json_file_exit_one(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -400,3 +407,82 @@ class TestCli:
         assert code == cli.EXIT_BREAKDOWN == 4
         assert captured.out == ""
         assert captured.err == f"projqp: error: numerical breakdown: {exc}\n"
+
+
+class TestLoaderMutants:
+    """Every mutant of a generated document, and of the ART text format,
+    either solves or exits 1 with exactly one stderr line.
+
+    A JSON mutant drops, retypes or resizes one key of the seed-0 document
+    of a generator kind; a text mutant drops or repeats one line, or drops
+    or replaces one token.  Mutants that solve run to at most 200 visits.
+    """
+
+    OVERFLOW = "<1e400>"  # written as the JSON number 1e400, which loads as inf
+    RETYPES = ["abc", None, [], {}, True, math.nan, OVERFLOW]
+    TOKENS = ["abc", "nan", "1e400", "-1e400", "0", "-1", "1 1", "#"]
+
+    @staticmethod
+    def faults(capsys, path, methods) -> list:
+        found = []
+        for method in methods:
+            code = cli.main(["solve", "--problem", str(path), "--method", method, "--max-iter", "200"])
+            err = capsys.readouterr().err
+            one_line = code == 1 and len(err.splitlines()) == 1 and err.startswith("projqp: error: ")
+            if not (one_line or (code in (0, 2, 3) and err == "")):
+                found.append((method, code, err))
+        return found
+
+    @classmethod
+    def json_mutants(cls, doc):
+        def keys(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for k, v in items:
+                if isinstance(node, dict):
+                    yield path + (k,), v
+                if isinstance(v, (dict, list)):
+                    yield from keys(v, path + (k,))
+
+        def edited(path, change):
+            mutant = json.loads(json.dumps(doc))
+            node = mutant
+            for k in path[:-1]:
+                node = node[k]
+            change(node, path[-1])
+            return mutant
+
+        for path, value in list(keys(doc, ())):
+            yield path, "drop", edited(path, lambda node, k: node.pop(k))
+            for new in cls.RETYPES:
+                yield path, repr(new), edited(path, lambda node, k, new=new: node.__setitem__(k, new))
+            if isinstance(value, list) and value:
+                yield path, "grow", edited(path, lambda node, k: node[k].append(node[k][-1]))
+                yield path, "shrink", edited(path, lambda node, k: node[k].pop())
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_json_mutants(self, tmp_path, capsys, kind):
+        methods = ["map", "ext-art"] if kind == "hyperslabs-with-interior" else ["map"]
+        path = tmp_path / "mutant.json"
+        found, count = [], 0
+        for where, how, mutant in self.json_mutants(generate_problem(kind, 3, 3, 0)):
+            path.write_text(json.dumps(mutant).replace(f'"{self.OVERFLOW}"', "1e400"))
+            found += [(where, how, *fault) for fault in self.faults(capsys, path, methods)]
+            count += 1
+        assert count >= 80 and not found, found[:5]
+
+    def test_text_mutants(self, tmp_path, capsys):
+        sets, _, _ = problem_from_dict(generate_problem("hyperslabs-with-interior", 2, 3, 0))
+        lines = hyperslab_system_from_sets(sets).to_text().splitlines()
+        mutants = []
+        for i, line in enumerate(lines):
+            mutants += [lines[:i] + lines[i + 1:], lines[:i + 1] + lines[i:]]
+            tokens = line.split()
+            for t in range(len(tokens)):
+                for new in [[]] + [[tok] for tok in self.TOKENS]:
+                    mutants.append(lines[:i] + [" ".join(tokens[:t] + new + tokens[t + 1:])] + lines[i + 1:])
+        path = tmp_path / "mutant.txt"
+        found = []
+        for mutant in mutants:
+            path.write_text("\n".join(mutant) + "\n")
+            found += [(mutant, *fault) for fault in self.faults(capsys, path, ["art3", "ext-art"])]
+        assert len(mutants) >= 100 and not found, found[:5]

@@ -96,7 +96,7 @@ def test_option_fields_are_pinned():
     assert list(SolverOptions.__dataclass_fields__) == [
         "feas_tol", "max_outer_iters", "max_store", "reference", "record_iterates", "use_box_fast_path",
     ]
-    assert list(art.ArtPolicy.__dataclass_fields__) == ["case2", "case4", "case5"]
+    assert art.STEP_BY_CASE == {2: "circ", 3: "plus", 4: "times", 5: "times"}
 
 
 PINNED_PARAMETERS = [
@@ -106,7 +106,7 @@ PINNED_PARAMETERS = [
     (activeset_qp.check_s_tuple, ["s", "qp", "where", "monitor"]),
     (activeset_qp.verify_certificate, ["cert", "qp_or_c_mat", "b"]),
     (art.art3_solve, ["x0", "system", "max_iters"]),
-    (art.extended_art_solve, ["x0", "system", "policy", "max_iters", "witness"]),
+    (art.extended_art_solve, ["x0", "system", "max_iters", "witness"]),
     (box_qp.solve_box_qp, ["p"]),
     (solvers._cyclic, ["x0", "x", "sets", "opts", "counts", "step"]),
 ]

@@ -217,6 +217,21 @@ class TestJsonSchema:
         with pytest.raises(ValueError):
             Hyperslab(np.zeros(2), 0.0, 1.0)
 
+    @pytest.mark.parametrize("c_mat, b, message", [
+        ([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], "columns of c_mat"),
+        ([[1.0, 1e-200], [0.0, 0.0]], [0.0, 0.0], "columns of c_mat"),  # its norm underflows, as in gi_solve
+        ([[1.0, -1.0], [0.0, 0.0]], [1.0, 0.0], "polyhedron is empty"),
+        ([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], [1.0, 1.0, -1.5], "polyhedron is empty"),
+    ])
+    def test_polyhedron_rejects_zero_normals_and_emptiness(self, c_mat, b, message):
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(np.array(c_mat), np.array(b))
+
+    def test_polyhedron_accepts_a_point(self):
+        # x >= 1 and -x >= -1 leave one point, which the projection returns
+        k = Polyhedron(np.array([[1.0, -1.0]]), np.array([1.0, -1.0]))
+        np.testing.assert_allclose(project_set(k, np.array([5.0])), [1.0])
+
 
 class TestConstruction:
     """A halfspace or hyperslab checks its normal with one dot.  It accepts

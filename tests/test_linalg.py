@@ -345,6 +345,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="two-dimensional"):
             as_matrix(np.ones(3))
 
+    @pytest.mark.parametrize("bad", [{}, {"x": 1.0}, [{}], object()])
+    def test_non_numeric_named(self, bad):
+        with pytest.raises(ValueError, match="^witness: float"):
+            as_vector(bad, "witness")
+
 
 class TestSolveUpper:
     """Above two unknowns ``solve_upper`` calls LAPACK directly, as
