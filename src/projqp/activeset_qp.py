@@ -10,19 +10,21 @@ active-normal matrix ``N`` whose i-th column is constraint column J(i).
 
 The building blocks are the inner step (add one violated constraint,
 possibly dropping active ones, so that the objective strictly increases or
-infeasibility is certified), its degenerate variant for the all-zero
-multiplier state, a primal refinement of the degenerate step direction,
-and two dimension reductions through the QR factors.
+infeasibility is certified), a primal refinement of its direction from the
+all-zero multiplier state, and two dimension reductions through the QR
+factors.  The inner step is the one step every outer solver takes: from
+zero multipliers (SIP's and the extended ART's restarts) its zero-length
+steps are the degenerate drops.
 
 At the active-set sizes of the outer solvers (one or two columns most of
 the time, up to about fifty on n = 50 hyperslab systems) numpy's per-call
 overhead dwarfs the arithmetic of the engine's scans.  The ratio test, the
-multiplier update and the degenerate step's drop scan therefore run on
-Python floats at every size.  They are elementwise IEEE operations
-(divides, products, sums and compares), so for finite operands they give
-the numpy expressions' results bit for bit.  The violation scan over at
-most ``SMALL_SIZE`` constraints runs on Python floats too; only the
-invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
+multiplier update and the drop scan ahead of the direction refinement
+therefore run on Python floats at every size.  They are elementwise IEEE
+operations (divides, products, sums and compares), so for finite operands
+they give the numpy expressions' results bit for bit.  The violation scan
+over at most ``SMALL_SIZE`` constraints runs on Python floats too; only
+the invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
 size-2 branches.  Every product that feeds the iterates goes through the
 same numpy call on every path, and a full step hands ``_qr_append`` the
 first orthogonalization pass (Q^T c_p and z) it has already formed.  The
@@ -37,7 +39,7 @@ bounds operands of norm below 1 absolutely and larger ones relatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, Union
 
 import numpy as np
@@ -62,8 +64,9 @@ SMALL_Q = 2
 # < -FEAS_TOL (1 + ||x||); the invariant checks pass an active residual up to
 # FEAS_TOL (1 + ||x||) and a KKT residual up to FEAS_TOL (1 + ||x*||)
 FEAS_TOL = 1e-9
-# multipliers in [-DUAL_TOL, 0) are round-off and clipped to 0; the degenerate
-# step takes |u_i| <= DUAL_TOL as zero, and the checks pass u_i >= -DUAL_TOL
+# multipliers in [-DUAL_TOL, 0) are round-off and clipped to 0; the refined
+# degenerate step takes |u_i| <= DUAL_TOL as zero, and the checks pass
+# u_i >= -DUAL_TOL
 DUAL_TOL = 1e-10
 # a Farkas certificate needs ||C lam|| <= CERT_TOL (1 + sum lam), lam^T b > CERT_TOL
 CERT_TOL = 1e-10
@@ -302,13 +305,6 @@ def _eye(q: int) -> np.ndarray:
     return e
 
 
-def _appended(vec: np.ndarray, tail: float) -> np.ndarray:
-    out = np.empty(vec.shape[0] + 1)
-    out[:-1] = vec
-    out[-1] = tail
-    return out
-
-
 def _invariant_residuals(s: STuple, qp: ConstraintView) -> tuple:
     """``(mismatched column positions, tightness, min multiplier, KKT
     residual, Q orthogonality, QR reconstruction)`` for ``s``.
@@ -447,19 +443,10 @@ def _require_violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> tuple[float
     return nrm, cx
 
 
-def _clip_dual(u: np.ndarray) -> np.ndarray:
-    # round-off can leave multipliers at -1e-17; exact zeros keep t1 ratios sane
-    if u.size == 0 or min(u.tolist()) >= 0.0:
-        return u
-    mask = (u < 0.0) & (u >= -DUAL_TOL)
-    u = u.copy()
-    u[mask] = 0.0
-    return u
-
-
 def _dual_update(u_plus: list[float], t: float, r: list[float]) -> list[float]:
     """Multipliers after a step of length t: ``u_plus + t * (-r, 1)``, with
-    those in [-DUAL_TOL, 0) set to 0 as ``_clip_dual`` does."""
+    those in [-DUAL_TOL, 0) set to 0: round-off can leave a multiplier at
+    -1e-17, and exact zeros keep the t1 ratios sane."""
     u = [u_i + t * -r_i for u_i, r_i in zip(u_plus, r)]
     u.append(u_plus[-1] + t)
     if min(u) < 0.0:
@@ -503,8 +490,14 @@ def inner_gi_step(
     Alternates partial steps (dropping the active constraint whose
     multiplier hits zero first) with a final full step that adds ``p``;
     when no step is possible in either space the accumulated coefficients
-    form an infeasibility certificate.  Multipliers at zero are handled by
-    zero-length partial steps, which is exactly the degenerate-drop rule.
+    form an infeasibility certificate.  A blocking multiplier at zero gives
+    a zero-length step, which only drops its column (event ``drop:j``).
+    From all-zero multipliers, the state SIP and the extended ART restart
+    from, the step therefore drops the lowest-position column whose span
+    coefficient is positive until none is, then takes one full step.  If
+    no step is possible there and the certificate fails ``verify_certificate``,
+    round-off blocked the step, so every active column drops (event
+    ``uncertified``) and the step goes onto ``p`` alone.
     """
     if p in s.j_set:
         raise PreconditionViolated(f"constraint {p} already active")
@@ -550,12 +543,18 @@ def inner_gi_step(
         if t1 == INF and t2 == INF:
             lam = np.append(np.maximum(-r, 0.0), 1.0)
             cert = InfeasibilityCertificate(tuple(j_work) + (p,), lam)
+            valid = verify_certificate(cert, qp)
+            if not valid and j_work and not any(u_plus):
+                # round-off, not the constraints, blocked the step; with every
+                # multiplier at zero the active columns drop for free, and the
+                # step onto c_p alone always exists
+                events.append("uncertified")
+                events += [f"drop:{j}" for j in j_work]
+                j_work, u_plus, qr = [], [0.0], _empty_qr(c_p.shape[0])
+                continue
             events.append("infeasible")
             mon = MONITOR if monitor is None else monitor
-            mon.record(
-                verify_certificate(cert, qp),
-                "inner_gi_step: invalid infeasibility certificate",
-            )
+            mon.record(valid, "inner_gi_step: invalid infeasibility certificate")
             return Infeasible(cert, tuple(events))
 
         if t2 <= t1:  # full step; ties resolve to the full step
@@ -571,13 +570,15 @@ def inner_gi_step(
             _check_v_increase(v0, v_value(x, qp.x_star), "inner_gi_step", monitor)
             return Advanced(s2, tuple(events))
 
-        # dual-only step when z = 0, otherwise partial step in both spaces
-        if z_zero:
-            events.append("dual")
-        else:
-            x = x + t1 * z
-            cx = float(c_p.dot(x))
-            events.append("partial")
+        # dual-only step when z = 0, otherwise partial step in both spaces;
+        # a blocking multiplier already at zero only drops its column
+        if t1 != 0.0:
+            if z_zero:
+                events.append("dual")
+            else:
+                x = x + t1 * z
+                cx = float(c_p.dot(x))
+                events.append("partial")
         u_plus = _dual_update(u_plus, t1, r_list)
         del u_plus[l]
         events.append(f"drop:{j_work[l]}")
@@ -595,7 +596,7 @@ def _refine_direction(
     qp: ConstraintView,
     pool: list[int],
     max_rounds: int,
-) -> tuple[list[int], QrFactors, np.ndarray, list[str]]:
+) -> tuple[list[int], QrFactors, list[str]]:
     events: list[str] = []
     n = c_p.shape[0]
     y = qr.mat @ r if r.size else np.zeros(n)
@@ -647,36 +648,31 @@ def _refine_direction(
             events.append("warn-positive-entering-coefficient")
         y = qr.mat @ r
         rounds += 1
-    return j_work, qr, r, events
+    return j_work, qr, events
 
 
 def degenerate_inner_gi_step(
     s: STuple,
     p: int,
     qp: ConstraintView,
-    aplus_rounds: int = 0,
-    monitor: InvariantMonitor | None = None,
+    aplus_rounds: int,
 ) -> StepOutcome:
-    """The inner step variant for all-zero multipliers.
+    """``inner_gi_step`` from all-zero multipliers, after ``aplus_rounds``
+    rounds of primal refinement of its direction.
 
     Drops active columns while the span coefficients of ``c_p`` have a
-    positive entry (lowest index first), refines the direction against the
-    dropped candidates for ``aplus_rounds`` rounds, then takes a single full
-    step onto the remaining tight system plus ``p``.  With |z| = 0 the
-    coefficients give an infeasibility certificate.  The refinement's
-    stopping criterion is not prescribed, so it is a round budget; each
-    round enters the lowest eligible index among the dropped candidates.
+    positive entry (lowest index first), as ``inner_gi_step`` would, then
+    refines the direction against the dropped candidates and hands the
+    reduced state, multipliers still zero, to ``inner_gi_step`` for the
+    full step or the infeasibility certificate.  The refinement's stopping
+    criterion is not prescribed, so it is a round budget; each round enters
+    the lowest eligible index among the dropped candidates.
     """
     if p in s.j_set:
         raise PreconditionViolated(f"constraint {p} already active")
     if max(map(abs, s.u.tolist()), default=0.0) > DUAL_TOL:
         raise PreconditionViolated("multipliers are not zero; use inner_gi_step")
     c_p = qp.column(p)
-    b_p = qp.rhs(p)
-    _, cx = _require_violated(c_p, b_p, s.x)
-
-    x = s.x
-    j0 = list(s.j_set)
     j_work = list(s.j_set)
     qr = s.qr
     events: list[str] = []
@@ -690,39 +686,12 @@ def degenerate_inner_gi_step(
         del j_work[l]
         qr = qr_delete_column(qr, l)
 
-    if aplus_rounds:
-        pool = [j for j in j0 if j not in j_work]
-        j_work, qr, r, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus_rounds)
-        events += ev
+    pool = [j for j in s.j_set if j not in j_work]
+    j_work, qr, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus_rounds)
+    events += ev
 
-    # also the first orthogonalization pass of the append below
-    first = _project_out(qr.q_mat, c_p)
-    z = first[1]
-    if _nrm(z) <= Z_TOL * (1.0 + _nrm(c_p)):
-        lam = np.append(np.maximum(-r, 0.0), 1.0)
-        cert = InfeasibilityCertificate(tuple(j_work) + (p,), lam)
-        events.append("infeasible")
-        mon = MONITOR if monitor is None else monitor
-        mon.record(
-            verify_certificate(cert, qp),
-            "degenerate_inner_gi_step: invalid infeasibility certificate",
-        )
-        return Infeasible(cert, tuple(events))
-
-    t2 = (b_p - cx) / float(z.dot(c_p))
-    x2 = x + t2 * z
-    u2 = _clip_dual(_appended(-t2 * r, t2))
-    try:
-        qr2 = _qr_append(qr, c_p, first)
-    except DependentColumn as exc:
-        raise NumericalError(f"dependent column on degenerate step: {exc}") from exc
-    s2 = STuple(x2, tuple(j_work) + (p,), u2, qr2)
-    events += ["full", f"add:{p}"]
-    check_s_tuple(s2, qp, "degenerate_inner_gi_step", monitor)
-    _check_v_increase(
-        v_value(x, qp.x_star), v_value(x2, qp.x_star), "degenerate_inner_gi_step", monitor
-    )
-    return Advanced(s2, tuple(events))
+    out = inner_gi_step(STuple(s.x, tuple(j_work), np.zeros(len(j_work)), qr), p, qp)
+    return replace(out, events=tuple(events) + out.events)
 
 
 def _pick_violated(resid: np.ndarray, thresh: float) -> int:

@@ -10,10 +10,10 @@ slide along them), and x_plus extrapolates that projection into the active
 slabs.  Each slab visit classifies where x_plus and x_times sit relative
 to the reflection bands and picks one of three updates: refine x_times in
 place (P_circ, an inner GI step from x_circ), restart from x_times
-(P_times, a degenerate step that keeps the active faces), or restart from
-x_plus (P_plus, a fresh degenerate step, the reflection-like move).
-Restart steps are the ones that advance the underlying Fejer-monotone
-subsequence.
+(P_times, the inner step from zero multipliers on the kept active faces),
+or restart from x_plus (P_plus, the inner step from an empty active set,
+the reflection-like move).  Restart steps are the ones that advance the
+underlying Fejer-monotone subsequence.
 
 Most visits of either sweep change nothing.  ``HyperslabSystem._screened``
 proves a row clean with one gemv and ``linalg._RowScreen``'s rounding
@@ -34,7 +34,6 @@ import numpy as np
 from .activeset_qp import (
     Infeasible,
     STuple,
-    degenerate_inner_gi_step,
     empty_s_tuple,
     inner_gi_step,
 )
@@ -404,12 +403,12 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
         s_val = float(system.a_mat[jj] @ point)
         return max(system.lower[jj] - s_val, s_val - system.upper[jj])
 
-    def face_step(step, s_from: STuple, face, anchor_pt: np.ndarray):
+    def face_step(s_from: STuple, face, anchor_pt: np.ndarray):
         """Store slab j's violated face and take the engine step onto it from
         ``anchor_pt``: the next s-tuple, or the engine's ``Infeasible``."""
         counts["inner_steps"] += 1
         store.x_star = anchor_pt
-        outcome = step(s_from, store.add(*face, source=j), store)
+        outcome = inner_gi_step(s_from, store.add(*face, source=j), store)
         return outcome if isinstance(outcome, Infeasible) else outcome.s_tuple
 
     # membership of x_plus is tested only when x_plus is a new array: every
@@ -455,7 +454,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
                 counts["p_circ"] += 1
                 consecutive_circ += 1
                 events.append(f"circ:{j}")
-                nxt = face_step(inner_gi_step, s, face, anchor)
+                nxt = face_step(s, face, anchor)
             elif choice == "times":
                 counts["p_times"] += 1
                 face = _violated_face(system, j, x_times)
@@ -465,7 +464,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
                     events.append(f"times-reanchor:{j}")
                 else:
                     events.append(f"times:{j}")
-                    nxt = face_step(degenerate_inner_gi_step, nxt, face, x_times)
+                    nxt = face_step(nxt, face, x_times)
                 if not isinstance(nxt, Infeasible):  # P_times restarts once its step succeeds
                     restart(x_times)
             else:  # P_plus restarts before its step, from the reflection-like point
@@ -479,7 +478,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
                     s = nxt = empty_s_tuple(x_plus)
                     if face is not None:
                         events.append(f"plus:{j}")
-                        nxt = face_step(degenerate_inner_gi_step, s, face, x_plus)
+                        nxt = face_step(s, face, x_plus)
             if isinstance(nxt, Infeasible):
                 outcome = nxt
                 break

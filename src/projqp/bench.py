@@ -313,19 +313,19 @@ def _random_degenerate_qp(rng, n_max=6):
 
 
 def suite_thm73(seed: int = 0, count: int = 100) -> SuiteResult:
-    """Equivalence of the refined degenerate step and degenerate-then-inner.
+    """Equivalence of the refined degenerate step and two inner steps.
 
     Sequence one: drop loop, exactly one refinement round over the dropped
     candidates (lowest eligible index), then the full step.  Sequence two:
-    the plain degenerate step followed by one inner step on the lowest
-    violated dropped index.  Iterates must agree to 1e-10.
+    the inner step from zero multipliers followed by one inner step on the
+    lowest violated dropped index.  Iterates must agree to 1e-10.
     """
     rng = np.random.default_rng(seed)
     failures = []
     for k in range(count):
         qp, s0, q0 = _random_degenerate_qp(rng)
         p = q0
-        plain = degenerate_inner_gi_step(s0, p, qp)
+        plain = inner_gi_step(s0, p, qp)
         if isinstance(plain, Infeasible):
             refined = degenerate_inner_gi_step(s0, p, qp, aplus_rounds=1)
             if not isinstance(refined, Infeasible):

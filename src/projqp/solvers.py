@@ -4,8 +4,9 @@
 each newly generated supporting halfspace to the dual active-set engine,
 keeping the active set (and its QR factors) warm across outer iterations.
 ``solve_sip`` looks the same but re-anchors at the current iterate every
-outer iteration (multipliers reset to zero), so each step slides along the
-kept active halfspaces via the degenerate inner step.  ``solve_map``,
+outer iteration (multipliers reset to zero), so each step drops the kept
+active halfspaces that block the new one and slides along the rest: the
+same inner step, started from zero multipliers.  ``solve_map``,
 ``solve_dykstra`` and ``solve_haugazeau`` are the projection baselines the
 benchmark compares against.
 
@@ -39,7 +40,6 @@ from .activeset_qp import (
     _trusted_problem,
     _violated,
     check_s_tuple,
-    degenerate_inner_gi_step,
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
@@ -668,11 +668,12 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
 def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Set intersection: find any point in the intersection.
 
-    Multipliers are reset each outer iteration, so steps are degenerate
-    inner steps from the current iterate; with ``max_store=0`` the method
-    coincides with alternating projections.  When exactly one set is a box
-    the specialized box solver handles each (box, halfspace) subproblem to
-    optimality.
+    Multipliers are reset each outer iteration, so each step is the inner
+    step from zero multipliers at the current iterate, which drops the kept
+    halfspaces when round-off blocks it; with ``max_store=0`` the method
+    coincides with alternating projections.
+    When exactly one set is a box the specialized box solver handles each
+    (box, halfspace) subproblem to optimality.
     """
     opts = options or SolverOptions()
     x0 = _start(x0, sets, opts)
@@ -697,7 +698,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
         events = [f"H+{idx}"]
         store.x_star = x.copy()
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
-        s, proof = _settle(s, degenerate_inner_gi_step(s_zero, idx, store), store, events, counts)
+        s, proof = _settle(s, inner_gi_step(s_zero, idx, store), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if opts.max_store is not None and store.m > opts.max_store:

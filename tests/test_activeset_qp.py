@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,28 +169,43 @@ class TestInnerGiStep:
                 v_prev = v_now
 
 
+def refined_step(s, p, qp):
+    return degenerate_inner_gi_step(s, p, qp, aplus_rounds=1)
+
+
+# SIP and the extended ART take inner_gi_step from zero multipliers; the
+# degenerate step takes the same path after its refinement, which in these
+# cases has no eligible column to enter
+ZERO_MULTIPLIER_STEPS = pytest.mark.parametrize(
+    "step", [refined_step, inner_gi_step], ids=["degenerate_inner_gi_step", "inner_gi_step"]
+)
+
+
 class TestDegenerateStep:
-    def test_single_halfspace_from_high_point(self):
+    @ZERO_MULTIPLIER_STEPS
+    def test_single_halfspace_from_high_point(self, step):
         root59 = math.sqrt(0.59)
         qp = QpProblem(np.array([0.0, 10.0]), np.array([[0.0], [-1.0]]), np.array([-root59]))
-        out = degenerate_inner_gi_step(empty_s_tuple(qp.x_star), 0, qp)
+        out = step(empty_s_tuple(qp.x_star), 0, qp)
         s = out.s_tuple
         np.testing.assert_allclose(s.x, [0.0, root59], atol=1e-14)
         np.testing.assert_allclose(s.u, [10.0 - root59], atol=1e-12)
 
-    def test_conflicting_corner_is_infeasible(self):
+    @ZERO_MULTIPLIER_STEPS
+    def test_conflicting_corner_is_infeasible(self, step):
         # at the corner of x1 >= 0, x2 >= 0, adding c_p = -(1,1)/sqrt(2) with
         # b > 0 makes the system empty; the coefficients r <= 0 and z = 0
         # certify it (the enumeration oracle agrees)
         c_p = -np.array([1.0, 1.0]) / R2
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), c_p]), np.array([0.0, 0.0, 0.3]))
         s = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        out = degenerate_inner_gi_step(s, 2, qp)
+        out = step(s, 2, qp)
         assert isinstance(out, Infeasible)
         assert verify_certificate(out.certificate, qp.c_mat, qp.b)
         assert not project_polyhedron_enum(qp.x_star, qp.c_mat, qp.b).feasible
 
-    def test_drop_then_slide(self):
+    @ZERO_MULTIPLIER_STEPS
+    def test_drop_then_slide(self, step):
         # active x1 >= 0 at the origin; the diagonal constraint forces the
         # drop (r > 0) and a slide along c_p to (0.5, 0.5)
         c_p = np.array([1.0, 1.0]) / R2
@@ -197,11 +213,12 @@ class TestDegenerateStep:
             np.zeros(2), np.column_stack([np.array([1.0, 0.0]), c_p]), np.array([0.0, 1.0 / R2])
         )
         s = tight_s_tuple([0.0, 0.0], (0,), [0.0], qp)
-        out = degenerate_inner_gi_step(s, 1, qp)
+        out = step(s, 1, qp)
         s2 = out.s_tuple
         np.testing.assert_allclose(s2.x, [0.5, 0.5], atol=1e-14)
         assert s2.j_set == (1,)
-        assert any(ev.startswith("drop:0") for ev in out.events)
+        # the drop is a zero-length step: no partial or dual token
+        assert out.events == ("drop:0", "full", "add:1")
         # the result is the projection onto the kept system (here it also
         # happens to solve the full one); the oracle on the kept subsystem
         # confirms the partial-solution contract
@@ -212,7 +229,58 @@ class TestDegenerateStep:
         qp = QpProblem(np.zeros(2), np.eye(2), np.array([0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0], (0,), [0.5], qp)
         with pytest.raises(PreconditionViolated):
-            degenerate_inner_gi_step(s, 1, qp)
+            degenerate_inner_gi_step(s, 1, qp, aplus_rounds=1)
+
+    @ZERO_MULTIPLIER_STEPS
+    def test_near_dependent_cut_keeps_multipliers(self, step, monkeypatch):
+        # c_p lies within 1e-10..1e-8 (relative) of the cone of the negated
+        # active normals, so z^T c_p is round-off and its sign can flip: a
+        # step must not divide by it, and where round-off blocks it the
+        # zero multipliers let it drop the active columns instead of
+        # returning a certificate that does not check out.  The KKT and
+        # active residuals that such far steps leave are the tolerance
+        # model's scale question, so a private monitor takes them
+        monkeypatch.setattr(activeset_qp, "MONITOR", InvariantMonitor())
+        rng = np.random.default_rng(1)
+        outcomes = {"advanced": 0, "uncertified": 0, "infeasible": 0}
+        for _ in range(200):
+            n = int(rng.integers(3, 11))
+            q = int(rng.integers(1, n))
+            n_mat = rng.normal(size=(n, q))
+            n_mat /= np.linalg.norm(n_mat, axis=0)
+            y = n_mat @ -rng.uniform(0.1, 1.0, q)
+            perp = rng.normal(size=n)
+            perp -= n_mat @ np.linalg.lstsq(n_mat, perp, rcond=None)[0]
+            perp /= np.linalg.norm(perp)
+            c_p = y + 10.0 ** rng.uniform(-10.0, -8.0) * np.linalg.norm(y) * perp
+            x = rng.normal(size=n)
+            b = np.append(n_mat.T @ x, float(c_p @ x) + float(rng.uniform(0.1, 1.0)))
+            qp = QpProblem(x, np.column_stack([n_mat, c_p]), b)
+            out = step(STuple(x.copy(), tuple(range(q)), np.zeros(q), qr_factorize(n_mat)), q, qp)
+            if isinstance(out, Infeasible):
+                outcomes["infeasible"] += 1
+                assert verify_certificate(out.certificate, qp)
+            else:
+                outcomes["uncertified" if "uncertified" in out.events else "advanced"] += 1
+                assert min(out.s_tuple.u.tolist()) >= -DUAL_TOL
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_uncertified_block_needs_zero_multipliers(self):
+        # x sits 2e-3 off its active face x1 >= 0, as round-off leaves it far
+        # out, so the opposite cut x1 <= 1e-3 is violated and dependent: no
+        # step exists, and lam = (1, 1) fails the check since lam^T b < 0.
+        # Zero multipliers drop the face for free; a positive one cannot
+        x = np.array([2e-3, 5.0])
+        qp = QpProblem(x, np.column_stack([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1e-3]))
+        monitor = InvariantMonitor()
+        s = STuple(x.copy(), (0,), np.zeros(1), qr_factorize(qp.c_mat[:, :1]))
+        zero = inner_gi_step(s, 1, qp, monitor)
+        assert zero.events == ("uncertified", "drop:0", "full", "add:1")
+        np.testing.assert_allclose(zero.s_tuple.x, [1e-3, 5.0], atol=1e-15)
+        assert zero.s_tuple.j_set == (1,) and monitor.violations == 0
+        warm = inner_gi_step(replace(s, u=np.ones(1)), 1, qp, monitor)
+        assert isinstance(warm, Infeasible) and not verify_certificate(warm.certificate, qp)
+        assert monitor.violations == 1
 
 
 class TestDirectionRefinement:
@@ -254,7 +322,7 @@ class TestDirectionRefinement:
         c_p = np.array([0.0, 1.0, 0.0])
         qp = QpProblem(np.zeros(3), np.column_stack([cols, c_p]), np.array([0.0, 0.0, 0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0, 0.0], (0, 1, 2), [0.0, 0.0, 0.0], qp)
-        plain = degenerate_inner_gi_step(s, 3, qp)
+        plain = inner_gi_step(s, 3, qp)
         assert "enter:1" not in plain.events
         out = degenerate_inner_gi_step(s, 3, qp, aplus_rounds=3)
         assert out.events == ("drop:1", "drop:2", "enter:1", "full", "add:3")

@@ -102,7 +102,7 @@ def test_option_fields_are_pinned():
 PINNED_PARAMETERS = [
     (activeset_qp.gi_solve, ["qp"]),
     (activeset_qp.inner_gi_step, ["s", "p", "qp", "monitor"]),
-    (activeset_qp.degenerate_inner_gi_step, ["s", "p", "qp", "aplus_rounds", "monitor"]),
+    (activeset_qp.degenerate_inner_gi_step, ["s", "p", "qp", "aplus_rounds"]),
     (activeset_qp.check_s_tuple, ["s", "qp", "where", "monitor"]),
     (activeset_qp.verify_certificate, ["cert", "qp_or_c_mat", "b"]),
     (art.art3_solve, ["x0", "system", "max_iters"]),

@@ -27,7 +27,7 @@ from projqp.convex_sets import (
     problem_from_dict,
     project_set,
 )
-from projqp import linalg, solvers
+from projqp import activeset_qp, linalg, solvers
 from projqp.linalg import _RowScreen, qr_factorize
 from projqp.solvers import (
     DegenerateAggregate,
@@ -183,6 +183,22 @@ class TestSip:
         assert rep.status == "infeasible"
         c_mat, b_vec = rep.cert_system
         assert verify_certificate(rep.certificate, c_mat, b_vec)
+
+    def test_far_start_drops_an_uncertified_block(self, monkeypatch):
+        # from 1e24 (-1, 2) the second cut is nearly opposite the first, and
+        # round-off blocks its step with a certificate that fails the check;
+        # the zero multipliers drop the first cut and SIP reaches the lens.
+        # The active residual of 3e8 on the way is the tolerance model's
+        # scale question, so a private monitor takes it
+        monkeypatch.setattr(activeset_qp, "MONITOR", InvariantMonitor())
+        sets = two_circles_sets()
+        opts = SolverOptions(max_outer_iters=300)
+        rep = solve_sip(np.array([-1.0, 2.0]) * 1e24, sets, opts)
+        assert rep.status == "solved"
+        assert "uncertified" in rep.rows[2].events
+        tol = opts.feas_tol * (1.0 + float(np.linalg.norm(rep.x)))
+        for k in sets:
+            assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= tol
 
 
 class TestMap:
