@@ -48,6 +48,7 @@ from .linalg import (
     SMALL_SIZE,
     DependentColumn,
     QrFactors,
+    RankDeficient,
     _project_out,
     _qr_append,
     as_matrix,
@@ -777,12 +778,14 @@ def project_polyhedron_reduced(x, c_mat, b) -> np.ndarray:
 
     With C = QR (full column rank d), solving the d-dimensional problem
     z = P_{R^T z >= b}(Q^T x) gives the projection as Qz + (I - QQ^T)x.
-    Falls back to the direct solve when C is rank deficient.
+    Falls back to the direct solve when C is rank deficient or wider than
+    tall, which ``qr_factorize`` rejects with ``RankDeficient`` or
+    ``ValueError``.
     """
     x = as_vector(x, "x")
     try:
         f = qr_factorize(c_mat)
-    except Exception:
+    except (RankDeficient, ValueError):
         res = gi_solve(QpProblem(x, c_mat, b))
         if isinstance(res, Infeasible):
             raise ValueError("polyhedron is empty") from None

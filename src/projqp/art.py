@@ -7,8 +7,9 @@ the sweep terminates finitely.  ``extended_art_solve`` keeps the triple
 (x_circ, x_times, x_plus): x_times is the projection of x_circ onto the
 collected active slab faces (maintained as an s-tuple so the QP engine can
 slide along them), and x_plus extrapolates that projection into the active
-slabs.  Each slab visit classifies where x_plus and x_times sit relative
-to the reflection bands and picks one of three updates: refine x_times in
+slabs.  Each slab visit reads a_j^T x_plus and a_j^T x_times once, and
+the case rule ``_case`` places them relative to the slab and its
+reflection bands; the case picks one of three updates: refine x_times in
 place (P_circ, an inner GI step from x_circ), restart from x_times
 (P_times, the inner step from zero multipliers on the kept active faces),
 or restart from x_plus (P_plus, the inner step from an empty active set,
@@ -18,7 +19,7 @@ underlying Fejer-monotone subsequence.
 Most visits of either sweep change nothing.  ``HyperslabSystem._screened``
 proves a row clean with one gemv and ``linalg._RowScreen``'s rounding
 slack.  A row it clears satisfies L_j <= float(a_j @ x) <= U_j, the exact
-per-row test that ``art3_update`` and ``classify_case`` make.  Both sweeps
+per-row test that ``art3_update`` and ``_case`` make.  Both sweeps
 count a cleared row as a clean (case 1) visit without calling them, and
 give every other row the exact test, so outputs are bit-identical to
 visiting every row.
@@ -287,10 +288,9 @@ def extrapolate_plus(x_circ, x_times, system: HyperslabSystem, active) -> np.nda
     return x_times + tbar * w
 
 
-def classify_case(x_times, x_plus, a_j, lower: float, upper: float) -> int:
-    """The five mutually exclusive positions of (x_plus, x_times) for a row."""
-    vp = float(np.asarray(a_j, dtype=float) @ np.asarray(x_plus, dtype=float))
-    vt = float(np.asarray(a_j, dtype=float) @ np.asarray(x_times, dtype=float))
+def _case(vp: float, vt: float, lower: float, upper: float) -> int:
+    """The five mutually exclusive positions of a_j^T x_plus = vp and
+    a_j^T x_times = vt against the slab [lower, upper] and its bands."""
     if lower <= vp <= upper:
         return 1
     lo_t, up_t = tilde_bounds(lower, upper)
@@ -301,16 +301,10 @@ def classify_case(x_times, x_plus, a_j, lower: float, upper: float) -> int:
     return 5 if times_in else 4
 
 
-def _violated_face(system: HyperslabSystem, j: int, x: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Unit-normal face halfspace of slab j violated at x, if any."""
-    a = system.a_mat[j]
-    na = float(np.linalg.norm(a))
-    s = float(a @ x)
-    if s < system.lower[j]:
-        return a / na, system.lower[j] / na
-    if s > system.upper[j]:
-        return -a / na, -system.upper[j] / na
-    return None
+def classify_case(x_times, x_plus, a_j, lower: float, upper: float) -> int:
+    """``_case`` at the points x_times and x_plus for the row a_j."""
+    a, xp, xt = (np.asarray(v, dtype=float) for v in (a_j, x_plus, x_times))
+    return _case(float(a @ xp), float(a @ xt), lower, upper)
 
 
 def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = TIGHT_TOL) -> tuple[int, ...]:
@@ -321,16 +315,14 @@ def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = TIGHT_TOL)
     return tuple(tight.nonzero()[0].tolist())
 
 
-def _inset_projection(system: HyperslabSystem, j: int, x: np.ndarray) -> np.ndarray:
-    """Projection of x onto slab j inset by eta = 10 NUDGE_TOL (1 + |a_j^T x|).
+def _inset_projection(x: np.ndarray, a: np.ndarray, s_val: float, lo: float, up: float) -> np.ndarray:
+    """Projection of x onto the slab lo <= a^T x <= up inset by
+    eta = 10 NUDGE_TOL (1 + |s_val|), where s_val = a^T x.
 
     A round-off violation needs an x-move large enough to register in the
     dot product, and any interior point with a larger margin stays closer
     afterwards.  A slab narrower than 2 eta maps x to its midplane.
     """
-    a = system.a_mat[j]
-    s_val = float(a @ x)
-    lo, up = system.lower[j], system.upper[j]
     eta = NUDGE_TOL * 10.0 * (1.0 + abs(s_val))
     if math.isfinite(lo) and math.isfinite(up) and up - lo < 2.0 * eta:
         target = 0.5 * (lo + up)
@@ -357,9 +349,14 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
     subsequence and, given a ``witness`` inside S, its worst
     Fejer-monotonicity violation.
 
-    The membership test of each new x_plus also returns the screen's mask.
-    A row the mask clears is case 1 without a ``classify_case`` call, so
-    the case-1 visits between updates cost no extra matrix product.
+    A visit reads slab j once: vp = a_j^T x_plus and vt = a_j^T x_times
+    give the case (``_case``), the round-off and P_circ fallbacks and the
+    violated face, and the row norm scales that face.  Each step then picks
+    its start s-tuple, its engine anchor and its feed, and one
+    ``inner_gi_step`` call serves P_circ, P_times and P_plus.  The membership
+    test of each new x_plus also returns the screen's mask; a row the mask
+    clears is case 1 without a read, so the case-1 visits between updates
+    cost no extra matrix product.
     """
     _check_max_iters(max_iters)
     x0 = as_start(x0, system.n)
@@ -396,21 +393,6 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
             fejer_max_increase = max(fejer_max_increase, d - wit_dist)
         wit_dist = d
 
-    def rebuild_plus() -> np.ndarray:
-        return extrapolate_plus(x_circ, x_times, system, _tight_slabs(system, x_times))
-
-    def raw_violation(point: np.ndarray, jj: int) -> float:
-        s_val = float(system.a_mat[jj] @ point)
-        return max(system.lower[jj] - s_val, s_val - system.upper[jj])
-
-    def face_step(s_from: STuple, face, anchor_pt: np.ndarray):
-        """Store slab j's violated face and take the engine step onto it from
-        ``anchor_pt``: the next s-tuple, or the engine's ``Infeasible``."""
-        counts["inner_steps"] += 1
-        store.x_star = anchor_pt
-        outcome = inner_gi_step(s_from, store.add(*face, source=j), store)
-        return outcome if isinstance(outcome, Infeasible) else outcome.s_tuple
-
     # membership of x_plus is tested only when x_plus is a new array: every
     # update rebinds it, and the case-1 visits in between leave it alone
     tested = None
@@ -424,67 +406,67 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
             if in_s:
                 status = "solved"
                 break
-        if cleared[j]:
-            case = 1
-        else:
-            case = classify_case(x_times, x_plus, system.a_mat[j], system.lower[j], system.upper[j])
+        case = 1
+        if not cleared[j]:
+            a_j, lo, up = system.a_mat[j], system.lower[j], system.upper[j]
+            vp, vt = float(a_j @ x_plus), float(a_j @ x_times)
+            case = _case(vp, vt, lo, up)
         events: list[str] = []
         if case != 1:
             choice = STEP_BY_CASE[case]
             # violations at round-off scale defeat the QP step's violated
             # precondition; fall back to the plain slab projection, whose
             # extrapolation is exactly the classical reflection
-            feed = x_plus if choice == "plus" else x_times
-            if case != 5 and raw_violation(feed, j) <= NUDGE_TOL * (1.0 + abs(float(system.a_mat[j] @ feed))):
-                choice = "plus" if raw_violation(x_plus, j) > NUDGE_TOL else "nudge"
-            if choice == "circ":
-                # P_circ needs x_times outside the slab; reflect instead when
-                # x_times is nearly inside it, or when the slide refinement
-                # has run too long
-                face = _violated_face(system, j, x_times)
-                width = system.upper[j] - system.lower[j]
-                resid = raw_violation(x_times, j) / float(np.linalg.norm(system.a_mat[j]))
-                if (face is None or (math.isfinite(width) and resid < CASE2_CLOSE_FRAC * width)
-                        or consecutive_circ >= CIRC_CAP_FACTOR * (s.q + 1)):
-                    choice = "plus"
+            v = vp if choice == "plus" else vt  # a_j^T of the engine's feed
+            if case != 5 and max(lo - v, v - up) <= NUDGE_TOL * (1.0 + abs(v)):
+                choice = "plus" if max(lo - vp, vp - up) > NUDGE_TOL else "nudge"
+            na = float(np.linalg.norm(a_j))
+            # P_circ needs x_times outside the slab; reflect instead when
+            # x_times is nearly inside it, or when the slide refinement has
+            # run too long
+            width = up - lo
+            if choice == "circ" and (not (vt < lo or vt > up)
+                                     or math.isfinite(width) and max(lo - vt, vt - up) / na < CASE2_CLOSE_FRAC * width
+                                     or consecutive_circ >= CIRC_CAP_FACTOR * (s.q + 1)):
+                choice = "plus"
             if choice == "times" and case in (2, 3):
                 forbidden_times += 1
 
+            # each step picks its start s-tuple, its engine anchor and its
+            # feed v, whose violated face of slab j the engine enters
             if choice == "circ":
                 counts["p_circ"] += 1
                 consecutive_circ += 1
-                events.append(f"circ:{j}")
-                nxt = face_step(s, face, anchor)
+                start, anchor_pt, v = s, anchor, vt
             elif choice == "times":
                 counts["p_times"] += 1
-                face = _violated_face(system, j, x_times)
-                nxt = STuple(s.x, s.j_set, np.zeros(s.q), s.qr)
-                if face is None:  # case 5: the slab holds at x_times; re-anchor the triple
-                    counts["reanchor"] += 1
-                    events.append(f"times-reanchor:{j}")
-                else:
-                    events.append(f"times:{j}")
-                    nxt = face_step(nxt, face, x_times)
-                if not isinstance(nxt, Infeasible):  # P_times restarts once its step succeeds
-                    restart(x_times)
-            else:  # P_plus restarts before its step, from the reflection-like point
+                start, anchor_pt, v = STuple(s.x, s.j_set, np.zeros(s.q), s.qr), x_times, vt
+            else:  # P_plus restarts, and resets s, before its step from the reflection-like point
                 counts["p_plus"] += 1
                 restart(x_plus)
-                if choice == "nudge":
-                    nxt = empty_s_tuple(_inset_projection(system, j, x_plus))
-                    events.append(f"plus-nudge:{j}")
-                else:
-                    face = _violated_face(system, j, x_plus)
-                    s = nxt = empty_s_tuple(x_plus)
-                    if face is not None:
-                        events.append(f"plus:{j}")
-                        nxt = face_step(s, face, x_plus)
-            if isinstance(nxt, Infeasible):
-                outcome = nxt
-                break
-            s = nxt
+                nudged = _inset_projection(x_plus, a_j, vp, lo, up) if choice == "nudge" else x_plus
+                s = start = empty_s_tuple(nudged)
+                anchor_pt, v = x_plus, vp
+            if choice == "nudge":
+                events.append(f"plus-nudge:{j}")
+            elif v < lo or v > up:
+                events.append(f"{choice}:{j}")
+                counts["inner_steps"] += 1
+                store.x_star = anchor_pt
+                face = (a_j / na, lo / na) if v < lo else (-a_j / na, -up / na)
+                step = inner_gi_step(start, store.add(*face, source=j), store)
+                if isinstance(step, Infeasible):
+                    outcome = step
+                    break
+                start = step.s_tuple
+            elif choice == "times":  # case 5: the slab holds at x_times; re-anchor the triple
+                counts["reanchor"] += 1
+                events.append(f"times-reanchor:{j}")
+            if choice == "times":  # P_times restarts once its step succeeds
+                restart(x_times)
+            s = start
             x_times = s.x
-            x_plus = rebuild_plus()
+            x_plus = extrapolate_plus(x_circ, x_times, system, _tight_slabs(system, x_times))
         i += 1
         counts["iterations"] = i
         j = (j + 1) % system.m

@@ -60,21 +60,16 @@ class BoxQpResult:
     """Pairs (x_tilde_j, y_j); y_0 pairs with x_tilde_1 and so on."""
 
 
-def _tight_upper(x, upper, c_sign):
+def _tight(x, bound, pushing, upper: bool) -> np.ndarray:
+    """Mask of the coordinates where ``pushing`` holds and x sits at its
+    finite upper (or lower) ``bound`` within FEAS_TOL.  Infinite bounds are
+    never tight."""
     out = np.zeros(x.shape, dtype=bool)
-    finite = np.isfinite(upper)  # infinite bounds are never tight
+    finite = np.isfinite(bound)
     if np.any(finite):
-        uf = upper[finite]
-        out[finite] = (c_sign[finite] > 0.0) & (x[finite] >= uf - FEAS_TOL * (1.0 + np.abs(uf)))
-    return out
-
-
-def _tight_lower(x, lower, c_sign):
-    out = np.zeros(x.shape, dtype=bool)
-    finite = np.isfinite(lower)
-    if np.any(finite):
-        lf = lower[finite]
-        out[finite] = (c_sign[finite] < 0.0) & (x[finite] <= lf + FEAS_TOL * (1.0 + np.abs(lf)))
+        bf = bound[finite]
+        slack = FEAS_TOL * (1.0 + np.abs(bf))
+        out[finite] = pushing[finite] & (x[finite] >= bf - slack if upper else x[finite] <= bf + slack)
     return out
 
 
@@ -86,8 +81,7 @@ def box_step_direction(x_tilde, c_p, lower, upper) -> np.ndarray:
     lo = np.asarray(lower, dtype=float)
     up = np.asarray(upper, dtype=float)
     d = c.copy()
-    d[_tight_upper(x, up, c)] = 0.0
-    d[_tight_lower(x, lo, c)] = 0.0
+    d[_tight(x, up, c > 0.0, True) | _tight(x, lo, c < 0.0, False)] = 0.0
     return d
 
 
@@ -120,22 +114,11 @@ def box_infeasibility_system(p: BoxQp, x_tilde) -> tuple[np.ndarray, np.ndarray,
     faces, -e_i for upper) and c_p, with lam >= 0, C lam = 0 and
     lam^T b > 0 whenever c_p^T x_tilde < b_hat.
     """
-    x = np.asarray(x_tilde, dtype=float)
-    n = x.shape[0]
-    cols = []
-    rhs = []
-    lam = []
-    for i in range(n):
-        ci = p.c_p[i]
-        if ci > 0.0:
-            cols.append(-np.eye(n)[:, i])
-            rhs.append(-p.upper[i])
-            lam.append(ci)
-        elif ci < 0.0:
-            cols.append(np.eye(n)[:, i])
-            rhs.append(p.lower[i])
-            lam.append(-ci)
-    cols.append(p.c_p.copy())
-    rhs.append(p.b_hat)
-    lam.append(1.0)
-    return np.column_stack(cols), np.asarray(rhs), np.asarray(lam)
+    n = np.asarray(x_tilde).shape[0]
+    c = p.c_p
+    pushes_up = c > 0.0
+    faces = np.flatnonzero(pushes_up | (c < 0.0))
+    at_upper = pushes_up[faces]
+    cols = np.eye(n)[:, faces] * np.where(at_upper, -1.0, 1.0)
+    rhs = np.where(at_upper, -p.upper[faces], p.lower[faces])
+    return np.column_stack([cols, c]), np.append(rhs, p.b_hat), np.append(np.abs(c[faces]), 1.0)

@@ -121,8 +121,7 @@ def _cmd_solve(args) -> int:
             report = extended_art_solve(x0, system, max_iters=cap, witness=witness)
     else:
         if isinstance(loaded, HyperslabSystem):
-            print("set-based methods need a JSON problem file", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("set-based methods need a JSON problem file")
         opts = SolverOptions(
             feas_tol=args.tol,
             max_outer_iters=max_iter if max_iter is not None else 1000,

@@ -179,7 +179,6 @@ class SolverOptions:
     max_store: int | None = None
     reference: np.ndarray | None = None
     record_iterates: bool = False
-    use_box_fast_path: bool = True
 
     def __post_init__(self):
         _check_fields(self, (
@@ -190,7 +189,6 @@ class SolverOptions:
             ("reference", self.reference is None or _is_vector(self.reference),
              "None or a finite vector"),
             ("record_iterates", isinstance(self.record_iterates, bool), "a bool"),
-            ("use_box_fast_path", isinstance(self.use_box_fast_path, bool), "a bool"),
         ))
 
 
@@ -678,7 +676,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     opts = options or SolverOptions()
     x0 = _start(x0, sets, opts)
     boxes = [k for k in sets if isinstance(k, Box)]
-    if opts.use_box_fast_path and len(boxes) == 1 and len(sets) >= 2:
+    if len(boxes) == 1 and len(sets) >= 2:
         return _solve_sip_one_box(x0, sets, boxes[0], opts)
     store = HalfspaceStore()
     s = _empty_s_tuple(x0)

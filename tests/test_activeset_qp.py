@@ -40,7 +40,7 @@ from projqp.activeset_qp import (
     v_value,
     verify_certificate,
 )
-from projqp.linalg import SMALL_SIZE, QrFactors, qr_factorize
+from projqp.linalg import SMALL_SIZE, QrFactors, RankDeficient, qr_factorize
 from projqp.oracles import cone_project_enum, project_polyhedron_enum
 
 R2 = math.sqrt(2.0)
@@ -479,6 +479,20 @@ class TestReductions:
         c = np.array([[1.0], [0.0]])
         x = np.array([2.0, 5.0])
         np.testing.assert_allclose(project_polyhedron_reduced(x, c, np.array([1.0])), x, atol=1e-12)
+
+    def test_rank_deficient_falls_back_to_the_direct_solve(self):
+        c = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])  # two equal columns
+        with pytest.raises(RankDeficient):
+            qr_factorize(c)
+        out = project_polyhedron_reduced(np.array([-2.0, 1.0, 0.0]), c, np.array([5.0, 5.0]))
+        np.testing.assert_allclose(out, [5.0, 1.0, 0.0], atol=1e-12)
+
+    def test_wide_c_falls_back_to_the_direct_solve(self):
+        c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])  # 2 x 3: more faces than dimensions
+        with pytest.raises(ValueError, match="tall"):
+            qr_factorize(c)
+        out = project_polyhedron_reduced(np.array([-1.0, 0.0]), c, np.array([1.0, 0.0, 1.0]))
+        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
 
 class TestConeProjectReduced:

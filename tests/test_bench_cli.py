@@ -276,6 +276,12 @@ class TestCli:
         assert cli.main(["solve", "--problem", str(path), "--method", "map"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"projqp: error: {message}"]
 
+    def test_solve_set_method_on_text_system_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0\n")
+        assert cli.main(["solve", "--problem", str(path), "--method", "map"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["projqp: error: set-based methods need a JSON problem file"]
+
     @pytest.mark.parametrize("method", ["art3", "ext-art"])
     def test_solve_art_prints_iterations(self, tmp_path, capsys, method):
         problem = tmp_path / "slabs.json"

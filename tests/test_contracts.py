@@ -94,7 +94,7 @@ def test_two_circles_caps_cover_the_registry():
 
 def test_option_fields_are_pinned():
     assert list(SolverOptions.__dataclass_fields__) == [
-        "feas_tol", "max_outer_iters", "max_store", "reference", "record_iterates", "use_box_fast_path",
+        "feas_tol", "max_outer_iters", "max_store", "reference", "record_iterates",
     ]
     assert art.STEP_BY_CASE == {2: "circ", 3: "plus", 4: "times", 5: "times"}
 

@@ -23,6 +23,7 @@ from projqp.convex_sets import (
     Box,
     Halfspace,
     Hyperslab,
+    Polyhedron,
     _linear_project,
     problem_from_dict,
     project_set,
@@ -173,9 +174,12 @@ class TestSip:
         assert "box_solves" in rep.counts and rep.counts["box_solves"] >= 1
         for k in sets:
             assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= 1e-9
-        generic = solve_sip(x0, sets, SolverOptions(feas_tol=1e-10, max_outer_iters=400,
-                                                    use_box_fast_path=False))
+        # the same box as the polyhedron of its 2n faces takes SIP's general path
+        box, n = sets[0], 3
+        faces = Polyhedron(np.hstack([np.eye(n), -np.eye(n)]), np.concatenate([box.lower, -box.upper]))
+        generic = solve_sip(x0, [faces, *sets[1:]], SolverOptions(feas_tol=1e-10, max_outer_iters=400))
         assert generic.status == "solved"
+        assert "box_solves" not in generic.counts
 
     def test_box_fast_path_infeasible(self):
         sets = [Box(np.zeros(2), np.ones(2)), Ball(np.array([5.0, 0.0]), 1.0)]
@@ -810,7 +814,6 @@ class TestOptionValidation:
         "max_store": [-1, 2.5, "4"],
         "reference": [np.array([0.0, math.nan]), np.zeros((2, 2)), "origin"],
         "record_iterates": ["yes", 1, None],
-        "use_box_fast_path": ["no", 0, None],
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))
@@ -824,7 +827,7 @@ class TestOptionValidation:
 
     def test_documented_values_accepted(self):
         SolverOptions(feas_tol=0.0, max_outer_iters=1, max_store=0, reference=[0.0, 1.0],
-                      record_iterates=True, use_box_fast_path=False)
+                      record_iterates=True)
         SolverOptions(max_outer_iters=np.int64(5), max_store=np.int64(2))
 
 
