@@ -114,19 +114,16 @@ class NumericalError(RuntimeError):
 class InvariantMonitor:
     """Counts s-tuple/step invariant checks and violations.
 
-    Enabled by default; the acceptance suite asserts ``violations == 0``
-    after running every solver path.  ``fail`` keeps message construction
-    off the hot path.
+    Every step and solve records to it; the acceptance suite asserts
+    ``violations == 0`` after running every solver path.  ``fail`` keeps
+    message construction off the hot path.
     """
 
     checks: int = 0
     violations: int = 0
     messages: list[str] = field(default_factory=list)
-    enabled: bool = True
 
     def record(self, ok: bool, message: str) -> None:
-        if not self.enabled:
-            return
         self.checks += 1
         if not ok:
             self.fail(message)
@@ -372,8 +369,6 @@ def check_s_tuple(
     brute-force cross-check lives in the test suite.
     """
     mon = MONITOR if monitor is None else monitor
-    if not mon.enabled:
-        return True
     ok = True
     bad, tight, u_min, kkt, orth, recon = _invariant_residuals(s, qp)
     for i in bad:
@@ -410,8 +405,6 @@ def _check_v_increase(
     monitor: InvariantMonitor | None = None,
 ) -> None:
     mon = MONITOR if monitor is None else monitor
-    if not mon.enabled:
-        return
     mon.checks += 1
     if not v_after > v_before - STEP_TOL * (1.0 + abs(v_before)):
         mon.fail(f"{where}: v did not increase ({v_before:.6e} -> {v_after:.6e})")
@@ -596,26 +589,18 @@ def _refine_direction(
     c_p: np.ndarray,
     qp: ConstraintView,
     pool: list[int],
-    max_rounds: int,
 ) -> tuple[list[int], QrFactors, list[str]]:
+    """One round of the refinement: enter the lowest dropped candidate
+    whose column gains against d = c_p - y, y the span part of c_p,
+    dropping the working columns that block it; a dependent candidate is
+    skipped for the next.  No eligible candidate leaves the state as it is."""
     events: list[str] = []
-    n = c_p.shape[0]
-    y = qr.mat @ r if r.size else np.zeros(n)
+    d = c_p - qr.mat @ r if r.size else c_p
     enter_tol = ENTER_TOL * (1.0 + float(np.linalg.norm(c_p)))
-    pool_left = list(pool)
-    rounds = 0
-
-    while rounds < max_rounds:
-        gains = [(j, float(-(qp.column(j) @ (c_p - y)))) for j in pool_left]
-        eligible = [(j, g) for j, g in gains if g > enter_tol]
-        if not eligible:
-            break  # y is the cone projection over the full candidate set
-        j_in = min(j for j, _ in eligible)
-        c_in = qp.column(j_in)
+    for j_in in sorted(j for j in pool if float(-(qp.column(j) @ d)) > enter_tol):
         try:
-            qr_plus = _qr_append(qr, c_in)
+            qr_plus = _qr_append(qr, qp.column(j_in))
         except DependentColumn:
-            pool_left.remove(j_in)
             events.append(f"skip-dependent:{j_in}")
             continue
         r_ext = np.append(r, 0.0)
@@ -631,9 +616,7 @@ def _refine_direction(
             k = int(np.argmin(t3_vals))
             t3, l = float(t3_vals[k]), int(pos[k])
             r_ext = r_ext + t3 * r_plus
-            removed = j_work.pop(l)
-            pool_left.append(removed)  # dropped columns rejoin the candidates
-            events.append(f"drop:{removed}")
+            events.append(f"drop:{j_work.pop(l)}")
             qr = qr_delete_column(qr, l)
             qr_plus = qr_delete_column(qr_plus, l)
             r_ext = np.delete(r_ext, l)
@@ -642,13 +625,10 @@ def _refine_direction(
             if guard > q_cur + len(pool) + 2:
                 raise NumericalError("direction refinement failed to settle")
         j_work.append(j_in)
-        pool_left.remove(j_in)
         events.append(f"enter:{j_in}")
-        qr, r = qr_plus, r_plus
-        if r.size and r[-1] > ENTER_WARN_TOL * (1.0 + float(np.max(np.abs(r)))):
+        if r_plus[-1] > ENTER_WARN_TOL * (1.0 + float(np.max(np.abs(r_plus)))):
             events.append("warn-positive-entering-coefficient")
-        y = qr.mat @ r
-        rounds += 1
+        return j_work, qr_plus, events
     return j_work, qr, events
 
 
@@ -656,18 +636,18 @@ def degenerate_inner_gi_step(
     s: STuple,
     p: int,
     qp: ConstraintView,
-    aplus_rounds: int,
 ) -> StepOutcome:
-    """``inner_gi_step`` from all-zero multipliers, after ``aplus_rounds``
-    rounds of primal refinement of its direction.
+    """``inner_gi_step`` from all-zero multipliers, after one round of
+    primal refinement of its direction.
 
     Drops active columns while the span coefficients of ``c_p`` have a
     positive entry (lowest index first), as ``inner_gi_step`` would, then
     refines the direction against the dropped candidates and hands the
     reduced state, multipliers still zero, to ``inner_gi_step`` for the
     full step or the infeasibility certificate.  The refinement's stopping
-    criterion is not prescribed, so it is a round budget; each round enters
-    the lowest eligible index among the dropped candidates.
+    criterion is not prescribed; its one round enters the lowest eligible
+    index among the dropped candidates (criterion 08 compares that round
+    with a second inner step).
     """
     if p in s.j_set:
         raise PreconditionViolated(f"constraint {p} already active")
@@ -688,7 +668,7 @@ def degenerate_inner_gi_step(
         qr = qr_delete_column(qr, l)
 
     pool = [j for j in s.j_set if j not in j_work]
-    j_work, qr, ev = _refine_direction(j_work, qr, r, c_p, qp, pool, aplus_rounds)
+    j_work, qr, ev = _refine_direction(j_work, qr, r, c_p, qp, pool)
     events += ev
 
     out = inner_gi_step(STuple(s.x, tuple(j_work), np.zeros(len(j_work)), qr), p, qp)

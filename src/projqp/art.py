@@ -39,7 +39,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .linalg import _RowScreen, as_matrix, as_start, as_vector
-from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count, _report
+from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
 # than this fraction of the slab width
@@ -77,6 +77,8 @@ class HyperslabSystem:
             raise ValueError("bounds must not be NaN")
         if np.any(lo > up):
             raise ValueError("requires lower <= upper per row")
+        if np.any(lo == math.inf) or np.any(up == -math.inf):
+            raise ValueError("requires lower < inf and upper > -inf per row")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("rows must be nonzero")
@@ -260,7 +262,7 @@ def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveRe
     membership = system.contains(x)
     if status == "solved" and not membership:
         status = "iteration_limit"  # cannot happen for clean passes; belt and braces
-    return _report(status, x, [], {"iterations": i}, extras={"membership": membership})
+    return SolveReport(status, x, [], {"iterations": i}, extras={"membership": membership})
 
 
 def extrapolate_plus(x_circ, x_times, system: HyperslabSystem, active) -> np.ndarray:
@@ -301,16 +303,10 @@ def _case(vp: float, vt: float, lower: float, upper: float) -> int:
     return 5 if times_in else 4
 
 
-def classify_case(x_times, x_plus, a_j, lower: float, upper: float) -> int:
-    """``_case`` at the points x_times and x_plus for the row a_j."""
-    a, xp, xt = (np.asarray(v, dtype=float) for v in (a_j, x_plus, x_times))
-    return _case(float(a @ xp), float(a @ xt), lower, upper)
-
-
-def _tight_slabs(system: HyperslabSystem, x: np.ndarray, tol: float = TIGHT_TOL) -> tuple[int, ...]:
+def _tight_slabs(system: HyperslabSystem, x: np.ndarray) -> tuple[int, ...]:
     # an infinite bound is never tight: for finite ax, |ax -+ inf| = inf
     ax = system.a_mat @ x
-    scale = tol * (1.0 + np.abs(ax))
+    scale = TIGHT_TOL * (1.0 + np.abs(ax))
     tight = (np.abs(ax - system.lower) <= scale) | (np.abs(ax - system.upper) <= scale)
     return tuple(tight.nonzero()[0].tolist())
 
@@ -491,4 +487,4 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
         "forbidden_p_times": forbidden_times,
         "triple": triple,
     }
-    return _report(status, x_plus, rows, counts, certificate, cert_system, extras)
+    return SolveReport(status, x_plus, rows, counts, certificate, cert_system, extras)

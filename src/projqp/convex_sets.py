@@ -8,7 +8,9 @@ halfspace {y : c^T y >= b} that contains the set but not the point; the
 outer solvers (``projqp.solvers``) accumulate those halfspaces.
 
 Bounds use IEEE infinities for unbounded sides; arithmetic paths mask
-non-finite bounds explicitly rather than computing with them.
+non-finite bounds explicitly rather than computing with them.  A bound
+that empties its set (a lower bound of +inf, an upper bound of -inf, a
+halfspace b of +inf or NaN) is rejected at construction.
 
 A halfspace or hyperslab checks its normal with one dot product,
 ``np.vdot(a, a)`` in ``_as_normal``.  A finite square proves every entry
@@ -86,6 +88,10 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_normal(self.c, "c", "halfspace"))
+        b = float(self.b)
+        if not b < math.inf:
+            raise ValueError(f"halfspace requires b < inf, got {b}")
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
@@ -110,6 +116,8 @@ class Box:
             raise ValueError("box bounds must not be NaN")
         if np.any(lo > up):
             raise ValueError("box requires lower <= upper componentwise")
+        if np.any(lo == math.inf) or np.any(up == -math.inf):
+            raise ValueError("box requires lower < inf and upper > -inf")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
@@ -128,8 +136,13 @@ class Hyperslab:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_normal(self.a, "a", "hyperslab"))
-        if not self.lower <= self.upper:
+        lo, up = float(self.lower), float(self.upper)
+        if not lo <= up:
             raise ValueError("hyperslab requires lower <= upper")
+        if lo == math.inf or up == -math.inf:
+            raise ValueError("hyperslab requires lower < inf and upper > -inf")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
 
     @property
     def dim(self) -> int:
@@ -312,7 +325,7 @@ def _document_fault(doc) -> str | None:
             set_from_dict(d)
         except KeyError as exc:
             return f'sets[{i}]: missing "{exc.args[0]}"'
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             return f"sets[{i}]: {exc}"
     return None
 
@@ -323,7 +336,7 @@ def problem_from_dict(doc: dict) -> tuple[list[ConvexSet], np.ndarray, dict]:
     try:
         sets = [set_from_dict(d) for d in doc["sets"]]
         x0 = np.asarray(doc["x0"], dtype=float)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(_document_fault(doc) or f"x0: {exc}") from None
     extras = {k: v for k, v in doc.items() if k not in ("sets", "x0")}
     return sets, x0, extras

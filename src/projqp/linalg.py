@@ -77,7 +77,7 @@ def as_1d(x, name: str = "vector") -> np.ndarray:
     """x as a one-dimensional float array, its entries unchecked."""
     try:
         v = np.asarray(x, dtype=float)
-    except TypeError as exc:  # a dict or another non-numeric object
+    except (OverflowError, TypeError) as exc:  # a huge int, a dict, another non-number
         raise ValueError(f"{name}: {exc}") from None
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")

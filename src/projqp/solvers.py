@@ -154,14 +154,6 @@ def _is_tol(v) -> bool:
     return isinstance(v, (float, int, np.floating)) and not isinstance(v, bool) and 0.0 <= v < math.inf
 
 
-def _is_vector(v) -> bool:
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return a.ndim == 1 and bool(np.isfinite(a).all())
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Options of the set solvers; every field is checked on construction.
@@ -172,12 +164,14 @@ class SolverOptions:
     is hard.  For BAP it is soft: compaction merges pairs of active
     halfspaces and evicts inactive ones, but an active halfspace it cannot
     merge stays, so the store may end above the cap.
+    ``record_iterates`` keeps a copy of each trace row's iterate in
+    ``TraceRow.x``; distances to any point, such as a solution found later,
+    are computed from those (``bench.run_two_circles`` does so).
     """
 
     feas_tol: float = 1e-9
     max_outer_iters: int = 1000
     max_store: int | None = None
-    reference: np.ndarray | None = None
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -186,8 +180,6 @@ class SolverOptions:
             ("max_outer_iters", _is_count(self.max_outer_iters, 1), "an integer >= 1"),
             ("max_store", self.max_store is None or _is_count(self.max_store, 0),
              "None or an integer >= 0"),
-            ("reference", self.reference is None or _is_vector(self.reference),
-             "None or a finite vector"),
             ("record_iterates", isinstance(self.record_iterates, bool), "a bool"),
         ))
 
@@ -285,27 +277,17 @@ def fill_measures(rows: list[TraceRow]) -> None:
 
 
 def _trace_row(index: int, x: np.ndarray, events: tuple[str, ...], opts: SolverOptions) -> TraceRow:
-    dist = None
-    if opts.reference is not None:
-        d = x - opts.reference
-        dist = math.sqrt(float(d.dot(d)))
-    return TraceRow(index, dist, None, None, events, x.copy() if opts.record_iterates else None)
+    return TraceRow(index, None, None, None, events, x.copy() if opts.record_iterates else None)
 
 
-def _start(x0, sets: Sequence[ConvexSet], opts: SolverOptions) -> np.ndarray:
-    """The validated start of a solve over ``sets``, whose dimension
-    ``opts.reference`` must have too."""
+def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
+    """The validated start of a solve over ``sets``."""
     if not sets:
         raise ValueError("need at least one set")
     dims = {k.dim for k in sets}
     if len(dims) > 1:
         raise ValueError(f"the sets have different dimensions {sorted(dims)}")
-    dim = dims.pop()
-    x0 = as_start(x0, dim)
-    if opts.reference is not None and len(opts.reference) != dim:
-        raise ValueError(f"SolverOptions.reference has length {len(opts.reference)}, "
-                         f"but the problem has dimension {dim}")
-    return x0
+    return as_start(x0, dims.pop())
 
 
 def _norm(x: np.ndarray) -> float:
@@ -451,35 +433,12 @@ def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[
 # The cyclic driver
 
 
-def _report(status, x, rows, counts, certificate=None, cert_system=None, extras=None):
-    fill_measures(rows)
-    return SolveReport(
-        status=status,
-        x=x,
-        rows=rows,
-        counts=counts,
-        certificate=certificate,
-        cert_system=cert_system,
-        extras=extras or {},
-    )
-
-
-def _bound(v) -> float | None:
-    """v as a float when the conversion is exact (never for NaN), else None:
-    ``project_set`` compares with the bound as given, an int included."""
-    try:
-        f = float(v)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    return f if f == v else None
-
-
 class _LinearScreen:
     """One ``_RowScreen`` over the hyperslab and halfspace sets of a solve.
 
     ``flags(x)`` lists, per set, whether x is provably inside it: then
     ``project_set`` would return x itself, so the visit's distance is 0.
-    Other sets, and sets whose bounds are not exact floats, read False.
+    Other sets read False.
     """
 
     def __init__(self, sets: Sequence[ConvexSet]):
@@ -488,16 +447,15 @@ class _LinearScreen:
         rows, lower, upper = [], [], []
         for i, k in enumerate(sets):
             if isinstance(k, Hyperslab):
-                a, lo, up = k.a, _bound(k.lower), _bound(k.upper)
+                a, lo, up = k.a, k.lower, k.upper
             elif isinstance(k, Halfspace):
-                a, lo, up = k.c, _bound(k.b), math.inf
+                a, lo, up = k.c, k.b, math.inf
             else:
                 continue
-            if lo is not None and up is not None:
-                self.pos.append(i)
-                rows.append(a)
-                lower.append(lo)
-                upper.append(up)
+            self.pos.append(i)
+            rows.append(a)
+            lower.append(lo)
+            upper.append(up)
         self.screen = _RowScreen(np.vstack(rows), np.array(lower), np.array(upper)) if rows else None
 
     def flags(self, x: np.ndarray) -> list[bool] | None:
@@ -602,7 +560,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
     else:
         status = "solved"
     certificate, cert_system = proof or (None, None)
-    return _report(status, x, rows, counts, certificate, cert_system)
+    return SolveReport(status, x, rows, counts, certificate, cert_system)
 
 
 def _gi_counts() -> dict:
@@ -636,7 +594,7 @@ def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     intersection.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets, opts)
+    x0 = _start(x0, sets)
     store = HalfspaceStore()
     store.x_star = x0
     s = _empty_s_tuple(x0)
@@ -674,7 +632,7 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     (box, halfspace) subproblem to optimality.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets, opts)
+    x0 = _start(x0, sets)
     boxes = [k for k in sets if isinstance(k, Box)]
     if len(boxes) == 1 and len(sets) >= 2:
         return _solve_sip_one_box(x0, sets, boxes[0], opts)
@@ -739,7 +697,7 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], box: Box, opts: SolverOpti
 def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Cyclic alternating projections; each visit that moves x is one trace row."""
     opts = options or SolverOptions()
-    x0 = _start(x0, sets, opts)
+    x0 = _start(x0, sets)
     return _cyclic(x0, x0.copy(), sets, opts, {"projections": 0},
                    lambda x, p, *_: (p, ("project",), None))
 
@@ -754,17 +712,17 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
 
     A hyperslab's or halfspace's correction that is zero is kept as None,
     and a visit to such a set projects x with ``_linear_project``.  When
-    that finds x inside the set (an exact test) the visit is idle: x, the
-    correction and the row's distance stay as they are, and only the count
-    and the trace row are added.  Every other visit projects x plus its
-    correction with ``_project``.  Skipping the sum x + 0 keeps a -0.0
+    that finds x inside the set (an exact test) the visit is idle: x and
+    the correction stay as they are, and only the count and the trace row
+    are added.  Every other visit projects x plus its correction with
+    ``_project``.  Skipping the sum x + 0 keeps a -0.0
     entry of x that the textbook loop turns into +0.0; nothing else
     differs.  The visit that follows a non-finite projection raises, idle
     or not: each new iterate, and each x plus a correction, is checked
     once.
     """
     opts = options or SolverOptions()
-    x = _start(x0, sets, opts).copy()
+    x = _start(x0, sets).copy()
     r = len(sets)
     linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
     corrections = [None if lin else np.zeros_like(x) for lin in linear]
@@ -788,23 +746,20 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
         counts["projections"] += 1
         visits += 1
         p = _linear_project(sets[i], x) if c is None else _project(sets[i], z)
-        if p is None:
-            rows.append(TraceRow(len(rows), rows[-1].dist, None, None, ("project",),
-                                 x.copy() if opts.record_iterates else None))
-        else:
+        if p is not None:
             c = z - p
             corrections[i] = None if linear[i] and not c.any() else c
             d = x - p
             moved = max(moved, math.sqrt(float(d.dot(d))))
             x = p
-            rows.append(_trace_row(len(rows), x, ("project",), opts))
+        rows.append(_trace_row(len(rows), x, ("project",), opts))
         if i == r - 1:
             counts["cycles"] += 1
             bound = opts.feas_tol * (1.0 + _norm(x))
             if moved <= bound and _solved_status(x, sets, bound):
                 status = "solved"
                 break
-    return _report(status, x, rows, counts)
+    return SolveReport(status, x, rows, counts)
 
 
 def _haugazeau_start(x: np.ndarray, c2: np.ndarray, wn: float) -> STuple:
@@ -839,7 +794,7 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     projection of x0 onto an intersection of halfspaces that contain C.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets, opts)
+    x0 = _start(x0, sets)
     x0_norm = math.sqrt(float(x0.dot(x0)))
     counts = {"projections": 0, "inner_steps": 0}
 

@@ -169,15 +169,11 @@ class TestInnerGiStep:
                 v_prev = v_now
 
 
-def refined_step(s, p, qp):
-    return degenerate_inner_gi_step(s, p, qp, aplus_rounds=1)
-
-
 # SIP and the extended ART take inner_gi_step from zero multipliers; the
 # degenerate step takes the same path after its refinement, which in these
 # cases has no eligible column to enter
 ZERO_MULTIPLIER_STEPS = pytest.mark.parametrize(
-    "step", [refined_step, inner_gi_step], ids=["degenerate_inner_gi_step", "inner_gi_step"]
+    "step", [degenerate_inner_gi_step, inner_gi_step], ids=["degenerate_inner_gi_step", "inner_gi_step"]
 )
 
 
@@ -229,7 +225,7 @@ class TestDegenerateStep:
         qp = QpProblem(np.zeros(2), np.eye(2), np.array([0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0], (0,), [0.5], qp)
         with pytest.raises(PreconditionViolated):
-            degenerate_inner_gi_step(s, 1, qp, aplus_rounds=1)
+            degenerate_inner_gi_step(s, 1, qp)
 
     @ZERO_MULTIPLIER_STEPS
     def test_near_dependent_cut_keeps_multipliers(self, step, monkeypatch):
@@ -285,14 +281,14 @@ class TestDegenerateStep:
 
 class TestDirectionRefinement:
     """The primal refinement of the degenerate step's direction, through
-    ``degenerate_inner_gi_step(..., aplus_rounds=k)``."""
+    ``degenerate_inner_gi_step``."""
 
     def test_empty_pool_unchanged(self):
         # no column drops, so the refinement has no candidate: the working
         # set stays (0, 1) and the step ends as the plain one does
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), [[0.0], [-1.0]]]), np.array([0.0, 0.0, 1.0]))
         s = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        out = degenerate_inner_gi_step(s, 2, qp, aplus_rounds=4)
+        out = degenerate_inner_gi_step(s, 2, qp)
         assert isinstance(out, Infeasible)
         assert out.events == ("infeasible",)
         assert out.certificate.j_prime == (0, 1, 2)
@@ -304,7 +300,7 @@ class TestDirectionRefinement:
         c_p = np.array([1.0, 1.0]) / R2
         qp = QpProblem(np.zeros(2), np.column_stack([np.eye(2), c_p]), np.array([0.0, 0.0, 1.0]))
         s0 = tight_s_tuple([0.0, 0.0], (0, 1), [0.0, 0.0], qp)
-        out = degenerate_inner_gi_step(s0, 2, qp, aplus_rounds=4)
+        out = degenerate_inner_gi_step(s0, 2, qp)
         s2 = out.s_tuple
         # both axes stay dropped: the step is the plain projection onto the
         # halfspace c_p^T x >= 1
@@ -324,7 +320,7 @@ class TestDirectionRefinement:
         s = tight_s_tuple([0.0, 0.0, 0.0], (0, 1, 2), [0.0, 0.0, 0.0], qp)
         plain = inner_gi_step(s, 3, qp)
         assert "enter:1" not in plain.events
-        out = degenerate_inner_gi_step(s, 3, qp, aplus_rounds=3)
+        out = degenerate_inner_gi_step(s, 3, qp)
         assert out.events == ("drop:1", "drop:2", "enter:1", "full", "add:3")
         y_oracle = cone_project_enum(-cols, c_p)
         direction = c_p - y_oracle

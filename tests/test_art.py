@@ -9,7 +9,6 @@ from projqp.art import (
     HyperslabSystem,
     art3_solve,
     art3_update,
-    classify_case,
     extended_art_solve,
     extrapolate_plus,
     load_system,
@@ -192,31 +191,23 @@ class TestExtrapolatePlus:
 
 
 class TestClassifyCase:
-    A = np.array([1.0, 0.0])
+    """``art._case(a^T x_plus, a^T x_times, L, U)`` on the slab 0 <= a^T x <= 1."""
 
     def test_case1(self):
-        assert classify_case(np.zeros(2), np.array([0.5, 0.0]), self.A, 0.0, 1.0) == 1
+        assert art._case(0.5, 0.0, 0.0, 1.0) == 1
 
     def test_case2(self):
         # x_plus in the band above U, x_times outside the slab
-        x_plus = np.array([1.2, 0.0])
-        x_times = np.array([1.1, 0.0])
-        assert classify_case(x_times, x_plus, self.A, 0.0, 1.0) == 2
+        assert art._case(1.2, 1.1, 0.0, 1.0) == 2
 
     def test_case3(self):
-        x_plus = np.array([1.2, 0.0])
-        x_times = np.array([0.9, 0.0])
-        assert classify_case(x_times, x_plus, self.A, 0.0, 1.0) == 3
+        assert art._case(1.2, 0.9, 0.0, 1.0) == 3
 
     def test_case4(self):
-        x_plus = np.array([1.8, 0.0])
-        x_times = np.array([1.1, 0.0])
-        assert classify_case(x_times, x_plus, self.A, 0.0, 1.0) == 4
+        assert art._case(1.8, 1.1, 0.0, 1.0) == 4
 
     def test_case5(self):
-        x_plus = np.array([1.8, 0.0])
-        x_times = np.array([0.5, 0.0])
-        assert classify_case(x_times, x_plus, self.A, 0.0, 1.0) == 5
+        assert art._case(1.8, 0.5, 0.0, 1.0) == 5
 
     def test_tilde_bounds(self):
         assert tilde_bounds(0.0, 1.0) == (-0.5, 1.5)
@@ -324,6 +315,9 @@ class TestTextFormat:
         ("2 2\n1.0 0.0\n0.0 1.0\n0.0\n1.0 1.0\n", "lower-bound line has 1 entries, expected 2"),
         ("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0 2.0\n", "upper-bound line has 3 entries, expected 2"),
         ("1 2\n1.0 abc\n0.0\n1.0\n", "could not convert"),
+        # a row whose bounds leave it empty
+        ("2 2\n1.0 0.0\n0.0 1.0\ninf 0.0\ninf 1.0\n", r"lower < inf and upper > -inf per row"),
+        ("2 2\n1.0 0.0\n0.0 1.0\n0.0 -inf\n1.0 -inf\n", r"lower < inf and upper > -inf per row"),
     ])
     def test_malformed_text_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -339,9 +333,10 @@ class TestScreenedMembership:
                 assert system.contains(x) == contains_loop(system, x)
                 assert art._tight_slabs(system, x) == tight_slabs_loop(system, x)
 
-    def test_tight_slabs_at_the_tolerance_edge(self):
+    def test_tight_slabs_at_the_tolerance_edge(self, monkeypatch):
         # powers of two make |ax - bound| == tol (1 + |ax|) exact at k = 0
         tol = 2.0**-30
+        monkeypatch.setattr(art, "TIGHT_TOL", tol)
         x = np.array([1.0, 4.0, 0.5, -2.0])
         ax = x.copy()
         scale = tol * (1.0 + np.abs(ax))
@@ -351,7 +346,7 @@ class TestScreenedMembership:
             for system, tight in ((HyperslabSystem(np.eye(4), lo, np.full(4, np.inf)), k >= 0),
                                   (HyperslabSystem(np.eye(4), np.full(4, -np.inf), up), k <= 0)):
                 assert tight_slabs_loop(system, x, tol) == ((0, 1, 2, 3) if tight else ())
-                assert art._tight_slabs(system, x, tol) == tight_slabs_loop(system, x, tol)
+                assert art._tight_slabs(system, x) == tight_slabs_loop(system, x, tol)
 
     def test_overflowing_slack_rechecks_every_row(self):
         class RowSpy(np.ndarray):

@@ -268,8 +268,24 @@ class TestCli:
         ({"sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
                    {"type": "polyhedron", "c_mat": [[1, -1], [0, 0]], "b": [1, 0]}], "x0": [3.0, 3.0]},
          "sets[1]: polyhedron is empty"),
+        ({"sets": [{"type": "hyperslab", "a": [1, 0], "lower": "inf", "upper": "inf"},
+                   {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], "x0": [3.0, 3.0]},
+         "sets[0]: hyperslab requires lower < inf and upper > -inf"),
+        ({"sets": [{"type": "halfspace", "c": [1, 0], "b": "inf"},
+                   {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], "x0": [3.0, 3.0]},
+         "sets[0]: halfspace requires b < inf, got inf"),
+        ({"sets": [{"type": "halfspace", "c": [1, 0], "b": math.nan}], "x0": [3.0, 3.0]},
+         "sets[0]: halfspace requires b < inf, got nan"),
+        ({"sets": [{"type": "box", "lower": ["inf", 0], "upper": ["inf", 1]},
+                   {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], "x0": [3.0, 3.0]},
+         "sets[0]: box requires lower < inf and upper > -inf"),
+        ({"sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 10**400}], "x0": [3.0, 3.0]},
+         "sets[0]: int too large to convert to float"),
+        ({"sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], "x0": [10**400, 3.0]},
+         "x0: int too large to convert to float"),
     ], ids=["slab-without-a", "no-x0", "ball-without-radius", "sets-object", "top-level-list",
-            "polyhedron-zero-column", "polyhedron-empty"])
+            "polyhedron-zero-column", "polyhedron-empty", "slab-empty-bounds", "halfspace-b-inf",
+            "halfspace-b-nan", "box-empty-bounds", "huge-int-radius", "huge-int-x0"])
     def test_solve_malformed_json_file_exit_one(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -425,7 +441,7 @@ class TestLoaderMutants:
     """
 
     OVERFLOW = "<1e400>"  # written as the JSON number 1e400, which loads as inf
-    RETYPES = ["abc", None, [], {}, True, math.nan, OVERFLOW]
+    RETYPES = ["abc", None, [], {}, True, math.nan, OVERFLOW, 10**400]
     TOKENS = ["abc", "nan", "1e400", "-1e400", "0", "-1", "1 1", "#"]
 
     @staticmethod

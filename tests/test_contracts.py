@@ -94,7 +94,7 @@ def test_two_circles_caps_cover_the_registry():
 
 def test_option_fields_are_pinned():
     assert list(SolverOptions.__dataclass_fields__) == [
-        "feas_tol", "max_outer_iters", "max_store", "reference", "record_iterates",
+        "feas_tol", "max_outer_iters", "max_store", "record_iterates",
     ]
     assert art.STEP_BY_CASE == {2: "circ", 3: "plus", 4: "times", 5: "times"}
 
@@ -102,7 +102,7 @@ def test_option_fields_are_pinned():
 PINNED_PARAMETERS = [
     (activeset_qp.gi_solve, ["qp"]),
     (activeset_qp.inner_gi_step, ["s", "p", "qp", "monitor"]),
-    (activeset_qp.degenerate_inner_gi_step, ["s", "p", "qp", "aplus_rounds"]),
+    (activeset_qp.degenerate_inner_gi_step, ["s", "p", "qp"]),
     (activeset_qp.check_s_tuple, ["s", "qp", "where", "monitor"]),
     (activeset_qp.verify_certificate, ["cert", "qp_or_c_mat", "b"]),
     (art.art3_solve, ["x0", "system", "max_iters"]),

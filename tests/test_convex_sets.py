@@ -274,6 +274,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape \(2, 2\)$"):
             make(np.eye(2))
 
+    # a bound that leaves the set empty, and a NaN halfspace bound
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Hyperslab([1.0, 0.0], np.inf, np.inf), "hyperslab requires lower < inf and upper > -inf"),
+        (lambda: Hyperslab([1.0, 0.0], -np.inf, -np.inf), "hyperslab requires lower < inf and upper > -inf"),
+        (lambda: Halfspace([1.0, 0.0], np.inf), "halfspace requires b < inf, got inf"),
+        (lambda: Halfspace([1.0, 0.0], np.nan), "halfspace requires b < inf, got nan"),
+        (lambda: Box([np.inf, 0.0], [np.inf, 1.0]), "box requires lower < inf and upper > -inf"),
+        (lambda: Box([0.0, -np.inf], [1.0, -np.inf]), "box requires lower < inf and upper > -inf"),
+    ], ids=["slab-lower-inf", "slab-upper-minus-inf", "halfspace-b-inf", "halfspace-b-nan",
+            "box-lower-inf", "box-upper-minus-inf"])
+    def test_empty_bounds_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_scalar_bounds_stored_as_floats(self):
+        # the solvers' linear screen compares with the bounds as floats
+        slab, half = Hyperslab([1.0, 0.0], np.float64(-1), 2), Halfspace([0.0, 1.0], 3)
+        assert [type(v) for v in (slab.lower, slab.upper, half.b)] == [float] * 3
+        assert (slab.lower, slab.upper, half.b) == (-1.0, 2.0, 3.0)
+        assert Halfspace([1.0, 0.0], -np.inf).b == -np.inf
+
+    def test_huge_integer_entry_names_where(self):
+        with pytest.raises(ValueError, match="^center: int too large to convert to float$"):
+            Ball([10**400, 0], 1.0)
+
     def test_box_infinities_serialize_as_strings(self):
         box = Box(np.array([-np.inf, 0.0, -1.0]), np.array([1.0, np.inf, np.inf]))
         doc = problem_to_dict([box], np.zeros(3))
