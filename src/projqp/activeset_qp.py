@@ -25,11 +25,14 @@ operations (divides, products, sums and compares), so for finite operands
 they give the numpy expressions' results bit for bit.  The violation scan
 over at most ``SMALL_SIZE`` constraints runs on Python floats too; only
 the invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
-size-2 branches.  Every product that feeds the iterates goes through the
-same numpy call on every path, and a full step hands ``_qr_append`` the
-first orthogonalization pass (Q^T c_p and z) it has already formed.  The
-invariant check gathers the active columns and right-hand sides with one
-``rows`` and one ``rhs_at`` call on the problem view.
+size-2 branches; a NaN there, which Python's max and min may drop,
+sends the state to the general residuals.  Every product that feeds the
+iterates goes through the same numpy call on every path, and a full step
+hands ``_qr_append`` the first orthogonalization pass (Q^T c_p and z) and
+the norm of c_p it has already formed.  The violation scan forms ||x||
+only for a candidate below -FEAS_TOL.  The general invariant check
+gathers the active columns and right-hand sides with one ``rows`` and one
+``rhs_at`` call on the problem view, and every check fails on a NaN.
 
 The engine runs on ten fixed thresholds, ``FEAS_TOL`` to ``ENTER_WARN_TOL``
 below.  Each multiplies a scale of at least 1 where it is applied, so it
@@ -193,7 +196,7 @@ class QpProblem:
         return self.c_mat[:, p]
 
     def rhs(self, p: int) -> float:
-        return float(self.b[p])
+        return self.b.item(p)
 
     def rows(self, js: Sequence[int]) -> np.ndarray:
         return self.c_mat.T.take(js, axis=0)
@@ -310,26 +313,37 @@ def _invariant_residuals(s: STuple, qp: ConstraintView) -> tuple:
     Empty active sets report 0 (and +inf for the multiplier minimum) for
     the quantities that do not apply.
     """
-    if s.q > SMALL_Q:
+    q = len(s.j_set)
+    if q > SMALL_Q:
         return _invariant_residuals_general(s, qp)
     n_mat, q_mat = s.qr.mat, s.qr.q_mat
-    cols = n_mat.T.tolist()
+    n_t = n_mat.T
+    cols = n_t.tolist()
     bad = [i for i, j in enumerate(s.j_set) if cols[i] != qp.column(j).tolist()]
     kkt = _nrm((qp.x_star - s.x) + n_mat.dot(s.u))
-    if not s.q:
+    if not q:
         return bad, 0.0, INF, kkt, 0.0, 0.0
-    ax = n_mat.T.dot(s.x).tolist()
+    ax = n_t.dot(s.x).tolist()
     gram = q_mat.T.dot(q_mat).tolist()
-    if s.q == 1:
+    recon = (q_mat.dot(s.qr.r_mat) - n_mat).ravel().tolist()
+    u = s.u.tolist()
+    if q == 1:
         tight = abs(ax[0] - qp.rhs(s.j_set[0]))
         orth = abs(gram[0][0] - 1.0)
+        nan_probe = u[0]
     else:
         j0, j1 = s.j_set
-        tight = max(abs(ax[0] - qp.rhs(j0)), abs(ax[1] - qp.rhs(j1)))
+        d0, d1 = ax[0] - qp.rhs(j0), ax[1] - qp.rhs(j1)
         (g00, g01), (g10, g11) = gram
+        tight = max(abs(d0), abs(d1))
         orth = max(abs(g00 - 1.0), abs(g01), abs(g10), abs(g11 - 1.0))
-    recon = max(map(abs, (q_mat.dot(s.qr.r_mat) - n_mat).ravel().tolist()))
-    return bad, tight, min(s.u.tolist()), kkt, orth, recon
+        nan_probe = d0 + d1 + g00 + g01 + g10 + g11 + u[0] + u[1]
+    # Python's max and min keep or drop a NaN depending on where it sits; a
+    # NaN entry makes this sum NaN, and the general path's numpy reductions
+    # propagate it
+    if math.isnan(nan_probe + sum(recon)):
+        return _invariant_residuals_general(s, qp)
+    return bad, tight, min(u), kkt, orth, max(map(abs, recon))
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -374,27 +388,25 @@ def check_s_tuple(
     for i in bad:
         mon.fail(f"{where}: column {i} differs from store column {s.j_set[i]}")
         ok = False
-    mon.checks += 1
     # each scale factor below is >= 1, so the unscaled comparison settles
-    # most calls without computing the norm
-    if tight > FEAS_TOL and tight > FEAS_TOL * (1.0 + _nrm(s.x)):
+    # most calls without computing the norm; every test is written to fail
+    # on a NaN residual or scale
+    if not tight <= FEAS_TOL and not tight <= FEAS_TOL * (1.0 + _nrm(s.x)):
         mon.fail(f"{where}: active residual {tight:.3e}")
         ok = False
-    mon.checks += 1
-    if u_min < -DUAL_TOL:
+    if not u_min >= -DUAL_TOL:
         mon.fail(f"{where}: negative multiplier {u_min:.3e}")
         ok = False
-    mon.checks += 1
-    if kkt > FEAS_TOL and kkt > FEAS_TOL * (1.0 + _nrm(qp.x_star)):
+    if not kkt <= FEAS_TOL and not kkt <= FEAS_TOL * (1.0 + _nrm(qp.x_star)):
         mon.fail(f"{where}: KKT residual {kkt:.3e}")
         ok = False
-    mon.checks += 1
-    if orth > QR_DRIFT_TOL or (
-        recon > QR_DRIFT_TOL and recon > QR_DRIFT_TOL * (1.0 + float(np.abs(s.qr.mat).max()))
+    if not orth <= QR_DRIFT_TOL or (
+        not recon <= QR_DRIFT_TOL
+        and not recon <= QR_DRIFT_TOL * (1.0 + float(np.abs(s.qr.mat).max()))
     ):
         mon.fail(f"{where}: QR drift orth={orth:.3e} recon={recon:.3e}")
         ok = False
-    mon.checks += 1
+    mon.checks += 5  # the column check and the four tests above
     return ok
 
 
@@ -555,7 +567,7 @@ def inner_gi_step(
             x = x + t2 * z
             u_new = np.array(_dual_update(u_plus, t2, r_list))
             try:
-                qr2 = _qr_append(qr, c_p, first)
+                qr2 = _qr_append(qr, c_p, first, c_norm)
             except DependentColumn as exc:  # z != 0 should preclude this
                 raise NumericalError(f"dependent column on full step: {exc}") from exc
             s2 = STuple(x, tuple(j_work) + (p,), u_new, qr2)
@@ -675,16 +687,25 @@ def degenerate_inner_gi_step(
     return replace(out, events=tuple(events) + out.events)
 
 
-def _pick_violated(resid: np.ndarray, thresh: float) -> int:
-    """The most violated constraint (first minimum) among those with
-    ``resid < thresh``; -1 when none is violated."""
-    if resid.shape[0] > SMALL_SIZE:
-        return _pick_violated_general(resid, thresh)
-    p, worst = -1, thresh
-    for j, r_j in enumerate(resid.tolist()):
-        if r_j < worst:
-            p, worst = j, r_j
-    return p
+def _pick_violated(ax: np.ndarray, b: np.ndarray, col_norms: np.ndarray, x: np.ndarray) -> int:
+    """The most violated constraint: the first minimum of the scaled
+    residuals ``(ax_j - b_j) / ||c_j||`` when it lies below
+    ``-FEAS_TOL (1 + ||x||)``, else -1.
+
+    That threshold is at most -FEAS_TOL, so the candidate is picked
+    against -FEAS_TOL and ``||x||`` is formed only when there is one.
+    """
+    if ax.shape[0] > SMALL_SIZE:
+        resid = (ax - b) / col_norms
+        p = _pick_violated_general(resid, -FEAS_TOL)
+        worst = float(resid[p]) if p >= 0 else 0.0
+    else:
+        p, worst = -1, -FEAS_TOL
+        for j, (ax_j, b_j, nrm_j) in enumerate(zip(ax.tolist(), b.tolist(), col_norms.tolist())):
+            r_j = (ax_j - b_j) / nrm_j
+            if r_j < worst:
+                p, worst = j, r_j
+    return p if p >= 0 and worst < -FEAS_TOL * (1.0 + _nrm(x)) else -1
 
 
 def _pick_violated_general(resid: np.ndarray, thresh: float) -> int:
@@ -710,15 +731,16 @@ def _gi_from(qp: QpProblem, s: STuple) -> Solution | Infeasible:
     A start whose active constraints are already among the answer's leaves
     the engine fewer inner steps to take.
     """
-    cap = 100 + 20 * qp.m
-    col_norms = np.linalg.norm(qp.c_mat, axis=0)
+    c_mat, b = qp.c_mat, qp.b
+    c_t = c_mat.T
+    cap = 100 + 20 * c_mat.shape[1]
+    # the ufuncs of np.linalg.norm(c_mat, axis=0), without its argument handling
+    col_norms = np.sqrt(np.add.reduce(c_mat * c_mat, 0))
     if 0.0 in col_norms.tolist():
         raise PreconditionViolated("zero constraint normal in problem")
     inner = 0
     while True:
-        resid = (qp.c_mat.T.dot(s.x) - qp.b) / col_norms
-        thresh = -FEAS_TOL * (1.0 + _nrm(s.x))
-        p = _pick_violated(resid, thresh)
+        p = _pick_violated(c_t.dot(s.x), b, col_norms, s.x)
         if p < 0:
             return Solution(s.x, s.j_set, s.u, s, inner)
         if inner >= cap:

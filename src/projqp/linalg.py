@@ -33,7 +33,9 @@ for each memory order of R, and keeps that function's two checks: a
 ``ValueError`` for a non-finite operand and ``LinAlgError`` for a zero
 diagonal.  So the result is bit for bit that of ``solve_triangular``,
 without the wrapper's argument handling, which cost more than the solve
-at the active-set sizes of the outer solvers.
+at the active-set sizes of the outer solvers.  One and two unknowns are
+solved on Python floats, bit for bit as ``solve_triangular`` solves them
+for a C-ordered R.
 """
 
 from __future__ import annotations
@@ -223,29 +225,33 @@ def qr_append_column(f: QrFactors, v) -> QrFactors:
     return _qr_append(f, v)
 
 
-def _qr_append(f: QrFactors, v: np.ndarray, first: tuple | None = None) -> QrFactors:
+def _qr_append(
+    f: QrFactors, v: np.ndarray, first: tuple | None = None, v_norm: float | None = None
+) -> QrFactors:
     """``qr_append_column`` for a finite float column of length ``f.n``.
 
     The active-set engine appends only columns it already holds in that
     form (stored halfspace normals, columns of a validated problem), so it
     calls this directly and skips the checks.  A step that has already
     formed ``_project_out(f.q_mat, v)`` passes it as ``first``, the first
-    of the two orthogonalization passes.
+    of the two orthogonalization passes, and one that has formed ``||v||``
+    as ``math.sqrt(float(v.dot(v)))`` passes it as ``v_norm``.
     """
+    if v_norm is None:
+        v_norm = math.sqrt(float(v.dot(v)))
     qn = f.ncols
     if qn == 0:
         # nothing to orthogonalize against: v is its own residual
-        rho = math.sqrt(float(v.dot(v)))
-        if rho <= RANK_TOL * (1.0 + rho):
-            raise DependentColumn(f"residual norm {rho:.3e}")
+        if v_norm <= RANK_TOL * (1.0 + v_norm):
+            raise DependentColumn(f"residual norm {v_norm:.3e}")
         col = v.reshape(-1, 1)
-        return _maybe_refresh(QrFactors(col / rho, np.array([[rho]]), col.copy(), f.updates + 1))
+        return _maybe_refresh(QrFactors(col / v_norm, np.array(v_norm, ndmin=2), col.copy(), f.updates + 1))
     w, v_perp = _project_out(f.q_mat, v) if first is None else first
     # one re-orthogonalization pass keeps Q orthonormal to working precision
     w2, v_perp = _project_out(f.q_mat, v_perp)
     w = w + w2
     rho = math.sqrt(float(v_perp.dot(v_perp)))
-    if rho <= RANK_TOL * (1.0 + math.sqrt(float(v.dot(v)))):
+    if rho <= RANK_TOL * (1.0 + v_norm):
         raise DependentColumn(f"residual norm {rho:.3e}")
     q_new = _append_col(f.q_mat, v_perp / rho)
     r_new = np.zeros((qn + 1, qn + 1))
@@ -323,19 +329,29 @@ def qr_delete_column(f: QrFactors, l: int) -> QrFactors:
 def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Back-substitution R x = w for upper triangular R (empty-safe).
 
-    Sizes one and two are unrolled; the active sets of the outer solvers
-    sit there most of the time and the library call overhead dominates.
+    Sizes one and two are unrolled on Python floats; the active sets of
+    the outer solvers sit there most of the time and the library call
+    overhead dominates.  A zero diagonal raises ``LinAlgError`` there too,
+    with the message ``solve_triangular`` gives.
     Larger systems go to ``dtrtrs`` as ``scipy.linalg.solve_triangular``
     would send them (see the module docstring).
     """
     q = r_mat.shape[0]
     if q == 0:
         return np.zeros(0)
-    if q == 1:
-        return np.array([w[0] / r_mat[0, 0]])
-    if q == 2:
-        x1 = w[1] / r_mat[1, 1]
-        return np.array([(w[0] - r_mat[0, 1] * x1) / r_mat[0, 0], x1])
+    if q <= 2:
+        # the IEEE operations dtrtrs takes on a C-ordered R (the engine's
+        # layout), on Python floats
+        try:
+            if q == 1:
+                return np.array([w.item(0) / r_mat.item(0)])
+            (r00, r01), (_, r11) = r_mat.tolist()
+            w0, w1 = w.tolist()
+            x1 = w1 / r11
+            return np.array([(w0 - r01 * x1) / r00, x1])
+        except ZeroDivisionError:
+            zero = r_mat.diagonal().tolist().index(0.0)
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {zero}") from None
     if not (np.isfinite(r_mat).all() and np.isfinite(w).all()):
         raise ValueError("array must not contain infs or NaNs")
     if r_mat.flags.f_contiguous:

@@ -784,7 +784,8 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     x_i with that halfspace active (``_haugazeau_start``), and in the
     common case one inner step that enters the new cut solves it.  Only
     while ||x0 - x_i|| <= feas_tol (1 + ||x0||) is there no second
-    halfspace, and the engine starts cold.
+    halfspace, and the engine starts cold.  The two-halfspace problem is
+    one n x 2 buffer that each iteration rewrites in place.
 
     When those two halfspaces have no point in common the sets do not
     intersect, and the report ends ``infeasible`` with the engine's
@@ -797,21 +798,27 @@ def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None
     x0 = _start(x0, sets)
     x0_norm = math.sqrt(float(x0.dot(x0)))
     counts = {"projections": 0, "inner_steps": 0}
+    # the two-halfspace subproblem, rewritten in place at each step
+    c_mat, b_vec = np.empty((x0.shape[0], 2)), np.empty(2)
+    c_rows = c_mat.T  # its columns, as rows
+    pair = _trusted_problem(x0, c_mat, b_vec)
 
     def step(x, p, dist, index, visit):
         c1, b1 = _cut(x, p, dist)
         w = x0 - x
         wn = math.sqrt(float(w.dot(w)))
         if wn > opts.feas_tol * (1.0 + x0_norm):
-            c2 = -w / wn
-            c_mat, b_vec = np.column_stack([c1, c2]), np.array([b1, float(c2.dot(x))])
-            start = _haugazeau_start(x, c2, wn)
+            c2 = w / -wn
+            c_rows[0] = c1
+            c_rows[1] = c2
+            b_vec[0] = b1
+            b_vec[1] = c2.dot(x)
+            qp, start = pair, _haugazeau_start(x, c2, wn)
         else:
-            c_mat, b_vec = np.column_stack([c1]), np.array([b1])
-            start = _empty_s_tuple(x0)
-        res = _gi_from(_trusted_problem(x0, c_mat, b_vec), start)
+            qp, start = _trusted_problem(x0, c1.reshape(-1, 1), np.array([b1])), _empty_s_tuple(x0)
+        res = _gi_from(qp, start)
         if isinstance(res, Infeasible):
-            return x, ("qp", "infeasible"), (res.certificate, (c_mat, b_vec))
+            return x, ("qp", "infeasible"), (res.certificate, (qp.c_mat.copy(), qp.b.copy()))
         counts["inner_steps"] += res.inner_steps
         return res.x, ("qp",), None
 

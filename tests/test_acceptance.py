@@ -60,9 +60,9 @@ def haugazeau_run():
     Criterion 11 uses it too: its engine calls make most of the monitor's
     checks, so that criterion holds however the suite is ordered or filtered.
     """
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     _, rows = run_two_circles("haugazeau")
-    return rows, time.perf_counter() - t0
+    return rows, time.perf_counter() - t0, time.process_time() - cpu0
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +151,12 @@ def test_criterion_04_dykstra_baseline(two_circles_runs):
 
 
 def test_criterion_05_haugazeau_baseline(haugazeau_run):
-    rows, elapsed = haugazeau_run
+    rows, elapsed, cpu = haugazeau_run
     assert 3.8e-4 <= rows[90_000].dist <= 1.5e-3
     assert elapsed < 30.0
-    print(f"\nACCEPTANCE 05 Haugazeau: PASS (d90000={rows[90000].dist:.3e}, {elapsed:.1f}s)")
+    # the process CPU time beside the wall time shows how much of a slow run
+    # was the host's load
+    print(f"\nACCEPTANCE 05 Haugazeau: PASS (d90000={rows[90000].dist:.3e}, {elapsed:.1f}s wall, {cpu:.1f}s CPU)")
 
 
 def test_criterion_06_qp_oracle_equivalence():

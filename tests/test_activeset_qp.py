@@ -7,6 +7,7 @@ import pytest
 from projqp import activeset_qp
 from projqp.activeset_qp import (
     DUAL_TOL,
+    FEAS_TOL,
     INF,
     MONITOR,
     R_POS_TOL,
@@ -662,13 +663,21 @@ class TestSmallActiveSetPaths:
         assert _invariant_residuals(s, qp) == _invariant_residuals_general(s, qp)
 
     def test_violation_scan_matches_general(self):
+        # the scan forms ||x|| only for a candidate below -FEAS_TOL; it must
+        # pick what the scan against -FEAS_TOL (1 + ||x||) picks, on both paths
         rng = np.random.default_rng(400)
-        for _ in range(400):
-            resid = rng.normal(size=int(rng.integers(1, SMALL_SIZE + 1)))
-            if rng.uniform() < 0.3:
-                resid[-1] = resid.min()  # a tie for the most violated
-            thresh = -float(rng.uniform(0.0, 1.0))
-            assert _pick_violated(resid, thresh) == _pick_violated_general(resid, thresh)
+        for _ in range(800):
+            m = int(rng.integers(1, SMALL_SIZE + 4))
+            x = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 9.0)
+            thresh = -FEAS_TOL * (1.0 + math.sqrt(float(x.dot(x))))
+            ax, norms = rng.normal(size=m), rng.uniform(0.5, 2.0, m)
+            target = thresh * rng.uniform(0.0, 2.0, m) * (rng.uniform(size=m) < 0.7)
+            b = ax - target * norms
+            if rng.uniform() < 0.3:  # a tie for the most violated
+                j = int(np.argmin(target))
+                ax[-1], b[-1], norms[-1] = ax[j], b[j], norms[j]
+            want = _pick_violated_general((ax - b) / norms, thresh)
+            assert _pick_violated(ax, b, norms, x) == want
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("defect", ["column", "tightness", "multiplier", "kkt", "qr"])
@@ -704,6 +713,25 @@ class TestSmallActiveSetPaths:
         assert (mon.checks, mon.violations) == (5, 1), mon.messages
         assert mon.messages[0].startswith("probe: ")
         assert (MONITOR.checks, MONITOR.violations) == global_before
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["x", "u", "Q", "R", "N"])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_nan_fails_closed(self, q, where, entry):
+        # a NaN compares false with every bound, and Python's max and min
+        # keep or drop it by position: each check must still fail on it
+        s, qp = kkt_state(np.random.default_rng(520 + q), 5, q, q + 2)
+        parts = {"x": s.x.copy(), "u": s.u.copy(), "Q": s.qr.q_mat.copy(),
+                 "R": s.qr.r_mat.copy(), "N": s.qr.mat.copy()}
+        parts[where].flat[entry] = np.nan
+        bad = STuple(parts["x"], s.j_set, parts["u"], QrFactors(parts["Q"], parts["R"], parts["N"]))
+        mon = InvariantMonitor()
+        assert not check_s_tuple(bad, qp, where="probe", monitor=mon)
+        assert mon.checks == 5 and mon.violations >= 1, mon.messages
+        # the reductions propagate the NaN as numpy's do
+        small, general = _invariant_residuals(bad, qp), _invariant_residuals_general(bad, qp)
+        assert small[0] == general[0]
+        assert np.array_equal(np.isnan(small[1:]), np.isnan(general[1:]))
 
 
 class _Columns:

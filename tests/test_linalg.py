@@ -353,7 +353,9 @@ class TestValidation:
 
 class TestSolveUpper:
     """Above two unknowns ``solve_upper`` calls LAPACK directly, as
-    ``solve_triangular`` does: the results and the errors must be its own."""
+    ``solve_triangular`` does, and below it unrolls on Python floats the
+    operations LAPACK takes on a C-ordered R: the results and the errors
+    must be its own."""
 
     @staticmethod
     def system(rng, q):
@@ -364,7 +366,9 @@ class TestSolveUpper:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_bit_identical_to_solve_triangular(self, order):
         rng = np.random.default_rng(600)
-        for q in range(3, 41):
+        # on Fortran-ordered R, LAPACK forms w0 - r01 x1 at q = 2 with one
+        # rounding (a fused multiply-add); the engine's factors are C-ordered
+        for q in range(1, 41) if order == "C" else [1, *range(3, 41)]:
             for _ in range(5):
                 r, w = self.system(rng, q)
                 r = np.asarray(r, order=order)
@@ -402,6 +406,16 @@ class TestSolveUpper:
         r, w = self.system(np.random.default_rng(603), 5)
         r[zero, zero] = 0.0
         r = np.asarray(r, order=order)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            solve_upper(r, w)
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            solve_triangular(r, w, lower=False)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("q, zeros", [(1, [0]), (2, [0]), (2, [1]), (2, [0, 1])])
+    def test_unrolled_zero_diagonal_raises_as_solve_triangular(self, q, zeros):
+        r, w = self.system(np.random.default_rng(604), q)
+        r[zeros, zeros] = 0.0
         with pytest.raises(np.linalg.LinAlgError) as ours:
             solve_upper(r, w)
         with pytest.raises(np.linalg.LinAlgError) as theirs:

@@ -14,6 +14,7 @@ from projqp.activeset_qp import (
     STuple,
     _gi_from,
     check_s_tuple,
+    empty_s_tuple,
     gi_solve,
     verify_certificate,
 )
@@ -454,9 +455,12 @@ class TestHaugazeauWarmStart:
             assert (mon.checks, mon.violations) == (5, 0)
 
     def test_one_inner_step_per_iteration_on_two_circles(self):
+        checks = MONITOR.checks
         rep = solve_haugazeau(np.array([0.0, 10.0]), two_circles_sets(),
                               SolverOptions(feas_tol=1e-15, max_outer_iters=500))
         assert rep.counts["inner_steps"] == len(rep.rows) - 1 == 500
+        # each engine step checks the five s-tuple invariants and the v-increase
+        assert MONITOR.checks - checks == 6 * 500
 
     def test_large_offset_runs_clean(self):
         # cold, each subproblem's scan re-entered the active halfspace and raised
@@ -465,6 +469,79 @@ class TestHaugazeauWarmStart:
                     SolverOptions(max_outer_iters=2000))
         assert rep.status == "iteration_limit" and np.isfinite(rep.x).all()
         assert MONITOR.checks > checks and MONITOR.violations == violations
+
+
+# Haugazeau's step as it was before ``solve_haugazeau`` rewrote one
+# subproblem in place, kept as the oracle: it stacks the columns afresh and
+# builds a validated problem at every step.
+
+def haugazeau_loop(x0, sets, opts):
+    x0 = solvers._start(x0, sets)
+    x0_norm = math.sqrt(float(x0.dot(x0)))
+    counts = {"projections": 0, "inner_steps": 0}
+
+    def step(x, p, dist, index, visit):
+        c1, b1 = solvers._cut(x, p, dist)
+        w = x0 - x
+        wn = math.sqrt(float(w.dot(w)))
+        if wn > opts.feas_tol * (1.0 + x0_norm):
+            c2 = -w / wn
+            c_mat, b_vec = np.column_stack([c1, c2]), np.array([b1, float(c2.dot(x))])
+            start = solvers._haugazeau_start(x, c2, wn)
+        else:
+            c_mat, b_vec = np.column_stack([c1]), np.array([b1])
+            start = empty_s_tuple(x0)
+        res = _gi_from(QpProblem(x0, c_mat, b_vec), start)
+        if isinstance(res, Infeasible):
+            return x, ("qp", "infeasible"), (res.certificate, (c_mat, b_vec))
+        counts["inner_steps"] += res.inner_steps
+        return res.x, ("qp",), None
+
+    return solvers._cyclic(x0, x0.copy(), sets, opts, counts, step)
+
+
+def assert_same_report(rep, ref):
+    assert rep.status == ref.status
+    assert rep.x.tobytes() == ref.x.tobytes()
+    assert list(rep.counts.items()) == list(ref.counts.items())
+    assert [r.events for r in rep.rows] == [r.events for r in ref.rows]
+    assert [None if r.x is None else r.x.tobytes() for r in rep.rows] == \
+        [None if r.x is None else r.x.tobytes() for r in ref.rows]
+    if ref.certificate is None:
+        assert rep.certificate is None and rep.cert_system is None
+        return
+    assert rep.certificate.j_prime == ref.certificate.j_prime
+    assert rep.certificate.lam.tobytes() == ref.certificate.lam.tobytes()
+    for got, want in zip(rep.cert_system, ref.cert_system, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestHaugazeauOracle:
+    """``solve_haugazeau`` reports what the oracle step above reports, byte
+    for byte."""
+
+    def test_two_circles(self):
+        opts = SolverOptions(feas_tol=1e-15, max_outer_iters=2000, record_iterates=True)
+        x0 = np.array([0.0, 10.0])
+        rep = solve_haugazeau(x0, two_circles_sets(), opts)
+        assert len(rep.rows) == 2001
+        assert_same_report(rep, haugazeau_loop(x0, two_circles_sets(), opts))
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_disjoint_balls(self, n):
+        sets, x0 = disjoint_on_axis(n, 1)
+        rep = solve_haugazeau(x0, sets)
+        assert rep.status == "infeasible"
+        assert_same_report(rep, haugazeau_loop(x0, sets, SolverOptions()))
+
+    # the feasible kinds: off the axis, disjoint balls run the iterates off
+    # with monitor violations (disjoint_on_axis keeps to the axis)
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("kind", ["balls-with-common-point", "box-plus-ball", "hyperslabs-with-interior"])
+    def test_generated(self, kind, n):
+        sets, x0, _ = problem_from_dict(generate_problem(kind, n, 4, 7))
+        opts = SolverOptions(max_outer_iters=300, record_iterates=True)
+        assert_same_report(solve_haugazeau(x0, sets, opts), haugazeau_loop(x0, sets, opts))
 
 
 class TestRoundOffCut:
