@@ -35,7 +35,7 @@ diagonal.  So the result is bit for bit that of ``solve_triangular``,
 without the wrapper's argument handling, which cost more than the solve
 at the active-set sizes of the outer solvers.  One and two unknowns are
 solved on Python floats, bit for bit as ``solve_triangular`` solves them
-for a C-ordered R.
+for a C-ordered R, with the same two checks on those floats.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 # above this bound on ||a_j||_1 max|x| a partial sum of a row dot could overflow
 _SCREEN_LIMIT = 2.0**1020
+# scipy.linalg.solve_triangular's message for a non-finite operand
+_NON_FINITE = "array must not contain infs or NaNs"
 
 
 class LinalgError(Exception):
@@ -331,8 +333,9 @@ def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Sizes one and two are unrolled on Python floats; the active sets of
     the outer solvers sit there most of the time and the library call
-    overhead dominates.  A zero diagonal raises ``LinAlgError`` there too,
-    with the message ``solve_triangular`` gives.
+    overhead dominates.  A non-finite entry raises ``ValueError`` there
+    too, before a zero diagonal raises ``LinAlgError``, with the messages
+    ``solve_triangular`` gives.
     Larger systems go to ``dtrtrs`` as ``scipy.linalg.solve_triangular``
     would send them (see the module docstring).
     """
@@ -342,18 +345,25 @@ def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     if q <= 2:
         # the IEEE operations dtrtrs takes on a C-ordered R (the engine's
         # layout), on Python floats
+        isfinite = math.isfinite
         try:
             if q == 1:
-                return np.array([w.item(0) / r_mat.item(0)])
-            (r00, r01), (_, r11) = r_mat.tolist()
+                r00, w0 = r_mat.item(0), w.item(0)
+                if not (isfinite(r00) and isfinite(w0)):
+                    raise ValueError(_NON_FINITE)
+                return np.array([w0 / r00])
+            (r00, r01), (r10, r11) = r_mat.tolist()
             w0, w1 = w.tolist()
+            if not (isfinite(r00) and isfinite(r01) and isfinite(r10) and isfinite(r11)
+                    and isfinite(w0) and isfinite(w1)):
+                raise ValueError(_NON_FINITE)
             x1 = w1 / r11
             return np.array([(w0 - r01 * x1) / r00, x1])
         except ZeroDivisionError:
             zero = r_mat.diagonal().tolist().index(0.0)
             raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {zero}") from None
     if not (np.isfinite(r_mat).all() and np.isfinite(w).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValueError(_NON_FINITE)
     if r_mat.flags.f_contiguous:
         x, info = dtrtrs(r_mat, w)
     else:  # dtrtrs expects Fortran order: solve R^T's transposed lower system

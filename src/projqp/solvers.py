@@ -14,10 +14,14 @@ All solvers but Dykstra run on one cyclic driver, ``_cyclic``: it visits
 the sets in turn and declares success once a full pass finds every set
 satisfied within ``feas_tol * (1 + ||x||)``; each method supplies the step
 it takes from a set that x violates.  Dykstra tests for a stop once per
-full cycle instead, so it keeps its own loop.  Both skip the projection on
-a visit that finds x inside a hyperslab or halfspace: ``_cyclic`` where
-one gemv screen proves it, Dykstra where the set's correction is zero and
-``_linear_project``'s exact test passes.
+full cycle instead, so it keeps its own loop.  Both take that bound from
+``_stop_bound``, which stays finite where ||x|| overflows.
+
+A visit to a hyperslab or halfspace that x is inside costs one exact dot
+(``_linear_project``) in both loops: no copy of x and no distance.
+``_cyclic`` also counts a run of sets that one gemv screen proves clean
+in one step; Dykstra reads a set this way only while its correction is
+zero.
 """
 
 from __future__ import annotations
@@ -290,12 +294,19 @@ def _start(x0, sets: Sequence[ConvexSet]) -> np.ndarray:
     return as_start(x0, dims.pop())
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x|| for the stopping tests: sqrt(x.x), as ``np.linalg.norm`` computes it.
+_FLOAT_MAX = float(np.finfo(float).max)
 
-    Past about 1.3e154 x.x overflows to inf, which would make every
-    ``tol * (1 + ||x||)`` test pass; there the norm is computed scaled.
-    The result is NaN exactly when x has a non-finite entry.
+
+def _stop_bound(x: np.ndarray, tol: float) -> float:
+    """The stopping tests' bound tol * (1 + ||x||), with ||x|| = sqrt(x.x) as
+    ``np.linalg.norm`` computes it.
+
+    Past about 1.3e154 x.x overflows to inf, which would make every test
+    pass; there ||x|| is computed scaled, big * sqrt(y.y) with y = x / big
+    and big = max|x|.  Where that product overflows too, the bound is
+    (tol * sqrt(y.y)) * big, capped at the largest float: it stays finite,
+    so a distance that overflows fails it.  The result is NaN exactly when
+    x has a non-finite entry.
     """
     sq = float(x.dot(x))
     if sq == math.inf:
@@ -303,8 +314,12 @@ def _norm(x: np.ndarray) -> float:
         if big == math.inf:
             return math.nan
         y = x / big
-        return big * math.sqrt(float(y.dot(y)))
-    return math.sqrt(sq)
+        s = math.sqrt(float(y.dot(y)))
+        norm = big * s
+        if norm == math.inf:
+            return min(tol * s * big, _FLOAT_MAX)
+        return tol * (1.0 + norm)
+    return tol * (1.0 + math.sqrt(sq))
 
 
 def _solved_status(x: np.ndarray, sets, bound: float) -> bool:
@@ -438,7 +453,9 @@ class _LinearScreen:
 
     ``flags(x)`` lists, per set, whether x is provably inside it: then
     ``project_set`` would return x itself, so the visit's distance is 0.
-    Other sets read False.
+    Other sets read False.  The list runs over the sets twice and ends
+    with one False, so ``flags.index(False, l)`` ends the run of cleared
+    sets from a cursor l < r, across the end of a pass too.
     """
 
     def __init__(self, sets: Sequence[ConvexSet]):
@@ -462,11 +479,13 @@ class _LinearScreen:
         inside = None if self.screen is None else self.screen.inside(x)
         if inside is None:
             return None
-        if len(self.pos) == self.r:
-            return inside.tolist()
-        full = np.zeros(self.r, dtype=bool)
-        full[self.pos] = inside
-        return full.tolist()
+        if len(self.pos) < self.r:
+            full = np.zeros(self.r, dtype=bool)
+            full[self.pos] = inside
+            inside = full
+        out = inside.tolist() * 2
+        out.append(False)
+        return out
 
 
 def _screen_due(run: int, exact_clean: int, r: int) -> bool:
@@ -494,18 +513,25 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
     counts set visits.
 
     The solvers build every iterate themselves from a validated start, so
-    visits call ``_project``.  ||x|| is computed once per iterate, at the
-    first visit from it, and a NaN norm (a non-finite x) raises there, as
-    ``project_set`` would.  A projection with a non-finite entry, which
+    visits call ``_project``, or ``_linear_project`` for a hyperslab or
+    halfspace.  When that finds x inside by its exact test (one dot) the
+    visit's distance is 0 and it is clean, with no copy of x and no
+    difference to measure; a visit that moves x forms x - p and its norm.  The bound (``_stop_bound``) is
+    computed once per iterate, at the first visit from it; it stays finite
+    where ||x|| overflows, and a NaN bound (a non-finite x) raises there,
+    as ``project_set`` would.  A projection with a non-finite entry, which
     overflow can make of a finite x, raises with the set's index.
 
     Visits skip the projection onto a hyperslab or halfspace that
     ``_LinearScreen`` shows x to be inside: its distance would be 0, and
     the exact visit that refreshed the screen at this x passed, so the
-    threshold is a number >= 0 and the visit is clean, with the same
-    counts.  ``_screen_due`` says when to refresh.
+    bound is a number >= 0 and the visit is clean, with the same counts.
+    A run of such sets from the cursor is taken in one step, up to the
+    end of the clean pass and the visit cap.  ``_screen_due`` says when to
+    refresh.
     """
     r = len(sets)
+    linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
     rows = [_trace_row(0, x0, (), opts)]
     clean = 0
     visits = 0
@@ -516,40 +542,44 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
     exact_clean = 0  # exact clean visits so far
     run = 0  # exact clean visits in a row since x last moved
     inside = None  # per-set flags at the current x
-    x_norm = None  # ||x||, computed at the first visit from x
+    bound = None  # feas_tol * (1 + ||x||), computed at the first visit from x
     while clean < r:
         if visits >= opts.max_outer_iters:
             break
-        visits += 1
-        if x_norm is None:
-            x_norm = _norm(x)
-            if math.isnan(x_norm):
+        if bound is None:
+            bound = _stop_bound(x, opts.feas_tol)
+            if math.isnan(bound):
                 raise ValueError("x has non-finite entries")
+        if inside is not None and inside[l]:
+            cleared = min(inside.index(False, l) - l, r - clean, opts.max_outer_iters - visits)
+            visits += cleared
+            counts["projections"] += cleared
+            clean += cleared
+            l = (l + cleared) % r
+            continue
+        visits += 1
         index = l
         l = (l + 1) % r
-        if inside is not None and inside[index]:
-            counts["projections"] += 1
-            clean += 1
-            continue
-        p = _project(sets[index], x)
+        p = _linear_project(sets[index], x) if linear[index] else _project(sets[index], x)
         counts["projections"] += 1
-        diff = x - p
-        dist = math.sqrt(float(diff.dot(diff)))
-        if not dist <= opts.feas_tol * (1.0 + x_norm):  # NaN included
-            if not dist < math.inf and not np.isfinite(p).all():
-                raise ValueError(f"the projection onto set {index} has non-finite entries")
-            moved = step(x, p, dist, index, visits)
-            if moved is not None:
-                clean = 0
-                run = 0
-                inside = None
-                x, events, proof = moved
-                x_norm = None
-                rows.append(_trace_row(len(rows), x, events, opts))
-                if proof is not None:
-                    status = "infeasible"
-                    break
-                continue
+        if p is not None:
+            diff = x - p
+            dist = math.sqrt(float(diff.dot(diff)))
+            if not dist <= bound:  # NaN included
+                if not dist < math.inf and not np.isfinite(p).all():
+                    raise ValueError(f"the projection onto set {index} has non-finite entries")
+                moved = step(x, p, dist, index, visits)
+                if moved is not None:
+                    clean = 0
+                    run = 0
+                    inside = None
+                    x, events, proof = moved
+                    bound = None
+                    rows.append(_trace_row(len(rows), x, events, opts))
+                    if proof is not None:
+                        status = "infeasible"
+                        break
+                    continue
         clean += 1
         exact_clean += 1
         run += 1
@@ -702,7 +732,9 @@ def solve_map(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
                    lambda x, p, *_: (p, ("project",), None))
 
 
-@np.errstate(over="ignore")  # as in _cyclic
+# as in _cyclic; and a projection of an x near the overflow threshold may
+# hold inf * 0, which the next visit's finiteness check raises on
+@np.errstate(over="ignore", invalid="ignore")
 def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
     """Classical cyclic Dykstra with one correction vector per set.
 
@@ -755,7 +787,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
         rows.append(_trace_row(len(rows), x, ("project",), opts))
         if i == r - 1:
             counts["cycles"] += 1
-            bound = opts.feas_tol * (1.0 + _norm(x))
+            bound = _stop_bound(x, opts.feas_tol)
             if moved <= bound and _solved_status(x, sets, bound):
                 status = "solved"
                 break

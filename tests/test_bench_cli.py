@@ -30,7 +30,7 @@ from projqp.convex_sets import (
 )
 from projqp.solvers import _METHODS, SolveReport
 
-from test_solvers import disjoint_on_axis
+from test_solvers import OVERFLOWED_NORM, disjoint_on_axis
 
 
 class TestComputeMeasures:
@@ -200,6 +200,19 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["status"] == "solved"
         assert csv_out.read_text().startswith("iter,dist")
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWED_NORM))
+    def test_solve_with_overflowed_norm_is_not_solved(self, tmp_path, capsys, case):
+        problem = tmp_path / "p.json"
+        save_problem(problem, OVERFLOWED_NORM[case], np.zeros(2))
+        report = tmp_path / "r.json"
+        code = cli.main(["solve", "--problem", str(problem), "--method", "map", "--max-iter", "50",
+                         "--json", str(report)])
+        assert code == cli.EXIT_ITERATION_LIMIT == 3
+        assert json.loads(report.read_text())["status"] == "iteration_limit"
+        assert capsys.readouterr().err == ""
+        assert cli.main(["solve", "--problem", str(problem), "--method", "dykstra"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["projqp: error: x has non-finite entries"]
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_gen_writes_the_round_tripped_document(self, tmp_path, kind):

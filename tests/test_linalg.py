@@ -421,3 +421,31 @@ class TestSolveUpper:
         with pytest.raises(np.linalg.LinAlgError) as theirs:
             solve_triangular(r, w, lower=False)
         assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["nan-in-r", "inf-in-w", "nan-in-w-zero-diagonal"])
+    def test_unrolled_non_finite_raises_as_solve_triangular(self, q, bad):
+        rng = np.random.default_rng(605)
+        cases = []
+        if bad == "nan-in-r":  # every entry in turn, the lower triangle's too
+            for i, j in np.ndindex(q, q):
+                r, w = self.system(rng, q)
+                r[i, j] = np.nan
+                cases.append((r, w))
+        elif bad == "inf-in-w":
+            for i in range(q):
+                for inf in (np.inf, -np.inf):
+                    r, w = self.system(rng, q)
+                    w[i] = inf
+                    cases.append((r, w))
+        else:  # the operands are checked before the diagonal
+            r, w = self.system(rng, q)
+            r[0, 0] = 0.0
+            w[q - 1] = np.nan
+            cases.append((r, w))
+        for r, w in cases:
+            with pytest.raises(ValueError) as ours:
+                solve_upper(r, w)
+            with pytest.raises(ValueError) as theirs:
+                solve_triangular(r, w, lower=False)
+            assert str(ours.value) == str(theirs.value)

@@ -29,7 +29,7 @@ from projqp.convex_sets import (
     problem_from_dict,
     project_set,
 )
-from projqp import activeset_qp, linalg, solvers
+from projqp import activeset_qp, convex_sets, linalg, solvers
 from projqp.linalg import _RowScreen, qr_factorize
 from projqp.solvers import (
     DegenerateAggregate,
@@ -865,6 +865,56 @@ class TestNonFiniteIterates:
         assert rep.status == "iteration_limit"
 
 
+# sets whose iterates reach entries near 1.6e308, where ||x|| overflows:
+# alternating between the slab and the far sets never finds a common point
+OVERFLOWED_NORM = {
+    "slab-halfspaces": [Hyperslab(np.array([1.0, 0.0]), 0.0, 1.0),
+                        Halfspace(np.array([1.0, 0.0]), 1.6e308),
+                        Halfspace(np.array([0.0, 1.0]), 1.6e308)],
+    "ball-slab": [Ball(np.array([1.5e308, 1.5e308]), 1.0), Hyperslab(np.array([1.0, 0.0]), 0.0, 1.0)],
+}
+
+
+class TestOverflowedNorm:
+    """Where ||x|| overflows, the stop bound feas_tol (1 + ||x||) is still
+    finite, so a point far outside a set is never ``solved``."""
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWED_NORM))
+    def test_map_runs_to_its_cap(self, case):
+        rep = solve_map(np.zeros(2), OVERFLOWED_NORM[case], SolverOptions(max_outer_iters=50))
+        assert rep.status == "iteration_limit"
+        assert rep.counts == {"projections": 50}
+        assert np.isfinite(rep.x).all()
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWED_NORM))
+    def test_dykstra_raises(self, case):
+        with pytest.raises(ValueError, match="x has non-finite entries"):
+            solve_dykstra(np.zeros(2), OVERFLOWED_NORM[case])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1e300])
+    def test_bound(self, tol):
+        bound = solvers._stop_bound
+        rng = np.random.default_rng(7)
+        with np.errstate(over="ignore"):
+            for scale in (1.0, 1e-200, 1e100, 1e160, 1e300, 5e307):
+                x = scale * rng.normal(size=5)
+                sq = float(x.dot(x))
+                if sq < math.inf:  # the bound the drivers always used
+                    assert bound(x, tol) == tol * (1.0 + math.sqrt(sq))
+                    continue
+                # ||x|| scaled; where that overflows too, the bound is capped
+                big = float(np.abs(x).max())
+                s = float(np.linalg.norm(x / big))
+                if big * s < math.inf:
+                    assert bound(x, tol) == tol * (1.0 + big * s)
+                else:
+                    assert bound(x, tol) == min(tol * s * big, np.finfo(float).max)
+            x = np.array([1.6e308, 1.6e308])
+            assert bound(x, tol) == min(tol * math.sqrt(2.0) * 1.6e308, np.finfo(float).max)
+            for bad in (math.nan, math.inf, -math.inf):
+                assert math.isnan(bound(np.array([1.0, bad]), tol))
+
+
 class TestOptionValidation:
     """Each field is checked on construction; a bad value names its field."""
 
@@ -920,14 +970,18 @@ class TestStoreCompaction:
 
 
 def _outcome(method, x0, sets, opts):
-    """Everything a solve reports, in comparable form (a raise included)."""
+    """Everything a solve reports, in comparable form (a raise included),
+    and the invariant checks it made."""
+    checks = MONITOR.checks
     try:
         rep = solve(method, x0, sets, opts)
     except Exception as exc:  # noqa: BLE001 - the raise itself is compared
-        return ("raise", type(exc).__name__, str(exc))
+        return ("raise", type(exc).__name__, str(exc)), MONITOR.checks - checks
     extras = {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in rep.extras.items()}
-    return (rep.status, rep.x.tobytes(), list(rep.counts.items()), rep.rows, extras,
-            rep.certificate and (rep.certificate.j_prime, rep.certificate.lam.tobytes()))
+    rows = [(r.iteration, r.dist, r.events, None if r.x is None else r.x.tobytes()) for r in rep.rows]
+    cert = rep.certificate and (rep.certificate.j_prime, rep.certificate.lam.tobytes(),
+                                [a.tobytes() for a in rep.cert_system])
+    return (rep.status, rep.x.tobytes(), list(rep.counts.items()), rows, extras, cert), MONITOR.checks - checks
 
 
 def _slab_file(n, count, seed):
@@ -1030,10 +1084,18 @@ class TestLinearScreen:
         if case.startswith(("slabs", "mixed")) and options == "default":
             assert checked  # the screen skipped visits here
 
-    def test_screen_skips_most_clean_visits(self, monkeypatch):
-        sets, x0 = _slab_file(10, 40, 4)
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count every exact visit: the driver projects a hyperslab or
+        halfspace with ``_linear_project`` and any other set with ``_project``."""
         calls = []
         monkeypatch.setattr(solvers, "_project", lambda k, x: calls.append(k) or project_set(k, x))
+        monkeypatch.setattr(solvers, "_linear_project", lambda k, x: calls.append(k) or _linear_project(k, x))
+        return calls
+
+    def test_screen_skips_most_clean_visits(self, monkeypatch):
+        sets, x0 = _slab_file(10, 40, 4)
+        calls = self._spy(monkeypatch)
         rep = solve_map(x0, sets, SolverOptions(max_outer_iters=100_000))
         assert rep.status == "solved"
         assert len(calls) < rep.counts["projections"] / 2
@@ -1052,8 +1114,7 @@ class TestLinearScreen:
     @pytest.mark.parametrize("method", METHODS)
     def test_cap_inside_a_screened_run(self, monkeypatch, method):
         sets, x0 = _slab_file(10, 40, 4)
-        calls = []
-        monkeypatch.setattr(solvers, "_project", lambda k, x: calls.append(k) or project_set(k, x))
+        calls = self._spy(monkeypatch)
 
         def capped(cap):
             calls.clear()
@@ -1068,3 +1129,136 @@ class TestLinearScreen:
                 self._off(mp)
                 assert out == capped(cap)[0]
         assert screened_last
+
+
+def cyclic_loop(x0, x, sets, opts, counts, step):
+    """The cyclic driver one visit at a time: an exact ``_project`` on every
+    visit, with no screen and no runs of cleared sets.  Same signature and
+    report as ``solvers._cyclic``, whose outputs must be this loop's."""
+    r = len(sets)
+    rows = [solvers._trace_row(0, x0, (), opts)]
+    clean = visits = l = 0
+    status, proof, bound = "iteration_limit", None, None
+    while clean < r:
+        if visits >= opts.max_outer_iters:
+            break
+        visits += 1
+        if bound is None:
+            bound = solvers._stop_bound(x, opts.feas_tol)
+            if math.isnan(bound):
+                raise ValueError("x has non-finite entries")
+        index, l = l, (l + 1) % r
+        p = convex_sets._project(sets[index], x)
+        counts["projections"] += 1
+        diff = x - p
+        dist = math.sqrt(float(diff.dot(diff)))
+        if not dist <= bound:
+            if not dist < math.inf and not np.isfinite(p).all():
+                raise ValueError(f"the projection onto set {index} has non-finite entries")
+            moved = step(x, p, dist, index, visits)
+            if moved is not None:
+                clean = 0
+                x, events, proof = moved
+                bound = None
+                rows.append(solvers._trace_row(len(rows), x, events, opts))
+                if proof is not None:
+                    status = "infeasible"
+                    break
+                continue
+        clean += 1
+    else:
+        status = "solved"
+    certificate, cert_system = proof or (None, None)
+    return solvers.SolveReport(status, x, rows, counts, certificate, cert_system)
+
+
+class TestCyclicReference:
+    """``solvers._cyclic`` takes a run of screened sets in one step and
+    reads a hyperslab or halfspace x is inside with one dot; every output
+    must be ``cyclic_loop``'s, byte for byte, and at every cap."""
+
+    METHODS = ("map", "bap-gi", "sip-gi", "haugazeau")
+    CASES = {
+        "slabs10": lambda: _slab_file(10, 40, 4),
+        "mixed": lambda: _mixed(6),
+        "mixed-box": lambda: _mixed(7, box=True),
+        "huge": lambda: (_HUGE, np.zeros(2)),
+        "tiny-rows": lambda: (_TINY_ROWS, np.zeros(2)),
+    }
+    TOLS = {"default": 1e-9, "tol0": 0.0}
+
+    @staticmethod
+    def _exact_visits(monkeypatch, method, x0, sets, opts):
+        """The numbers of the visits that project (from 1), and the visit count."""
+        cyclic, state, exact = solvers._cyclic, {}, []
+
+        def spy_cyclic(x0, x, sets, opts, counts, step):
+            state["counts"] = counts
+            return cyclic(x0, x, sets, opts, counts, step)
+
+        def spy(project):
+            return lambda k, x: exact.append(state["counts"]["projections"] + 1) or project(k, x)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_cyclic", spy_cyclic)
+            mp.setattr(solvers, "_project", spy(convex_sets._project))
+            mp.setattr(solvers, "_linear_project", spy(_linear_project))
+            try:
+                solve(method, x0, sets, opts)
+            except ValueError:  # a raise ends the visits too
+                pass
+        return exact, state["counts"]["projections"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("tol", sorted(TOLS))
+    def test_matches_the_one_visit_loop(self, monkeypatch, method, case, tol):
+        sets, x0 = self.CASES[case]()
+        # Haugazeau is slow to converge: a capped run shows the same
+        cap = 600 if method == "haugazeau" else 20_000
+        opts = SolverOptions(feas_tol=self.TOLS[tol], max_outer_iters=cap, record_iterates=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact, total = self._exact_visits(monkeypatch, method, x0, sets, opts)
+            screened = sorted(set(range(1, total + 1)) - set(exact))
+            runs = []  # the screened runs, as (first visit, last visit)
+            for v in screened:
+                if runs and runs[-1][1] == v - 1:
+                    runs[-1][1] = v
+                else:
+                    runs.append([v, v])
+            caps = {total, max(total - 1, 1)}  # the visit that ends the solve, and the one before
+            for first, last in runs[:2] + runs[len(runs) // 2:len(runs) // 2 + 1] + runs[-2:]:
+                caps |= {first, (first + last) // 2, last, last + 1}
+            caps = sorted(c for c in caps if 1 <= c <= cap)
+            for c in caps:
+                capped = SolverOptions(feas_tol=opts.feas_tol, max_outer_iters=c, record_iterates=True)
+                ours = _outcome(method, x0, sets, capped)
+                with monkeypatch.context() as mp:
+                    mp.setattr(solvers, "_cyclic", cyclic_loop)
+                    theirs = _outcome(method, x0, sets, capped)
+                assert ours == theirs, f"cap {c}"
+        # BAP solves the mixed sets before the screen is due
+        if tol == "default" and (case == "slabs10" or case.startswith("mixed") and method != "bap-gi"):
+            assert runs  # the screen cleared runs here
+
+    @pytest.mark.parametrize("bad", range(4))
+    @pytest.mark.parametrize("cap", range(1, 9))
+    def test_run_ends_with_the_clean_pass(self, monkeypatch, bad, cap):
+        """A step that lands deep inside every set: the screen, refreshed at
+        the first clean visit, then clears the set x moved at and the sets
+        past it, and the run must end where the clean pass does."""
+        sets = [Hyperslab(np.eye(4)[i], -10.0, 10.0) for i in range(4)]
+        x0 = 100.0 * np.eye(4)[bad]  # outside set `bad` only
+
+        def step(x, p, dist, index, visit):
+            return np.zeros(4), ("jump",), None
+
+        opts = SolverOptions(max_outer_iters=cap, record_iterates=True)
+        monkeypatch.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
+        reports = [drive(x0, x0, sets, opts, {"projections": 0}, step)
+                   for drive in (solvers._cyclic, cyclic_loop)]
+        ours, theirs = ([rep.status, rep.x.tobytes(), rep.counts,
+                         [(r.iteration, r.events, r.x.tobytes()) for r in rep.rows]] for rep in reports)
+        assert ours == theirs
+        if cap == 8:
+            assert ours[0] == "solved" and ours[2] == {"projections": bad + 5}
