@@ -10,6 +10,7 @@ suites passed, 2 infeasible, 3 iteration limit, 4 numerical breakdown,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -68,6 +69,56 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--suite", action="append", choices=list(bench.ALL_SUITES), default=None)
     return parser
+
+
+# numpy's default print options: under them format_x prints as array2string
+_PRINT_DEFAULTS = {"linewidth": 75, "threshold": 1000, "suppress": False, "sign": "-",
+                   "floatmode": "maxprec", "legacy": False, "formatter": None}
+
+
+def format_x(x: np.ndarray) -> str:
+    """``np.array2string(x, precision=9)``, formatting each entry once.
+
+    ``array2string`` runs numpy's Dragon4 formatter twice per entry inside
+    per-element recursion.  For a 1-D float64 x of finite entries under the
+    default print options, this takes ``FloatingFormat``'s steps in one
+    loop: numpy's rule picks the exponential mode, a positional entry is
+    formatted once and padded with spaces to the widest integer and
+    fraction parts, an exponential one gets numpy's second pass at the
+    widest fraction, and the words wrap at 75 columns as ``_formatArray``
+    wraps one axis.  Any other x goes to ``array2string``.
+    """
+    opts = np.get_printoptions()
+    vals = x.tolist() if x.ndim == 1 and x.dtype == np.float64 and 0 < x.size <= 1000 else []
+    if not (vals and all(map(math.isfinite, vals))
+            and all(opts[k] == v for k, v in _PRINT_DEFAULTS.items())):
+        return np.array2string(x, precision=9)
+    mags = [abs(v) for v in vals if v]
+    hi, lo = (max(mags), min(mags)) if mags else (0.0, 1.0)
+    if hi >= 1e8 or lo < 1e-4 or hi / lo > 1000.0:
+        parts = [np.format_float_scientific(v, precision=9, unique=True, trim=".").partition("e")
+                 for v in vals]
+        digits = max(len(m) - m.index(".") - 1 for m, _, _ in parts)
+        left = max(m.index(".") for m, _, _ in parts)
+        exp = max(len(e) for _, _, e in parts) - 1
+        words = [np.format_float_scientific(v, precision=digits, min_digits=digits, unique=True,
+                                            trim="k", pad_left=left, exp_digits=exp) for v in vals]
+    else:
+        # precision 9, unique, fractional, trim "." (positional arguments
+        # parse faster than keywords)
+        strs = [np.format_float_positional(v, 9, True, True, ".") for v in vals]
+        dots = [s.index(".") for s in strs]
+        left = max(dots)
+        width = left + max(len(s) - d for s, d in zip(strs, dots))
+        words = [(" " * (left - d) + s).ljust(width) for s, d in zip(strs, dots)]
+    lines, line = [], "["
+    for w in words:  # a line holds 74 columns before its separator or "]"
+        if len(line) + len(w) > 74 and len(line) > 1:
+            lines.append(line.rstrip())
+            line = " "
+        line += w + " "
+    lines.append(line[:-1] + "]")
+    return "\n".join(lines)
 
 
 def _emit_report(report: SolveReport, out, json_out) -> None:
@@ -130,7 +181,7 @@ def _cmd_solve(args) -> int:
     # the ART solvers count their iterations; a set solver's trace has a row per step
     iters = report.counts.get("iterations", len(report.rows) - 1)
     print(f"method={args.method} status={report.status} iters={iters}")
-    print("x =", np.array2string(np.asarray(report.x), precision=9))
+    print("x =", format_x(np.asarray(report.x)))
     _emit_report(report, args.out, args.json_out)
     return STATUS_EXIT[report.status]
 

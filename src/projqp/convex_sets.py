@@ -71,8 +71,10 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, "center"))
-        if not self.radius > 0.0:
+        radius = float(self.radius)
+        if not radius > 0.0:
             raise ValueError("radius must be positive")
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dim(self) -> int:

@@ -14,14 +14,14 @@ a re-orthogonalization, the Householder-grade alternative) and deleting a
 column.  Deleting the last column is a slice of the leading blocks; any
 other delete is a sweep of Givens rotations (Daniel, Gragg, Kaufman and
 Stewart, Math. Comp. 30, 1976), run by ``scipy.linalg.qr_delete``'s
-compiled code at q >= 3 and as one numpy rotation at q = 2, where the
-compiled call is no faster and numpy keeps the rounding of the outputs in
-the plane (the paper's Table 1).  Updates never refactorize from scratch,
-but a shadow copy of the factored matrix is kept so that the factors can
-be refreshed every ``REFRESH_EVERY`` updates to bound drift; a delete
-counts as one update whether it slices or sweeps.  Signs are canonicalized
-so the diagonal of R is nonnegative, which makes factors deterministic for
-tests.
+compiled code at q >= 3 (called past scipy's batching wrapper) and as one
+numpy rotation at q = 2, where the compiled call is no faster and numpy
+keeps the rounding of the outputs in the plane (the paper's Table 1).
+Updates never refactorize from scratch, but a shadow copy of the factored
+matrix is kept so that the factors can be refreshed every
+``REFRESH_EVERY`` updates to bound drift; a delete counts as one update
+whether it slices or sweeps.  Signs are canonicalized so the diagonal of R
+is nonnegative, which makes factors deterministic for tests.
 
 Every update returns C-contiguous factors, slices included: BLAS kernels
 may sum in a different order for another memory layout, so a strided view
@@ -35,16 +35,19 @@ diagonal.  So the result is bit for bit that of ``solve_triangular``,
 without the wrapper's argument handling, which cost more than the solve
 at the active-set sizes of the outer solvers.  One and two unknowns are
 solved on Python floats, bit for bit as ``solve_triangular`` solves them
-for a C-ordered R, with the same two checks on those floats.
+for a C-ordered R, with the same two checks on those floats.  Larger
+systems, and the compiled delete, test their operands for finiteness with
+one sum of squares each (``_sum_finite``).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_delete
+import scipy.linalg
 from scipy.linalg.lapack import dtrtrs
 
 RANK_TOL = 1e-12
@@ -57,6 +60,10 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 _SCREEN_LIMIT = 2.0**1020
 # scipy.linalg.solve_triangular's message for a non-finite operand
 _NON_FINITE = "array must not contain infs or NaNs"
+# scipy's compiled Givens sweep without its batching wrapper, which costs
+# more than the sweep itself at the engine's sizes (the wrapper passes an
+# unbatched call straight through)
+qr_delete = inspect.unwrap(scipy.linalg.qr_delete)
 
 
 class LinalgError(Exception):
@@ -75,6 +82,17 @@ def _all_finite(a: np.ndarray) -> bool:
     if a.size > SMALL_SIZE:
         return bool(np.isfinite(a).all())
     return all(map(math.isfinite, a.tolist() if a.ndim == 1 else a.ravel().tolist()))
+
+
+def _sum_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite, mostly from one sum.
+
+    A NaN or inf entry makes the sum of squares ``np.vdot(a, a)`` NaN or
+    inf, so a finite sum proves every entry finite; only a sum that
+    overflowed from finite entries needs the entrywise test.  Unlike
+    ``a.sum()``, vdot raises no overflow warning.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def as_1d(x, name: str = "vector") -> np.ndarray:
@@ -308,7 +326,7 @@ def qr_delete_column(f: QrFactors, l: int) -> QrFactors:
         q_new = (f.q_mat @ g.T)[:, :1].copy()
         mat_new = f.mat[:, 1:].copy()
     else:
-        if not (_all_finite(f.q_mat) and _all_finite(f.r_mat)):
+        if not (_sum_finite(f.q_mat) and _sum_finite(f.r_mat)):
             raise ValueError("QR factors have non-finite entries")
         # overwrite_qr stays off: the caller may still hold f.  At n == q
         # scipy takes Q as the full factor and returns R with q rows.
@@ -362,7 +380,7 @@ def solve_upper(r_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
         except ZeroDivisionError:
             zero = r_mat.diagonal().tolist().index(0.0)
             raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {zero}") from None
-    if not (np.isfinite(r_mat).all() and np.isfinite(w).all()):
+    if not (_sum_finite(r_mat) and _sum_finite(w)):
         raise ValueError(_NON_FINITE)
     if r_mat.flags.f_contiguous:
         x, info = dtrtrs(r_mat, w)

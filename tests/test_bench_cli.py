@@ -173,6 +173,16 @@ def float_bits(doc):
     return doc
 
 
+# every set method on a feasible file, the ART methods on slabs, and an
+# infeasible verdict
+SOLVE_CASES = [
+    *[("balls-with-common-point", m) for m in _METHODS],
+    ("hyperslabs-with-interior", "art3"),
+    ("hyperslabs-with-interior", "ext-art"),
+    ("infeasible-balls", "bap-gi"),
+]
+
+
 class TestCli:
     def test_two_circles_csv(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -209,8 +219,13 @@ class TestCli:
         code = cli.main(["solve", "--problem", str(problem), "--method", "map", "--max-iter", "50",
                          "--json", str(report)])
         assert code == cli.EXIT_ITERATION_LIMIT == 3
-        assert json.loads(report.read_text())["status"] == "iteration_limit"
-        assert capsys.readouterr().err == ""
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "iteration_limit"
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # x near 1.6e308 prints in numpy's exponential mode
+        x_text = "x = " + np.array2string(np.array(doc["x"]), precision=9) + "\n"
+        assert captured.out.split("\n", 1)[1] == x_text and "e+308" in x_text
         assert cli.main(["solve", "--problem", str(problem), "--method", "dykstra"]) == 1
         assert capsys.readouterr().err.splitlines() == ["projqp: error: x has non-finite entries"]
 
@@ -371,13 +386,11 @@ class TestCli:
         assert code == 0
         assert "suite box-qp: PASS" in captured.out
 
-    @pytest.mark.parametrize("kind, method", [
-        *[("balls-with-common-point", m) for m in _METHODS],
-        ("hyperslabs-with-interior", "art3"),
-        ("hyperslabs-with-interior", "ext-art"),
-        ("infeasible-balls", "bap-gi"),
-    ])
-    def test_json_report_is_the_report(self, tmp_path, monkeypatch, kind, method):
+    @staticmethod
+    def solve_generated(tmp_path, monkeypatch, capsys, kind, method, n):
+        """``projqp solve --json`` on a generated file: the exit code, the
+        report handed to ``to_json``, the text after the first stdout line,
+        and the JSON written."""
         written = []
         to_json = SolveReport.to_json
 
@@ -387,19 +400,34 @@ class TestCli:
 
         monkeypatch.setattr(SolveReport, "to_json", spy)
         problem = tmp_path / "p.json"
-        assert cli.main(["gen", "--kind", kind, "--n", "3", "--count", "4", "--seed", "5",
+        assert cli.main(["gen", "--kind", kind, "--n", str(n), "--count", "4", "--seed", "5",
                          "--out", str(problem)]) == 0
         out = tmp_path / "r.json"
+        capsys.readouterr()
         code = cli.main(["solve", "--problem", str(problem), "--method", method, "--max-iter", "200",
                          "--json", str(out)])
         [report] = written
+        _, x_text = capsys.readouterr().out.split("\n", 1)
+        return code, report, x_text, out.read_text()
+
+    @pytest.mark.parametrize("kind, method", SOLVE_CASES)
+    def test_json_report_is_the_report(self, tmp_path, monkeypatch, capsys, kind, method):
+        code, report, x_text, text = self.solve_generated(tmp_path, monkeypatch, capsys, kind, method, 3)
         assert code == cli.STATUS_EXIT[report.status]
-        text = out.read_text()
+        # the x line is numpy's default array text at 9 digits
+        assert x_text == "x = " + np.array2string(report.x, precision=9) + "\n"
         assert text.count("\n") == 1 and text.endswith("\n")
         doc = json.loads(text)
         assert float_bits(doc) == float_bits(report.to_json_dict())
         if kind == "infeasible-balls":
             assert report.status == "infeasible" and doc["certificate"]["lambda"]
+
+    @pytest.mark.parametrize("kind, method", SOLVE_CASES)
+    def test_wrapped_x_line_is_array2string(self, tmp_path, monkeypatch, capsys, kind, method):
+        code, report, x_text, _ = self.solve_generated(tmp_path, monkeypatch, capsys, kind, method, 30)
+        assert code == cli.STATUS_EXIT[report.status]
+        assert x_text == "x = " + np.array2string(report.x, precision=9) + "\n"
+        assert "\n" in x_text.rstrip()
 
     def test_repeated_solves_are_identical(self, tmp_path, capsys):
         problem = tmp_path / "p.json"
@@ -442,6 +470,111 @@ class TestCli:
         assert code == cli.EXIT_BREAKDOWN == 4
         assert captured.out == ""
         assert captured.err == f"projqp: error: numerical breakdown: {exc}\n"
+
+
+def _scaled(rng, n):
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-12, 12)
+
+
+def _mixed(rng, n):
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-12, 12, size=n)
+
+
+def _mode_edges(rng, n):
+    # the exponential mode's three tests: |x| >= 1e8, |x| < 1e-4, max/min > 1000
+    edge = rng.choice([1e-4, 1e8, 1.0])
+    near = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    if edge == 1.0:
+        near = [1.0, 1000.0, np.nextafter(1000.0, 0.0), np.nextafter(1000.0, np.inf)]
+    return rng.choice(near, size=n) * rng.choice([1.0, -1.0], size=n)
+
+
+def _specials(rng, n):
+    pool = [0.0, -0.0, 1.0, -3.0, 7.0, 2.0**-10, -(2.0**-10), 5e-324, 2.2250738585072014e-308,
+            1.6e308, -1.6e308, 0.1, 0.5, 1e-3, 99999999.99999999, 123456789.0, 1.0000000005]
+    return rng.choice(pool, size=n)
+
+
+def _integers(rng, n):
+    return rng.integers(-(10 ** int(rng.integers(1, 11))), 10 ** int(rng.integers(1, 11)), size=n) * 1.0
+
+
+def _ties(rng, n):
+    # multiples of 2**-10 and 2**-20 end in a 5 that 9 digits cut: a tie
+    return rng.integers(-(2**24), 2**24, size=n) * rng.choice([2.0**-10, 2.0**-20, 2.0**-30])
+
+
+def _rounded(rng, n):
+    return np.round(rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 9)), int(rng.integers(0, 12)))
+
+
+def _with_zeros(rng, n):
+    x = _scaled(rng, n)
+    x[rng.uniform(size=n) < 0.4] = rng.choice([0.0, -0.0])
+    return x
+
+
+FORMAT_FAMILIES = [_scaled, _mixed, _mode_edges, _specials, _integers, _ties, _rounded, _with_zeros]
+
+
+class TestFormatX:
+    """``cli.format_x`` prints what ``np.array2string(x, precision=9)`` prints,
+    without calling it on a 1-D float64 x of finite entries under numpy's
+    default print options, and through it on anything else."""
+
+    @pytest.mark.parametrize("family", FORMAT_FAMILIES, ids=lambda f: f.__name__[1:])
+    def test_matches_array2string(self, family, monkeypatch):
+        reference = np.array2string
+        fast = []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("format_x fell back to array2string")
+
+        monkeypatch.setattr(np, "array2string", forbidden)
+        rng = np.random.default_rng(9000 + FORMAT_FAMILIES.index(family))
+        # 6,250 arrays a family, 50,000 in all: mostly 1 to 16 entries, which
+        # wrap at 75 columns from 5 exponential or 6 wide positional words
+        # on, and every twentieth up to 119
+        for k in range(6250):
+            n = int(rng.integers(1, 120 if k % 20 == 0 else 17))
+            x = np.asarray(family(rng, n), dtype=float)
+            fast.append(cli.format_x(x))
+            assert fast[-1] == reference(x, precision=9), x.tolist()
+        assert any("\n" in text for text in fast) and any("e" in text for text in fast)
+
+    @pytest.mark.parametrize("x", [
+        np.array([1.0, np.nan, -2.5]),
+        np.array([np.inf]),
+        np.array([-np.inf, 1e-7, 3.0]),
+        np.arange(1001.0) / 7.0,
+        np.linspace(-1e9, 1e9, 2500),
+        np.zeros(0),
+        np.arange(6.0).reshape(2, 3),
+        np.array([1.5, 2.25], dtype=np.float32),
+    ], ids=["nan", "inf", "minus-inf", "n-1001", "n-2500", "empty", "2-d", "float32"])
+    def test_other_arrays_go_to_array2string(self, x, monkeypatch):
+        calls = []
+        reference = np.array2string
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array2string", counted)
+        assert cli.format_x(x) == reference(x, precision=9)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("options", [
+        {"linewidth": 40}, {"sign": " "}, {"sign": "+"}, {"floatmode": "fixed"},
+        {"floatmode": "unique"}, {"suppress": True}, {"threshold": 5}, {"legacy": "1.13"},
+        {"formatter": {"float": "{:.2f}".format}},
+    ], ids=lambda o: next(iter(o)) + "-" + str(next(iter(o.values())))[:8])
+    def test_other_print_options_go_to_array2string(self, options):
+        rng = np.random.default_rng(9100)
+        with np.printoptions(**options):
+            for n in (1, 3, 12, 40):
+                for x in (rng.normal(size=n), rng.normal(size=n) * 1e-6):
+                    assert cli.format_x(x) == np.array2string(x, precision=9)
 
 
 class TestLoaderMutants:

@@ -295,6 +295,27 @@ class TestConstruction:
         assert (slab.lower, slab.upper, half.b) == (-1.0, 2.0, 3.0)
         assert Halfspace([1.0, 0.0], -np.inf).b == -np.inf
 
+    @pytest.mark.parametrize("radius, expected", [
+        (1, 1.0),
+        (np.float64(2.5), 2.5),
+        ("1", 1.0),  # float() reads it, as it reads a halfspace's b
+        (np.array(3.0), 3.0),
+        (np.array([1.0]), "only 0-dimensional arrays can be converted"),
+        ([1.0], "float\\(\\) argument must be"),
+        (np.array([1.0, 2.0]), "only 0-dimensional arrays can be converted"),
+        (0, "radius must be positive"),
+        ("nan", "radius must be positive"),
+    ], ids=["int", "float64", "str", "0-d-array", "1-element-array", "list", "2-element-array",
+            "zero", "nan"])
+    def test_ball_radius_stored_as_float(self, radius, expected):
+        if isinstance(expected, float):
+            ball = Ball([0, 0], radius)
+            assert type(ball.radius) is float and ball.radius == expected
+        else:
+            error = ValueError if "positive" in expected else TypeError
+            with pytest.raises(error, match=expected):
+                Ball([0, 0], radius)
+
     def test_huge_integer_entry_names_where(self):
         with pytest.raises(ValueError, match="^center: int too large to convert to float$"):
             Ball([10**400, 0], 1.0)

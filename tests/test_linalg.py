@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from projqp.linalg import (
@@ -253,6 +254,54 @@ class TestDeleteMatchesTheSweep:
                     with pytest.raises(ValueError):
                         qr_delete_column(g, l)
 
+    @staticmethod
+    def scipy_delete(f, l):
+        """An interior delete at q >= 3 through ``scipy.linalg.qr_delete``'s
+        public wrapper, with the sign fix ``qr_delete_column`` applies."""
+        q = f.ncols
+        q_full, r_full = scipy.linalg.qr_delete(f.q_mat, f.r_mat, l, 1, "col")
+        sign = np.copysign(1.0, r_full.diagonal()[:q - 1])
+        sign[:l] = 1.0
+        r_new = np.multiply(r_full[:q - 1, :q - 1], sign[:, None], order="C")
+        r_new[l:] += 0.0
+        return np.multiply(q_full[:, :q - 1], sign, order="C"), r_new
+
+    @pytest.mark.parametrize("scale", ["unit", "q-overflows", "r-overflows"])
+    @pytest.mark.parametrize("n", [3, 5, 50])
+    def test_compiled_sweep_is_scipys_to_the_bit(self, n, scale):
+        # the sum of squares of a 1e200-scaled factor overflows: the
+        # entrywise test must then pass the finite factor
+        rng = np.random.default_rng(850 + n)
+        for q in range(3, min(n, 12) + 1):
+            f = qr_factorize(rng.normal(size=(n, q)))
+            if scale == "q-overflows":
+                f = QrFactors(f.q_mat * 1e200, f.r_mat, f.mat, 0)
+            elif scale == "r-overflows":
+                f = QrFactors(f.q_mat, f.r_mat * 1e200, f.mat * 1e200, 0)
+            for l in range(q - 1):
+                got = qr_delete_column(f, l)
+                q_ref, r_ref = self.scipy_delete(f, l)
+                assert got.q_mat.tobytes() == q_ref.tobytes(), (q, l)
+                assert got.r_mat.tobytes() == r_ref.tobytes(), (q, l)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_rejected(self, bad, scale):
+        # one sum of squares per factor decides, so every entry is tried,
+        # on factors whose sum of squares is finite and on ones where it
+        # overflows
+        rng = np.random.default_rng(860)
+        f = qr_factorize(rng.normal(size=(6, 4)))
+        for which in ("q", "r"):
+            base = (f.q_mat if which == "q" else f.r_mat) * scale
+            for index in np.ndindex(base.shape):
+                m = base.copy()
+                m[index] = bad
+                g = QrFactors(m, f.r_mat, f.mat, 0) if which == "q" else QrFactors(f.q_mat, m, f.mat, 0)
+                for l in range(3):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        qr_delete_column(g, l)
+
     def test_negative_diagonal_is_canonicalized(self):
         # a diagonal the sweep does not touch (below l) keeps its sign
         # through the sweep; the result still has a nonnegative diagonal
@@ -448,4 +497,38 @@ class TestSolveUpper:
                 solve_upper(r, w)
             with pytest.raises(ValueError) as theirs:
                 solve_triangular(r, w, lower=False)
+            assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overflowing_sum_of_squares_is_solved(self, order):
+        # finite operands whose sum of squares overflows pass the one-sum
+        # check's entrywise fallback and give solve_triangular's bytes
+        rng = np.random.default_rng(606)
+        for q in (3, 5, 12):
+            r, w = self.system(rng, q)
+            for r_s, w_s in ((r * 1e200, w), (r, w * 1e200), (r * 1e200, w * 1e200)):
+                r_s = np.asarray(r_s, order=order)
+                got = solve_upper(r_s, w_s)
+                assert got.tobytes() == solve_triangular(r_s, w_s, lower=False).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_raises(self, bad, scale):
+        rng = np.random.default_rng(607)
+        r, w = self.system(rng, 4)
+        r, w = r * scale, w * scale
+        cases = []
+        for index in np.ndindex(r.shape):  # the lower triangle too
+            r_bad = r.copy()
+            r_bad[index] = bad
+            cases.append((r_bad, w))
+        for i in range(w.size):
+            w_bad = w.copy()
+            w_bad[i] = bad
+            cases.append((r, w_bad))
+        for r_bad, w_bad in cases:
+            with pytest.raises(ValueError) as ours:
+                solve_upper(r_bad, w_bad)
+            with pytest.raises(ValueError) as theirs:
+                solve_triangular(r_bad, w_bad, lower=False)
             assert str(ours.value) == str(theirs.value)
