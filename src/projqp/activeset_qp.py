@@ -205,16 +205,6 @@ class QpProblem:
         return self.b.take(js)
 
 
-def _trusted_problem(x_star: np.ndarray, c_mat: np.ndarray, b: np.ndarray) -> QpProblem:
-    """``QpProblem(x_star, c_mat, b)`` without its checks, for finite float
-    arrays of matching shapes that the caller built itself."""
-    qp = object.__new__(QpProblem)
-    object.__setattr__(qp, "x_star", x_star)
-    object.__setattr__(qp, "c_mat", c_mat)
-    object.__setattr__(qp, "b", b)
-    return qp
-
-
 @dataclass(frozen=True)
 class STuple:
     """Active-set state; see module docstring for the invariants."""
@@ -722,15 +712,7 @@ def gi_solve(qp: QpProblem) -> Solution | Infeasible:
     Raises ``IterationLimitError`` after ``100 + 20 m`` steps, which is a
     different outcome from a certified ``Infeasible``.
     """
-    return _gi_from(qp, empty_s_tuple(qp.x_star))
-
-
-def _gi_from(qp: QpProblem, s: STuple) -> Solution | Infeasible:
-    """``gi_solve`` from the s-tuple ``s`` of ``qp`` in place of the empty one.
-
-    A start whose active constraints are already among the answer's leaves
-    the engine fewer inner steps to take.
-    """
+    s = empty_s_tuple(qp.x_star)
     c_mat, b = qp.c_mat, qp.b
     c_t = c_mat.T
     cap = 100 + 20 * c_mat.shape[1]

@@ -3,6 +3,10 @@
 ``solve_bap`` projects x0 onto the intersection of convex sets by feeding
 each newly generated supporting halfspace to the dual active-set engine,
 keeping the active set (and its QR factors) warm across outer iterations.
+A store above its cap collapses to one halfspace, the multiplier-weighted
+sum of the active ones (by KKT its normal lies along x - x0).  Haugazeau's method
+is BAP whose store is that one halfspace between steps: ``solve_haugazeau``
+runs BAP's body with the store collapsed after every step.
 ``solve_sip`` looks the same but re-anchors at the current iterate every
 outer iteration (multipliers reset to zero), so each step drops the kept
 active halfspaces that block the new one and slides along the rest: the
@@ -34,25 +38,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .activeset_qp import (
-    DUAL_TOL,
     Infeasible,
     InfeasibilityCertificate,
+    NumericalError,
     STuple,
     _empty_qr,
     _empty_s_tuple,
-    _gi_from,
-    _trusted_problem,
     _violated,
     check_s_tuple,
     inner_gi_step,
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
 from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _linear_project, _project
-from .linalg import RANK_TOL, _qr_append, _RowScreen, as_start, qr_delete_column
-
-
-class DegenerateAggregate(ValueError):
-    """Aggregation weights cancel; the combined normal would vanish."""
+from .linalg import _qr_append, _RowScreen, as_start, qr_delete_column
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +162,10 @@ class SolverOptions:
 
     ``max_outer_iters`` caps set visits (projections), not outer
     iterations: a visit that finds x inside its set counts too.
-    ``max_store`` caps the halfspace store of BAP and SIP.  For SIP the cap
-    is hard.  For BAP it is soft: compaction merges pairs of active
-    halfspaces and evicts inactive ones, but an active halfspace it cannot
-    merge stays, so the store may end above the cap.
+    ``max_store`` caps the halfspace store of BAP and SIP.  SIP evicts the
+    oldest halfspaces down to the cap.  BAP's store collapses to one
+    aggregate halfspace when it exceeds the cap, so for ``max_store >= 1``
+    the cap is hard, and 0 keeps that one halfspace (Haugazeau's method).
     ``record_iterates`` keeps a copy of each trace row's iterate in
     ``TraceRow.x``; distances to any point, such as a solution found later,
     are computed from those (``bench.run_two_circles`` does so).
@@ -339,94 +337,40 @@ def _cut(x: np.ndarray, p: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation and store compaction
+# Store compaction
 
 
-def aggregate_halfspace_pair(c_i, b_i: float, u_i: float, c_j, b_j: float, u_j: float):
-    """The two-column aggregation formula: returns (m_hat, b_hat, u_hat).
+def _aggregate(store: HalfspaceStore, s: STuple, x0: np.ndarray, cold: float, birth: int,
+               events: list[str]) -> STuple:
+    """Collapse BAP's store to the one halfspace that aggregates its active ones.
 
-    m_hat is the unit vector along u_i c_i + u_j c_j, u_hat that
-    combination's norm and b_hat the matching combination of the right-hand
-    sides, so u_i c_i + u_j c_j = u_hat m_hat exactly and any point tight on
-    both originals is tight on the aggregate.  The aggregated halfspace
-    contains the intersection of the two originals (multipliers are >= 0).
+    By KKT x0 - x = -N u, so with wn = ||x0 - x|| the halfspace with normal
+    c = (x - x0) / wn through x is the multiplier-weighted sum of the active
+    halfspaces.  It contains their intersection, hence the sets, and
+    (x, (0,), [wn]) with the QR of [c] is a valid s-tuple for it: x0 - x =
+    -c wn.  Where wn <= ``cold`` there is no such halfspace to keep, and the
+    store empties to the s-tuple at x0.  A wn that overflows raises
+    ``NumericalError``: its c would be a zero column.
     """
-    if u_i < -DUAL_TOL or u_j < -DUAL_TOL or u_i + u_j <= 0.0:
-        raise ValueError("aggregation needs nonnegative multipliers with positive sum")
-    w = u_i * np.asarray(c_i, dtype=float) + u_j * np.asarray(c_j, dtype=float)
-    nw = float(np.linalg.norm(w))
-    if nw <= RANK_TOL * (1.0 + u_i + u_j):
-        raise DegenerateAggregate("combined normal vanishes")
-    return w / nw, (u_i * b_i + u_j * b_j) / nw, nw
-
-
-def aggregate_columns(store: HalfspaceStore, s: STuple, i: int, j: int) -> tuple[HalfspaceStore, STuple]:
-    """Merge two active columns into one while preserving the s-tuple.
-
-    The KKT identity x* - x = -N u and tightness are preserved exactly; the
-    new halfspace contains the intersection of the two originals.
-    """
-    if i not in s.j_set or j not in s.j_set:
-        raise ValueError("both columns must be active")
-    if i == j:
-        raise ValueError("need two distinct columns")
-    pi = s.j_set.index(i)
-    pj = s.j_set.index(j)
-    ui = float(s.u[pi])
-    uj = float(s.u[pj])
-    m_hat, b_hat, u_hat = aggregate_halfspace_pair(
-        store.column(i), store.rhs(i), ui, store.column(j), store.rhs(j), uj
-    )
-
-    new_idx = store.add(m_hat, b_hat, source=-1, birth=max(store.birth[i], store.birth[j]))
-    # remove in descending index order, renumbering after each removal
-    first, second = max(i, j), min(i, j)
-    store.remove(first)
-    store.remove(second)
-
-    # rebuild the s-tuple: drop both positions, append the aggregate
-    hi, lo = max(pi, pj), min(pi, pj)
-    qr = qr_delete_column(s.qr, hi)
-    qr = qr_delete_column(qr, lo)
-    u = np.delete(s.u, hi)
-    u = np.delete(u, lo)
-    j_kept = tuple(jj for k, jj in enumerate(s.j_set) if k not in (pi, pj))
-    qr = _qr_append(qr, m_hat)
-    u = np.append(u, u_hat)
-    j_new = _after_remove(_after_remove(j_kept + (new_idx,), first), second)
-    return store, STuple(s.x, j_new, u, qr)
-
-
-def _oldest_inactive(store: HalfspaceStore, s: STuple) -> list[int]:
-    return sorted((j for j in range(store.m) if j not in s.j_set), key=lambda j: store.birth[j])
-
-
-def _compact_bap(store: HalfspaceStore, s: STuple, max_store: int, events: list[str]) -> STuple:
-    while store.m > max_store:
-        active = sorted(s.j_set, key=lambda j: store.birth[j])
-        u = dict(zip(s.j_set, s.u))
-        pair = next(((a, b) for a, b in zip(active, active[1:]) if u[a] + u[b] > 0.0), None)
-        if pair is not None:
-            try:
-                _, s = aggregate_columns(store, s, pair[0], pair[1])
-                events.append(f"agg:{pair[0]},{pair[1]}")
-                continue
-            except DegenerateAggregate:
-                pass
-        inactive = _oldest_inactive(store, s)
-        if not inactive:
-            break
-        store.remove(inactive[0])
-        events.append(f"evict:{inactive[0]}")
-        s = STuple(s.x, _after_remove(s.j_set, inactive[0]), s.u, s.qr)
-    return s
+    w = x0 - s.x
+    wn = math.sqrt(float(w.dot(w)))
+    if not wn < math.inf:
+        raise NumericalError("||x0 - x|| overflows: no aggregate halfspace")
+    store.clear()
+    if wn <= cold:
+        events.append("cold")
+        return _empty_s_tuple(x0)
+    c = w / -wn
+    store.add(c, c.dot(s.x), birth=birth)
+    events.append("agg")
+    return STuple(s.x, (0,), np.array([wn]), _qr_append(_empty_qr(x0.shape[0]), c))
 
 
 def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[str]) -> STuple:
     while store.m > max_store:
-        inactive = _oldest_inactive(store, s)
+        inactive = [j for j in range(store.m) if j not in s.j_set]
         if inactive:
-            target = inactive[0]
+            target = min(inactive, key=lambda j: store.birth[j])
             store.remove(target)
             events.append(f"evict:{target}")
             s = STuple(s.x, _after_remove(s.j_set, target), s.u, s.qr)
@@ -616,37 +560,47 @@ def _store_extras(store: HalfspaceStore, s: STuple) -> dict:
     }
 
 
-def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
-    """Best approximation: find the projection of x0 onto the intersection.
-
-    ||x - x0|| is nondecreasing across outer iterations; an infeasibility
-    certificate for the generated halfspaces certifies an empty
-    intersection.
-    """
-    opts = options or SolverOptions()
+def _bap(x0, sets: Sequence[ConvexSet], opts: SolverOptions, max_store: int | None,
+         counts: dict) -> tuple[SolveReport, HalfspaceStore, STuple]:
+    """The body of ``solve_bap`` and ``solve_haugazeau``, with the store cap
+    ``max_store``: the report, the store and the last s-tuple."""
     x0 = _start(x0, sets)
+    cold = opts.feas_tol * (1.0 + math.sqrt(float(x0.dot(x0))))
     store = HalfspaceStore()
     store.x_star = x0
     s = _empty_s_tuple(x0)
-    counts = _gi_counts()
 
     def step(x, p, dist, index, visit):
         nonlocal s
         c, b = _cut(x, p, dist)
         if not _violated(c, b, x):
             return None
-        counts["outer_iterations"] += 1
         idx = store.add(c, b, source=index, birth=visit)
         events = [f"H+{idx}"]
         s, proof = _settle(s, inner_gi_step(s, idx, store), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
-        if opts.max_store is not None and store.m > opts.max_store:
-            s = _compact_bap(store, s, opts.max_store, events)
+        if max_store is not None and store.m > max_store:
+            s = _aggregate(store, s, x0, cold, visit, events)
             check_s_tuple(s, store, "bap-compaction")
         return s.x, tuple(events), None
 
     report = _cyclic(x0, s.x, sets, opts, counts, step)
+    return report, store, s
+
+
+def solve_bap(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
+    """Best approximation: find the projection of x0 onto the intersection.
+
+    ||x - x0|| is nondecreasing across outer iterations; an infeasibility
+    certificate for the generated halfspaces certifies an empty
+    intersection.  A store above ``max_store`` collapses to one aggregate
+    halfspace (``_aggregate``).
+    """
+    opts = options or SolverOptions()
+    counts = _gi_counts()
+    report, store, s = _bap(x0, sets, opts, opts.max_store, counts)
+    counts["outer_iterations"] = counts["inner_steps"]  # one engine step per cut
     report.extras = _store_extras(store, s)
     return report
 
@@ -794,67 +748,25 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
     return SolveReport(status, x, rows, counts)
 
 
-def _haugazeau_start(x: np.ndarray, c2: np.ndarray, wn: float) -> STuple:
-    """The s-tuple of Haugazeau's subproblem at x_i with the second column active.
-
-    x_i solved the previous subproblem, so x0 - x_i = -N u there, and
-    c2 = -(x0 - x_i) / wn with wn = ||x0 - x_i|| aggregates those active
-    halfspaces: x0 - x_i = -c2 wn.  With c2^T x_i = b2, (x_i, (1,), [wn])
-    and the QR of [c2] are a valid s-tuple of the new subproblem.
-    """
-    return STuple(x, (1,), np.array([wn]), _qr_append(_empty_qr(x.shape[0]), c2))
-
-
 def solve_haugazeau(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = None) -> SolveReport:
-    """Haugazeau-style best approximation.
+    """Haugazeau's best approximation: BAP whose store keeps one halfspace.
 
     Each iteration projects x0 onto the intersection of the halfspace
-    generated at the current iterate and the halfspace with normal x0 - x_i
-    whose boundary passes through x_i; the tiny QP runs through the
-    active-set engine.  The second halfspace aggregates the active
-    halfspaces of the previous subproblem, so the engine starts warm from
-    x_i with that halfspace active (``_haugazeau_start``), and in the
-    common case one inner step that enters the new cut solves it.  Only
-    while ||x0 - x_i|| <= feas_tol (1 + ||x0||) is there no second
-    halfspace, and the engine starts cold.  The two-halfspace problem is
-    one n x 2 buffer that each iteration rewrites in place.
+    generated at the current iterate x_i and the halfspace with normal
+    x_i - x0 whose boundary passes through x_i.  That second halfspace
+    aggregates the active halfspaces of the previous projection, which is
+    what BAP's compaction keeps, so this is ``solve_bap`` with its store
+    collapsed after every step.  The counts are ``projections`` and
+    ``inner_steps``, and the report has no store extras.
 
-    When those two halfspaces have no point in common the sets do not
+    When the two halfspaces have no point in common the sets do not
     intersect, and the report ends ``infeasible`` with the engine's
-    certificate for the two-halfspace system.  It certifies C = {} because
-    a nonempty C would lie in both: the first contains the set it was
-    generated from, and the second contains C, since x_i is the
-    projection of x0 onto an intersection of halfspaces that contain C.
+    certificate for the [aggregate, cut] system.  A nonempty intersection
+    would lie in both: the cut contains the set it was generated from, and
+    the aggregate contains the intersection of the halfspaces it sums.
     """
     opts = options or SolverOptions()
-    x0 = _start(x0, sets)
-    x0_norm = math.sqrt(float(x0.dot(x0)))
-    counts = {"projections": 0, "inner_steps": 0}
-    # the two-halfspace subproblem, rewritten in place at each step
-    c_mat, b_vec = np.empty((x0.shape[0], 2)), np.empty(2)
-    c_rows = c_mat.T  # its columns, as rows
-    pair = _trusted_problem(x0, c_mat, b_vec)
-
-    def step(x, p, dist, index, visit):
-        c1, b1 = _cut(x, p, dist)
-        w = x0 - x
-        wn = math.sqrt(float(w.dot(w)))
-        if wn > opts.feas_tol * (1.0 + x0_norm):
-            c2 = w / -wn
-            c_rows[0] = c1
-            c_rows[1] = c2
-            b_vec[0] = b1
-            b_vec[1] = c2.dot(x)
-            qp, start = pair, _haugazeau_start(x, c2, wn)
-        else:
-            qp, start = _trusted_problem(x0, c1.reshape(-1, 1), np.array([b1])), _empty_s_tuple(x0)
-        res = _gi_from(qp, start)
-        if isinstance(res, Infeasible):
-            return x, ("qp", "infeasible"), (res.certificate, (qp.c_mat.copy(), qp.b.copy()))
-        counts["inner_steps"] += res.inner_steps
-        return res.x, ("qp",), None
-
-    return _cyclic(x0, x0.copy(), sets, opts, counts, step)
+    return _bap(x0, sets, opts, 0, {"projections": 0, "inner_steps": 0})[0]
 
 
 _METHODS = {

@@ -22,14 +22,12 @@ from projqp.activeset_qp import (
     _dual_update,
     _empty_s_tuple,
     _first_positive,
-    _gi_from,
     _invariant_residuals,
     _invariant_residuals_general,
     _pick_violated,
     _pick_violated_general,
     _ratio_test,
     _require_violated,
-    _trusted_problem,
     _violated,
     check_s_tuple,
     cone_project_reduced,
@@ -390,27 +388,21 @@ class TestGiSolve:
 
 class TestWarmStartedSolve:
     def test_optimal_start_takes_no_step(self):
+        # projecting the answer again finds no violated constraint
         c = np.column_stack([np.eye(2), np.array([1.0, 1.0])])
-        qp = QpProblem(np.zeros(2), c, np.array([1.0, 1.0, 1.0]))
-        res = gi_solve(qp)
-        again = _gi_from(qp, res.s_tuple)
+        b = np.array([1.0, 1.0, 1.0])
+        res = gi_solve(QpProblem(np.zeros(2), c, b))
+        again = gi_solve(QpProblem(res.x, c, b))
         assert again.inner_steps == 0 and again.x.tobytes() == res.x.tobytes()
 
     def test_zero_normal_rejected(self):
         qp = QpProblem(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
         with pytest.raises(PreconditionViolated, match="zero constraint normal"):
-            _gi_from(qp, empty_s_tuple(qp.x_star))
+            gi_solve(qp)
 
 
 class TestTrustedConstructors:
     """The solvers' unchecked constructors build what the checked ones do."""
-
-    def test_trusted_problem_matches_the_checked_one(self):
-        x, c, b = np.array([1.0, 2.0]), np.column_stack([[1.0, 0.0], [0.0, 1.0]]), np.array([3.0, 4.0])
-        qp, trusted = QpProblem(x, c, b), _trusted_problem(x, c, b)
-        assert isinstance(trusted, QpProblem)
-        assert (trusted.x_star, trusted.c_mat, trusted.b) == (qp.x_star, qp.c_mat, qp.b) == (x, c, b)
-        assert gi_solve(trusted).x.tobytes() == gi_solve(qp).x.tobytes()
 
     def test_public_problem_keeps_its_checks(self):
         with pytest.raises(ValueError, match="x_star has non-finite entries"):

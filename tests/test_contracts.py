@@ -63,6 +63,23 @@ def test_infeasible_report_count_keys(method):
     assert list(rep.counts) == GI_KEYS
 
 
+# the benchmark reads store sizes from any report that has "store_rhs":
+# Haugazeau's report keeps to its own keys, with no store extras
+HAUGAZEAU_CASES = {
+    "iteration_limit": (np.array([0.0, 10.0]), two_circles_sets()),
+    "infeasible": (np.zeros(2), [Ball(np.array([3.0, 0.0]), 1.0), Ball(np.array([-3.0, 0.0]), 1.0)]),
+}
+
+
+@pytest.mark.parametrize("status", sorted(HAUGAZEAU_CASES))
+def test_haugazeau_json_keys(status):
+    x0, sets = HAUGAZEAU_CASES[status]
+    doc = solve("haugazeau", x0, sets, SolverOptions(max_outer_iters=50)).to_json_dict()
+    assert doc["status"] == status
+    assert list(doc) == ["status", "x", "counts", "rows"] + (["certificate"] if status == "infeasible" else [])
+    assert list(doc["counts"]) == COUNT_KEYS["haugazeau"]
+
+
 def test_sip_box_path_count_keys():
     sets = [Box(np.zeros(2), np.ones(2)), Ball(np.array([1.5, 1.5]), 1.0)]
     rep = solve("sip-gi", np.array([3.0, -1.0]), sets)
