@@ -22,17 +22,19 @@ overhead dwarfs the arithmetic of the engine's scans.  The ratio test, the
 multiplier update and the drop scan ahead of the direction refinement
 therefore run on Python floats at every size.  They are elementwise IEEE
 operations (divides, products, sums and compares), so for finite operands
-they give the numpy expressions' results bit for bit.  The violation scan
-over at most ``SMALL_SIZE`` constraints runs on Python floats too; only
-the invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
+they give the numpy expressions' results bit for bit.  Only the
+invariant residuals (for ``q <= SMALL_Q``) and ``solve_upper`` keep
 size-2 branches; a NaN there, which Python's max and min may drop,
 sends the state to the general residuals.  Every product that feeds the
 iterates goes through the same numpy call on every path, and a full step
 hands ``_qr_append`` the first orthogonalization pass (Q^T c_p and z) and
-the norm of c_p it has already formed.  The violation scan forms ||x||
-only for a candidate below -FEAS_TOL.  The general invariant check
-gathers the active columns and right-hand sides with one ``rows`` and one
-``rhs_at`` call on the problem view, and every check fails on a NaN.
+the norm of c_p it has already formed.  ``gi_solve``'s violation scan is
+one numpy pass at every size: the outer solvers step through their
+stores, and reach ``gi_solve`` only through a ``Polyhedron``'s
+projection.  The scan forms ||x|| only for a candidate below -FEAS_TOL.
+The general invariant check gathers the active columns and right-hand
+sides with one ``rows`` and one ``rhs_at`` call on the problem view, and
+every check fails on a NaN.
 
 The engine runs on ten fixed thresholds, ``FEAS_TOL`` to ``ENTER_WARN_TOL``
 below.  Each multiplies a scale of at least 1 where it is applied, so it
@@ -48,7 +50,6 @@ from typing import Protocol, Sequence, Union
 import numpy as np
 
 from .linalg import (
-    SMALL_SIZE,
     DependentColumn,
     QrFactors,
     RankDeficient,
@@ -680,29 +681,17 @@ def degenerate_inner_gi_step(
 def _pick_violated(ax: np.ndarray, b: np.ndarray, col_norms: np.ndarray, x: np.ndarray) -> int:
     """The most violated constraint: the first minimum of the scaled
     residuals ``(ax_j - b_j) / ||c_j||`` when it lies below
-    ``-FEAS_TOL (1 + ||x||)``, else -1.
+    ``-FEAS_TOL (1 + ||x||)``, else -1.  A NaN residual is never picked.
 
     That threshold is at most -FEAS_TOL, so the candidate is picked
     against -FEAS_TOL and ``||x||`` is formed only when there is one.
     """
-    if ax.shape[0] > SMALL_SIZE:
-        resid = (ax - b) / col_norms
-        p = _pick_violated_general(resid, -FEAS_TOL)
-        worst = float(resid[p]) if p >= 0 else 0.0
-    else:
-        p, worst = -1, -FEAS_TOL
-        for j, (ax_j, b_j, nrm_j) in enumerate(zip(ax.tolist(), b.tolist(), col_norms.tolist())):
-            r_j = (ax_j - b_j) / nrm_j
-            if r_j < worst:
-                p, worst = j, r_j
-    return p if p >= 0 and worst < -FEAS_TOL * (1.0 + _nrm(x)) else -1
-
-
-def _pick_violated_general(resid: np.ndarray, thresh: float) -> int:
-    violated = np.flatnonzero(resid < thresh)
+    resid = (ax - b) / col_norms
+    violated = np.flatnonzero(resid < -FEAS_TOL)
     if violated.size == 0:
         return -1
-    return int(violated[np.argmin(resid[violated])])
+    p = int(violated[np.argmin(resid[violated])])
+    return p if float(resid[p]) < -FEAS_TOL * (1.0 + _nrm(x)) else -1
 
 
 def gi_solve(qp: QpProblem) -> Solution | Infeasible:
@@ -716,8 +705,7 @@ def gi_solve(qp: QpProblem) -> Solution | Infeasible:
     c_mat, b = qp.c_mat, qp.b
     c_t = c_mat.T
     cap = 100 + 20 * c_mat.shape[1]
-    # the ufuncs of np.linalg.norm(c_mat, axis=0), without its argument handling
-    col_norms = np.sqrt(np.add.reduce(c_mat * c_mat, 0))
+    col_norms = np.linalg.norm(c_mat, axis=0)
     if 0.0 in col_norms.tolist():
         raise PreconditionViolated("zero constraint normal in problem")
     inner = 0

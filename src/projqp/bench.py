@@ -33,7 +33,7 @@ from .box_qp import BoxQp, solve_box_qp
 from .convex_sets import Ball, Box, Hyperslab, problem_from_dict, problem_to_dict
 from .linalg import qr_factorize
 from .oracles import cone_project_enum, project_polyhedron_enum
-from .solvers import SolveReport, SolverOptions, TraceRow, fill_measures, solve, trace_csv
+from .solvers import SolveReport, SolverOptions, TraceRow, _is_count, fill_measures, solve, trace_csv
 
 
 class NonPositiveDistance(ValueError):
@@ -115,8 +115,11 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
 
     Feasible kinds record the witness point used in their construction;
     the hyperslab kind guarantees the witness sits strictly inside every
-    slab with margin at least 0.1.
+    slab with margin at least 0.1.  An n below 1 raises ``ValueError``
+    before anything is drawn: no direction in R^0 has a nonzero length.
     """
+    if not _is_count(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     if kind == "balls-with-common-point":
         w = rng.uniform(-1.0, 1.0, n)

@@ -4,9 +4,13 @@ Vectors and matrices are plain float ndarrays; ``as_vector``/``as_matrix``
 are the entry points that enforce finiteness and shape, and ``as_1d``
 enforces the shape of a vector alone.
 
-Arrays of at most ``SMALL_SIZE`` entries (a 2x2 matrix, the largest array
-of the two-constraint projections in the plane) are checked for finiteness
-on Python floats: at that size numpy's per-call overhead dwarfs the work.
+Arrays of at most ``SMALL_SIZE`` entries (up to a 2x2 matrix) are checked
+for finiteness on Python floats: at that size numpy's per-call overhead
+dwarfs the work.  One seed-0 round of the benchmark makes 921, 192 and
+54 such checks on ``two-circles``, ``random-sets`` and ``hyperslabs``,
+and one takes 0.39-0.70 us at n = 2 against 1.72-2.55 us for
+``np.isfinite(a).all()`` (best of 9 x 100,000 calls, two runs, one BLAS
+thread, a shared 2-CPU host).
 
 ``QrFactors`` maintains an economy QR factorization of a tall matrix under
 two update operations: appending a column (one orthogonalization pass plus

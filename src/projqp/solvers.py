@@ -60,9 +60,11 @@ from .linalg import _qr_append, _RowScreen, as_start, qr_delete_column
 class HalfspaceStore:
     """Growing collection of halfspaces {y : c^T y >= b} with provenance.
 
-    ``source`` is the set (or slab) a halfspace was generated from and
-    ``birth`` the visit that generated it.  Column indices are positions in
-    the store; removing a column shifts every later index down by one.
+    ``source`` is the set (or slab) a halfspace was generated from.  Column
+    indices are positions in the store; removing a column shifts every
+    later index down by one.  A store that only appends and removes, as
+    SIP's does, keeps its columns in the order they arrived, so a lower
+    position is an older halfspace.
 
     The normals are the first ``m`` rows of one buffer, whose capacity
     doubles when it fills, so ``rows`` gathers any of them in one indexing
@@ -79,13 +81,12 @@ class HalfspaceStore:
         self._c = np.zeros((0, 0))
         self._b = np.zeros(0)
         self.source: list[int] = []
-        self.birth: list[int] = []
 
     @property
     def m(self) -> int:
         return len(self.source)
 
-    def add(self, c, b: float, source: int = -1, birth: int = 0) -> int:
+    def add(self, c, b: float, source: int = -1) -> int:
         c = np.asarray(c, dtype=float)
         m = self.m
         if m == self._b.shape[0]:  # full: double the capacity
@@ -97,7 +98,6 @@ class HalfspaceStore:
         self._c[m] = c
         self._b[m] = float(b)
         self.source.append(int(source))
-        self.birth.append(int(birth))
         return m
 
     def column(self, j: int) -> np.ndarray:
@@ -125,11 +125,9 @@ class HalfspaceStore:
         self._c[j:m - 1] = self._c[j + 1:m]
         self._b[j:m - 1] = self._b[j + 1:m]
         del self.source[j]
-        del self.birth[j]
 
     def clear(self) -> None:
         self.source.clear()
-        self.birth.clear()
 
 
 def _after_remove(j_set, j: int) -> tuple[int, ...]:
@@ -163,7 +161,8 @@ class SolverOptions:
     ``max_outer_iters`` caps set visits (projections), not outer
     iterations: a visit that finds x inside its set counts too.
     ``max_store`` caps the halfspace store of BAP and SIP.  SIP evicts the
-    oldest halfspaces down to the cap.  BAP's store collapses to one
+    oldest halfspaces down to the cap, inactive ones first
+    (``_compact_sip``), so at 0 it keeps none.  BAP's store collapses to one
     aggregate halfspace when it exceeds the cap, so for ``max_store >= 1``
     the cap is hard, and 0 keeps that one halfspace (Haugazeau's method).
     ``record_iterates`` keeps a copy of each trace row's iterate in
@@ -340,7 +339,7 @@ def _cut(x: np.ndarray, p: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
 # Store compaction
 
 
-def _aggregate(store: HalfspaceStore, s: STuple, x0: np.ndarray, cold: float, birth: int,
+def _aggregate(store: HalfspaceStore, s: STuple, x0: np.ndarray, cold: float,
                events: list[str]) -> STuple:
     """Collapse BAP's store to the one halfspace that aggregates its active ones.
 
@@ -361,23 +360,25 @@ def _aggregate(store: HalfspaceStore, s: STuple, x0: np.ndarray, cold: float, bi
         events.append("cold")
         return _empty_s_tuple(x0)
     c = w / -wn
-    store.add(c, c.dot(s.x), birth=birth)
+    store.add(c, c.dot(s.x))
     events.append("agg")
     return STuple(s.x, (0,), np.array([wn]), _qr_append(_empty_qr(x0.shape[0]), c))
 
 
 def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[str]) -> STuple:
+    """Evict SIP's oldest halfspaces, the lowest positions, down to
+    ``max_store``: inactive ones first, then active ones."""
     while store.m > max_store:
         inactive = [j for j in range(store.m) if j not in s.j_set]
         if inactive:
-            target = min(inactive, key=lambda j: store.birth[j])
+            target = inactive[0]
             store.remove(target)
             events.append(f"evict:{target}")
             s = STuple(s.x, _after_remove(s.j_set, target), s.u, s.qr)
             continue
         # all stored columns are active: drop the oldest active one (u = 0
         # in the SIP makes any active column removable without breaking KKT)
-        target = min(s.j_set, key=lambda j: store.birth[j])
+        target = min(s.j_set)
         pos = s.j_set.index(target)
         qr = qr_delete_column(s.qr, pos)
         u = np.delete(s.u, pos)
@@ -448,7 +449,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
 
     Each visit projects x onto one set.  A set x satisfies within
     ``feas_tol * (1 + ||x||)`` counts toward the clean pass; from any other
-    ``step(x, p, dist, index, visit)`` moves x and returns the new iterate,
+    ``step(x, p, dist, index)`` moves x and returns the new iterate,
     the trace row's events and, when the sets are proven disjoint, the
     certificate and the system it certifies (x is then left where it was).
     A step that returns None instead finds x inside the set as far as it
@@ -512,7 +513,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
             if not dist <= bound:  # NaN included
                 if not dist < math.inf and not np.isfinite(p).all():
                     raise ValueError(f"the projection onto set {index} has non-finite entries")
-                moved = step(x, p, dist, index, visits)
+                moved = step(x, p, dist, index)
                 if moved is not None:
                     clean = 0
                     run = 0
@@ -570,18 +571,18 @@ def _bap(x0, sets: Sequence[ConvexSet], opts: SolverOptions, max_store: int | No
     store.x_star = x0
     s = _empty_s_tuple(x0)
 
-    def step(x, p, dist, index, visit):
+    def step(x, p, dist, index):
         nonlocal s
         c, b = _cut(x, p, dist)
         if not _violated(c, b, x):
             return None
-        idx = store.add(c, b, source=index, birth=visit)
+        idx = store.add(c, b, source=index)
         events = [f"H+{idx}"]
         s, proof = _settle(s, inner_gi_step(s, idx, store), store, events, counts)
         if proof is not None:
             return x, tuple(events), proof
         if max_store is not None and store.m > max_store:
-            s = _aggregate(store, s, x0, cold, visit, events)
+            s = _aggregate(store, s, x0, cold, events)
             check_s_tuple(s, store, "bap-compaction")
         return s.x, tuple(events), None
 
@@ -624,17 +625,13 @@ def solve_sip(x0, sets: Sequence[ConvexSet], options: SolverOptions | None = Non
     s = _empty_s_tuple(x0)
     counts = _gi_counts()
 
-    def step(x, p, dist, index, visit):
+    def step(x, p, dist, index):
         nonlocal s
         c, b = _cut(x, p, dist)
         if not _violated(c, b, x):
             return None
         counts["outer_iterations"] += 1
-        if opts.max_store == 0:
-            # keeping no normals reduces the method to alternating projections
-            store.clear()
-            s = _empty_s_tuple(x)
-        idx = store.add(c, b, source=index, birth=visit)
+        idx = store.add(c, b, source=index)
         events = [f"H+{idx}"]
         store.x_star = x.copy()
         s_zero = STuple(x, s.j_set, np.zeros(s.q), s.qr)
@@ -659,7 +656,7 @@ def _solve_sip_one_box(x0, sets: Sequence[ConvexSet], box: Box, opts: SolverOpti
     index = [i for i, k in enumerate(sets) if not isinstance(k, Box)]
     counts = {"projections": 0, "inner_steps": 0, "outer_iterations": 0, "box_solves": 0}
 
-    def step(x, p, dist, l, visit):
+    def step(x, p, dist, l):
         counts["outer_iterations"] += 1
         problem = BoxQp(x, box.lower, box.upper, *_cut(x, p, dist))
         result = solve_box_qp(problem)

@@ -25,7 +25,6 @@ from projqp.activeset_qp import (
     _invariant_residuals,
     _invariant_residuals_general,
     _pick_violated,
-    _pick_violated_general,
     _ratio_test,
     _require_violated,
     _violated,
@@ -39,7 +38,7 @@ from projqp.activeset_qp import (
     v_value,
     verify_certificate,
 )
-from projqp.linalg import SMALL_SIZE, QrFactors, RankDeficient, qr_factorize
+from projqp.linalg import QrFactors, RankDeficient, qr_factorize
 from projqp.oracles import cone_project_enum, project_polyhedron_enum
 
 R2 = math.sqrt(2.0)
@@ -656,10 +655,12 @@ class TestSmallActiveSetPaths:
 
     def test_violation_scan_matches_general(self):
         # the scan forms ||x|| only for a candidate below -FEAS_TOL; it must
-        # pick what the scan against -FEAS_TOL (1 + ||x||) picks, on both paths
+        # pick what a plain loop against -FEAS_TOL (1 + ||x||) picks: the
+        # first minimum, never a NaN residual
         rng = np.random.default_rng(400)
+        nan_rows = 0
         for _ in range(800):
-            m = int(rng.integers(1, SMALL_SIZE + 4))
+            m = int(rng.integers(1, 9))
             x = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 9.0)
             thresh = -FEAS_TOL * (1.0 + math.sqrt(float(x.dot(x))))
             ax, norms = rng.normal(size=m), rng.uniform(0.5, 2.0, m)
@@ -668,8 +669,16 @@ class TestSmallActiveSetPaths:
             if rng.uniform() < 0.3:  # a tie for the most violated
                 j = int(np.argmin(target))
                 ax[-1], b[-1], norms[-1] = ax[j], b[j], norms[j]
-            want = _pick_violated_general((ax - b) / norms, thresh)
+            if rng.uniform() < 0.3:  # a NaN residual
+                ax[int(rng.integers(m))] = np.nan
+                nan_rows += 1
+            want, worst = -1, thresh
+            for j, (ax_j, b_j, nrm_j) in enumerate(zip(ax.tolist(), b.tolist(), norms.tolist())):
+                r_j = (ax_j - b_j) / nrm_j
+                if r_j < worst:
+                    want, worst = j, r_j
             assert _pick_violated(ax, b, norms, x) == want
+        assert nan_rows > 100
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("defect", ["column", "tightness", "multiplier", "kkt", "qr"])

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -31,6 +33,22 @@ from projqp.convex_sets import (
 from projqp.solvers import _METHODS, SolveReport
 
 from test_solvers import OVERFLOWED_NORM, disjoint_on_axis
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the test, rather than hang the suite, if the block runs longer
+    than ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestComputeMeasures:
@@ -141,6 +159,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_problem("nonsense", 2, 2, 0)
 
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("n", [0, -2, 2.0, True])
+    def test_rejects_n_below_one(self, kind, n):
+        # n = 0 once redrew a zero-length direction forever
+        with time_limit(5), pytest.raises(ValueError, match=r"n must be an integer >= 1, got"):
+            generate_problem(kind, n, 2, 0)
+
 
 class TestRunTwoCircles:
     def test_rejects_art_methods(self):
@@ -240,6 +265,18 @@ class TestCli:
         json.dump(problem_to_dict(sets, x0, **extras), streamed, indent=2)
         assert out.read_bytes() == (tmp_path / "saved.json").read_bytes()
         assert out.read_text() == streamed.getvalue() + "\n"
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_gen_with_n_below_one_exit_one(self, tmp_path, capsys, kind, n):
+        out = tmp_path / "gen.json"
+        with time_limit(5):
+            code = cli.main(["gen", "--kind", kind, "--n", n, "--count", "2", "--seed", "0",
+                             "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE == 1
+        assert captured.err.splitlines() == [f"projqp: error: n must be an integer >= 1, got {n}"]
+        assert captured.out == "" and not out.exists()
 
     def test_solve_infeasible_exit_code(self, tmp_path):
         problem = tmp_path / "gap.json"

@@ -421,7 +421,7 @@ def collapsed(x0, x, cold=0.0):
     store.add(np.eye(x.shape[0])[0], 0.0)
     store.add(np.eye(x.shape[0])[1], 0.0)
     events = []
-    s = solvers._aggregate(store, empty_s_tuple(x), x0, cold, 0, events)
+    s = solvers._aggregate(store, empty_s_tuple(x), x0, cold, events)
     return store, s, events
 
 
@@ -507,7 +507,7 @@ class TestHaugazeauWarmStart:
         store.add(np.array([1.0, 0.0]), 0.0)
         events = []
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflows"):
-            solvers._aggregate(store, empty_s_tuple(np.array(x)), np.array(x0), 0.0, 0, events)
+            solvers._aggregate(store, empty_s_tuple(np.array(x)), np.array(x0), 0.0, events)
         assert store.m == 1 and events == []
 
     # each step moves 1e154, but the second lands at (1e154, 1e154), whose
@@ -559,7 +559,7 @@ def haugazeau_loop(x0, sets, opts):
     x0_norm = math.sqrt(float(x0.dot(x0)))
     counts = {"projections": 0, "inner_steps": 0}
 
-    def step(x, p, dist, index, visit):
+    def step(x, p, dist, index):
         c1, b1 = solvers._cut(x, p, dist)
         w = x0 - x
         wn = math.sqrt(float(w.dot(w)))
@@ -692,17 +692,17 @@ class TestHalfspaceStore:
         store, ref = HalfspaceStore(), []
         for k in range(count):
             c, b = rng.normal(size=n), float(rng.normal())
-            assert store.add(c, b, source=k % 4, birth=10 + k) == k
-            ref.append((c, b, k % 4, 10 + k))
+            assert store.add(c, b, source=k % 4) == k
+            ref.append((c, b, k % 4))
         return store, ref
 
     @staticmethod
     def agrees(store, ref) -> None:
         assert store.m == len(ref)
-        for j, (c, b, source, birth) in enumerate(ref):
+        for j, (c, b, source) in enumerate(ref):
             assert store.column(j).tobytes() == c.tobytes()
             assert store.rhs(j) == b and type(store.rhs(j)) is float
-            assert (store.source[j], store.birth[j]) == (source, birth)
+            assert store.source[j] == source
         normals, rhs = store.matrix(), store.rhs_vector()
         if ref:
             assert normals.tobytes() == np.column_stack([c for c, *_ in ref]).tobytes()
@@ -743,8 +743,8 @@ class TestHalfspaceStore:
         store.clear()
         self.agrees(store, [])
         c = np.array([1.0, -2.0, 0.5])
-        assert store.add(c, 3.0, source=1, birth=99) == 0
-        self.agrees(store, [(c, 3.0, 1, 99)])
+        assert store.add(c, 3.0, source=1) == 0
+        self.agrees(store, [(c, 3.0, 1)])
 
     def test_snapshots_do_not_follow_the_store(self):
         store, ref = self.filled(9)
@@ -902,13 +902,15 @@ class TestNonFiniteIterates:
         x0 = np.array([0.0, 10.0])
         steps = []
 
-        def step(x, p, dist, index, visit):
-            steps.append(visit)
+        def step(x, p, dist, index):
+            steps.append(index)
             return np.array([1.0, bad]), ("spoil",), None
 
+        counts = {"projections": 0}
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="x has non-finite entries"):
-            solvers._cyclic(x0, x0, two_circles_sets(), SolverOptions(), {"projections": 0}, step)
-        assert steps == [1]
+            solvers._cyclic(x0, x0, two_circles_sets(), SolverOptions(), counts, step)
+        # one step, at the first visit, and no projection after it
+        assert steps == [0] and counts["projections"] == 1
         # a cap at the spoiled step's visit ends the solve before the check
         rep = solvers._cyclic(x0, x0, two_circles_sets(), SolverOptions(max_outer_iters=1),
                               {"projections": 0}, step)
@@ -1009,6 +1011,63 @@ class TestStoreCompaction:
         assert len(set(rep.extras["active_set"])) == len(rep.extras["active_set"])
         for k in sets:
             assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= 1e-9 * (1.0 + np.linalg.norm(rep.x))
+
+    SIP_CASES = {
+        "two-circles": lambda: (two_circles_sets(), np.array([0.0, 10.0])),
+        "slabs": lambda: problem_from_dict(generate_problem("hyperslabs-with-interior", 10, 40, 0))[:2],
+    }
+
+    @staticmethod
+    def replay_sip_store(rep) -> tuple[int, list[int], dict]:
+        """Replay SIP's store from the trace events: check that each eviction
+        takes the lowest-positioned inactive column, or the lowest active one
+        when all are active, and return the store size, the active set and
+        the count of each eviction kind."""
+        m, active, kinds = 0, [], {"evict": 0, "evict-active": 0}
+        for row in rep.rows[1:]:
+            for event in row.events:
+                name, _, arg = event.partition(":")
+                if event.startswith("H+"):
+                    assert int(event[2:]) == m
+                    m += 1
+                elif name == "drop":
+                    active.remove(int(arg))
+                elif name == "add":
+                    active.append(int(arg))
+                elif name in kinds:
+                    target = int(arg)
+                    inactive = [j for j in range(m) if j not in active]
+                    if name == "evict":
+                        assert target == inactive[0], event
+                    else:
+                        assert not inactive and target == min(active), event
+                        active.remove(target)
+                    kinds[name] += 1
+                    m -= 1
+                    active = [j - (j > target) for j in active]
+        return m, active, kinds
+
+    @pytest.mark.parametrize("case", sorted(SIP_CASES))
+    def test_sip_evicts_the_oldest_column(self, case):
+        sets, x0 = self.SIP_CASES[case]()
+        seen = {"evict": 0, "evict-active": 0}
+        for cap in (1, 2):
+            rep = solve_sip(x0, sets, SolverOptions(max_outer_iters=3000, max_store=cap))
+            assert rep.status == "solved"
+            m, active, kinds = self.replay_sip_store(rep)
+            assert m == rep.extras["store_rhs"].shape[0] <= cap
+            assert active == rep.extras["active_set"]
+            seen = {k: seen[k] + kinds[k] for k in seen}
+        assert min(seen.values()) > 0  # both kinds of eviction ran
+
+    @pytest.mark.parametrize("case", sorted(SIP_CASES))
+    def test_store_free_sip_empties_after_every_step(self, case):
+        sets, x0 = self.SIP_CASES[case]()
+        rep = solve_sip(x0, sets, SolverOptions(max_outer_iters=3000, max_store=0))
+        assert rep.status == "solved" and len(rep.rows) > 5
+        assert all(row.events[-1] == "evict-active:0" for row in rep.rows[1:])
+        assert rep.extras["store_rhs"].shape == (0,) and rep.extras["active_set"] == []
+        assert rep.extras["multipliers"].shape == (0,)
 
     def test_bap_cap_is_soft(self):
         # the store collapses to one aggregate halfspace, active at x
@@ -1205,7 +1264,7 @@ def cyclic_loop(x0, x, sets, opts, counts, step):
         if not dist <= bound:
             if not dist < math.inf and not np.isfinite(p).all():
                 raise ValueError(f"the projection onto set {index} has non-finite entries")
-            moved = step(x, p, dist, index, visits)
+            moved = step(x, p, dist, index)
             if moved is not None:
                 clean = 0
                 x, events, proof = moved
@@ -1300,7 +1359,7 @@ class TestCyclicReference:
         sets = [Hyperslab(np.eye(4)[i], -10.0, 10.0) for i in range(4)]
         x0 = 100.0 * np.eye(4)[bad]  # outside set `bad` only
 
-        def step(x, p, dist, index, visit):
+        def step(x, p, dist, index):
             return np.zeros(4), ("jump",), None
 
         opts = SolverOptions(max_outer_iters=cap, record_iterates=True)
