@@ -38,7 +38,7 @@ from .activeset_qp import (
     empty_s_tuple,
     inner_gi_step,
 )
-from .linalg import _RowScreen, as_matrix, as_start, as_vector
+from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
@@ -69,16 +69,7 @@ class HyperslabSystem:
 
     def __post_init__(self):
         a = as_matrix(self.a_mat, "a_mat")
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        if lo.shape != (a.shape[0],) or up.shape != (a.shape[0],):
-            raise ValueError("bounds must match the row count")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
-            raise ValueError("bounds must not be NaN")
-        if np.any(lo > up):
-            raise ValueError("requires lower <= upper per row")
-        if np.any(lo == math.inf) or np.any(up == -math.inf):
-            raise ValueError("requires lower < inf and upper > -inf per row")
+        lo, up = as_bounds(self.lower, self.upper, a.shape[:1], "hyperslab system")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("rows must be nonzero")
@@ -97,7 +88,10 @@ class HyperslabSystem:
 
     def contains(self, x: np.ndarray) -> bool:
         """Exact membership: L_j <= float(a_j @ x) <= U_j for every row j."""
-        return self._screened(np.asarray(x, dtype=float))[1]
+        x = as_1d(x, "x")
+        if x.shape[0] != self.n:
+            raise ValueError(f"x has dimension {x.shape[0]}, but the set has dimension {self.n}")
+        return self._screened(x)[1]
 
     def _screened(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         """(cleared, inside) at a float array x.

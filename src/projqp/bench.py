@@ -102,12 +102,10 @@ def measure_rows_to_csv(rows: list[TraceRow]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Problem generation
 
-GENERATOR_KINDS = (
-    "balls-with-common-point",
-    "box-plus-ball",
-    "hyperslabs-with-interior",
-    "infeasible-balls",
-)
+# each generator kind and the least set count it takes
+_LEAST_COUNT = {"balls-with-common-point": 1, "box-plus-ball": 2,
+                "hyperslabs-with-interior": 1, "infeasible-balls": 2}
+GENERATOR_KINDS = tuple(_LEAST_COUNT)
 
 
 def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
@@ -117,14 +115,22 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
     the hyperslab kind guarantees the witness sits strictly inside every
     slab with margin at least 0.1.  An n below 1 raises ``ValueError``
     before anything is drawn: no direction in R^0 has a nonzero length.
+    So does a count of sets below the kind's least: 1 for
+    ``balls-with-common-point`` and ``hyperslabs-with-interior``, 2 for
+    ``box-plus-ball`` (a box and at least one ball) and for
+    ``infeasible-balls``, which writes two balls for any larger count too.
     """
     if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if kind not in _LEAST_COUNT:
+        raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    if not _is_count(count, _LEAST_COUNT[kind]):
+        raise ValueError(f"count must be an integer >= {_LEAST_COUNT[kind]} for {kind}, got {count!r}")
     rng = np.random.default_rng(seed)
     if kind == "balls-with-common-point":
         w = rng.uniform(-1.0, 1.0, n)
         sets = []
-        for _ in range(max(count, 1)):
+        for _ in range(count):
             center = w + rng.uniform(-1.5, 1.5, n)
             d = center - w
             radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.8))
@@ -136,7 +142,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         lower = w - rng.uniform(0.1, 1.0, n)
         upper = w + rng.uniform(0.1, 1.0, n)
         sets: list = [Box(lower, upper)]
-        for _ in range(max(count - 1, 1)):
+        for _ in range(count - 1):
             center = w + rng.uniform(-1.0, 1.0, n)
             d = center - w
             radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.6))
@@ -146,7 +152,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
     if kind == "hyperslabs-with-interior":
         w = rng.uniform(-1.0, 1.0, n)
         sets = []
-        for _ in range(max(count, 1)):
+        for _ in range(count):
             a = _random_direction(rng, n) * float(rng.uniform(0.5, 2.0))
             mid = float(a.dot(w))
             na = math.sqrt(a.dot(a))
@@ -157,17 +163,16 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
             sets.append(Hyperslab(a, lo, up))
         x0 = w + _random_direction(rng, n) * float(rng.uniform(2.0, 6.0))
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
-    if kind == "infeasible-balls":
-        direction = _random_direction(rng, n)
-        r1 = float(rng.uniform(0.5, 1.5))
-        r2 = float(rng.uniform(0.5, 1.5))
-        gap = float(rng.uniform(0.5, 2.0))
-        c1 = direction * (r1 + gap / 2.0)
-        c2 = -direction * (r2 + gap / 2.0)
-        sets = [Ball(c1, r1), Ball(c2, r2)]
-        x0 = rng.uniform(-1.0, 1.0, n) + direction * 3.0
-        return problem_to_dict(sets, x0, witness=None, kind=kind, seed=seed)
-    raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    # infeasible-balls
+    direction = _random_direction(rng, n)
+    r1 = float(rng.uniform(0.5, 1.5))
+    r2 = float(rng.uniform(0.5, 1.5))
+    gap = float(rng.uniform(0.5, 2.0))
+    c1 = direction * (r1 + gap / 2.0)
+    c2 = -direction * (r2 + gap / 2.0)
+    sets = [Ball(c1, r1), Ball(c2, r2)]
+    x0 = rng.uniform(-1.0, 1.0, n) + direction * 3.0
+    return problem_to_dict(sets, x0, witness=None, kind=kind, seed=seed)
 
 
 def _random_direction(rng, n: int) -> np.ndarray:

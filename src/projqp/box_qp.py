@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_bounds, as_vector
 
 FEAS_TOL = 1e-9
 
@@ -33,14 +33,9 @@ class BoxQp:
     def __post_init__(self):
         x = as_vector(self.x_star, "x_star")
         c = as_vector(self.c_p, "c_p")
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
-            raise ValueError("bounds must not be NaN")
-        if not (lo.shape == up.shape == x.shape == c.shape):
-            raise ValueError("inconsistent dimensions")
-        if np.any(lo > up):
-            raise ValueError("requires lower <= upper")
+        lo, up = as_bounds(self.lower, self.upper, x.shape, "box QP")
+        if c.shape != x.shape:
+            raise ValueError(f"c_p has dimension {c.shape[0]}, but x_star has dimension {x.shape[0]}")
         if np.any(x < lo - FEAS_TOL * (1.0 + np.abs(lo))) or np.any(
             x > up + FEAS_TOL * (1.0 + np.abs(up))
         ):

@@ -188,8 +188,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gen(args) -> int:
     # the generator built and checked every set; its document is the file
-    save_problem_dict(args.out, bench.generate_problem(args.kind, args.n, args.count, args.seed))
-    print(f"wrote {args.out} ({args.kind}, n={args.n}, count={args.count}, seed={args.seed})")
+    doc = bench.generate_problem(args.kind, args.n, args.count, args.seed)
+    save_problem_dict(args.out, doc)
+    print(f"wrote {args.out} ({args.kind}, n={args.n}, count={len(doc['sets'])}, seed={args.seed})")
     return EXIT_OK
 
 

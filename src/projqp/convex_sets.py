@@ -35,8 +35,12 @@ The JSON problem schema is::
               {"type": "polyhedron", "c_mat": [[...]], "b": [...]}],
      "x0": [...]}
 
-with infinities encoded as the strings "inf"/"-inf".  Everything here is
-finite dimensional.
+One table, ``_SCHEMA``, gives each set type's class and its fields in
+document order, each with a writer and a reader: an array, one bound, or
+an array of bounds.  ``set_to_dict`` and ``set_from_dict`` both read it.
+Every bound (a ball's radius, a halfspace's b, a box's or hyperslab's
+lower and upper) is written with infinities as the strings "inf"/"-inf",
+so every document is strict JSON.  Everything here is finite dimensional.
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
 
 from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
-from .linalg import as_1d, as_matrix, as_vector
+from .linalg import as_1d, as_bounds, as_matrix, as_vector
 
 
 def _as_normal(x, name: str, kind: str) -> np.ndarray:
@@ -110,16 +114,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        if lo.shape != up.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be 1-d of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
-            raise ValueError("box bounds must not be NaN")
-        if np.any(lo > up):
-            raise ValueError("box requires lower <= upper componentwise")
-        if np.any(lo == math.inf) or np.any(up == -math.inf):
-            raise ValueError("box requires lower < inf and upper > -inf")
+        lo = as_1d(self.lower, "lower")
+        lo, up = as_bounds(lo, self.upper, lo.shape, "box")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
@@ -187,7 +183,10 @@ ConvexSet = Union[Ball, Halfspace, Box, Hyperslab, Polyhedron]
 
 def project_set(k: ConvexSet, x) -> np.ndarray:
     """Projection of x onto k; idempotent and nonexpansive."""
-    return _project(k, as_vector(x, "x"))
+    x = as_vector(x, "x")
+    if x.shape[0] != k.dim:
+        raise ValueError(f"x has dimension {x.shape[0]}, but the set has dimension {k.dim}")
+    return _project(k, x)
 
 
 def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
@@ -242,61 +241,39 @@ def _encode_value(v: float):
     return float(v)
 
 
-def _decode_value(v) -> float:
-    if v == "inf":
-        return np.inf
-    if v == "-inf":
-        return -np.inf
-    return float(v)
+# a field's (writer, reader): an array, one bound, or an array of bounds;
+# ``float`` reads "inf" and "-inf" as the infinities
+_ARRAY = (np.ndarray.tolist, partial(np.asarray, dtype=float))
+_BOUND = (_encode_value, float)
+_BOUNDS = (lambda a: [_encode_value(v) for v in a.tolist()], lambda v: np.array([float(u) for u in v]))
+
+# each set type's class and fields, in document order
+_SCHEMA = {
+    "ball": (Ball, (("center", _ARRAY), ("radius", _BOUND))),
+    "halfspace": (Halfspace, (("c", _ARRAY), ("b", _BOUND))),
+    "box": (Box, (("lower", _BOUNDS), ("upper", _BOUNDS))),
+    "hyperslab": (Hyperslab, (("a", _ARRAY), ("lower", _BOUND), ("upper", _BOUND))),
+    "polyhedron": (Polyhedron, (("c_mat", _ARRAY), ("b", _ARRAY))),
+}
+_TYPE_NAME = {cls: name for name, (cls, _) in _SCHEMA.items()}
 
 
 def set_to_dict(k: ConvexSet) -> dict:
-    if isinstance(k, Ball):
-        return {"type": "ball", "center": k.center.tolist(), "radius": float(k.radius)}
-    if isinstance(k, Halfspace):
-        return {"type": "halfspace", "c": k.c.tolist(), "b": float(k.b)}
-    if isinstance(k, Box):
-        return {
-            "type": "box",
-            "lower": [_encode_value(v) for v in k.lower.tolist()],
-            "upper": [_encode_value(v) for v in k.upper.tolist()],
-        }
-    if isinstance(k, Hyperslab):
-        return {
-            "type": "hyperslab",
-            "a": k.a.tolist(),
-            "lower": _encode_value(k.lower),
-            "upper": _encode_value(k.upper),
-        }
-    if isinstance(k, Polyhedron):
-        return {
-            "type": "polyhedron",
-            "c_mat": k.c_mat.tolist(),
-            "b": k.b.tolist(),
-        }
-    raise TypeError(f"unknown set descriptor {type(k)!r}")
+    name = _TYPE_NAME.get(type(k))
+    if name is None:
+        raise TypeError(f"unknown set descriptor {type(k)!r}")
+    doc = {"type": name}
+    for key, (write, _) in _SCHEMA[name][1]:
+        doc[key] = write(getattr(k, key))
+    return doc
 
 
 def set_from_dict(d: dict) -> ConvexSet:
     kind = d.get("type")
-    if kind == "ball":
-        return Ball(np.asarray(d["center"], dtype=float), float(d["radius"]))
-    if kind == "halfspace":
-        return Halfspace(np.asarray(d["c"], dtype=float), float(d["b"]))
-    if kind == "box":
-        return Box(
-            np.array([_decode_value(v) for v in d["lower"]]),
-            np.array([_decode_value(v) for v in d["upper"]]),
-        )
-    if kind == "hyperslab":
-        return Hyperslab(
-            np.asarray(d["a"], dtype=float),
-            _decode_value(d["lower"]),
-            _decode_value(d["upper"]),
-        )
-    if kind == "polyhedron":
-        return Polyhedron(np.asarray(d["c_mat"], dtype=float), np.asarray(d["b"], dtype=float))
-    raise ValueError(f"unknown set type {kind!r}")
+    if not (isinstance(kind, str) and kind in _SCHEMA):
+        raise ValueError(f"unknown set type {kind!r}")
+    cls, fields = _SCHEMA[kind]
+    return cls(*[read(d[key]) for key, (_, read) in fields])
 
 
 def problem_to_dict(sets, x0, **extras) -> dict:

@@ -2,7 +2,10 @@
 
 Vectors and matrices are plain float ndarrays; ``as_vector``/``as_matrix``
 are the entry points that enforce finiteness and shape, and ``as_1d``
-enforces the shape of a vector alone.
+enforces the shape of a vector alone.  ``as_bounds`` is the one check of
+a pair of bound arrays (a box's, a slab system's, the box QP's): no NaN,
+lower <= upper, lower < inf and upper > -inf.  Valid bounds cost it three
+comparisons; it works out which rule failed only when one does.
 
 Arrays of at most ``SMALL_SIZE`` entries (up to a 2x2 matrix) are checked
 for finiteness on Python floats: at that size numpy's per-call overhead
@@ -131,6 +134,23 @@ def as_start(x, dim: int) -> np.ndarray:
     if not math.isfinite(sq):
         raise ValueError("x0 is too large: the square of its norm overflows")
     return v
+
+
+def as_bounds(lower, upper, shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """lower and upper as float arrays of ``shape`` bounding a nonempty set;
+    a bound that breaks a rule raises a ``ValueError`` naming ``what``."""
+    lo = np.asarray(lower, dtype=float)
+    up = np.asarray(upper, dtype=float)
+    if lo.shape != shape or up.shape != shape:
+        raise ValueError(f"{what} bounds must have shape {shape}, got {lo.shape} and {up.shape}")
+    # a NaN fails the first comparison
+    if not ((lo <= up).all() and (lo < math.inf).all() and (up > -math.inf).all()):
+        if np.isnan(lo).any() or np.isnan(up).any():
+            raise ValueError(f"{what} bounds must not be NaN")
+        if (lo > up).any():
+            raise ValueError(f"{what} requires lower <= upper")
+        raise ValueError(f"{what} requires lower < inf and upper > -inf")
+    return lo, up
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:

@@ -298,6 +298,12 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             HyperslabSystem.from_text("1 2\n1.0 2.0\n")
 
+    @pytest.mark.parametrize("x", [np.zeros(3), [0.0, 0.0, 0.0]])
+    def test_contains_names_both_dimensions(self, x):
+        system = HyperslabSystem(np.eye(2), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="^x has dimension 3, but the set has dimension 2$"):
+            system.contains(x)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HyperslabSystem(np.array([[0.0, 0.0]]), np.array([0.0]), np.array([1.0]))
@@ -316,8 +322,8 @@ class TestTextFormat:
         ("2 2\n1.0 0.0\n0.0 1.0\n0.0 0.0\n1.0 1.0 2.0\n", "upper-bound line has 3 entries, expected 2"),
         ("1 2\n1.0 abc\n0.0\n1.0\n", "could not convert"),
         # a row whose bounds leave it empty
-        ("2 2\n1.0 0.0\n0.0 1.0\ninf 0.0\ninf 1.0\n", r"lower < inf and upper > -inf per row"),
-        ("2 2\n1.0 0.0\n0.0 1.0\n0.0 -inf\n1.0 -inf\n", r"lower < inf and upper > -inf per row"),
+        ("2 2\n1.0 0.0\n0.0 1.0\ninf 0.0\ninf 1.0\n", r"^hyperslab system requires lower < inf and upper > -inf$"),
+        ("2 2\n1.0 0.0\n0.0 1.0\n0.0 -inf\n1.0 -inf\n", r"^hyperslab system requires lower < inf and upper > -inf$"),
     ])
     def test_malformed_text_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):

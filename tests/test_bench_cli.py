@@ -167,6 +167,23 @@ class TestGenerate:
             generate_problem(kind, n, 2, 0)
 
 
+    LEAST_COUNT = {"balls-with-common-point": 1, "box-plus-ball": 2,
+                   "hyperslabs-with-interior": 1, "infeasible-balls": 2}
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("below", [1, 6])
+    def test_rejects_count_below_least(self, kind, below):
+        least = self.LEAST_COUNT[kind]
+        count = least - below
+        with pytest.raises(ValueError, match=rf"^count must be an integer >= {least} for {kind}, got {count}$"):
+            generate_problem(kind, 2, count, 0)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_least_count_accepted(self, kind):
+        doc = generate_problem(kind, 2, self.LEAST_COUNT[kind], 0)
+        assert len(doc["sets"]) == self.LEAST_COUNT[kind]
+
+
 class TestRunTwoCircles:
     def test_rejects_art_methods(self):
         with pytest.raises(ValueError):
@@ -277,6 +294,26 @@ class TestCli:
         assert code == cli.EXIT_USAGE == 1
         assert captured.err.splitlines() == [f"projqp: error: n must be an integer >= 1, got {n}"]
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_gen_with_count_below_least_exit_one(self, tmp_path, capsys, kind):
+        least = TestGenerate.LEAST_COUNT[kind]
+        out = tmp_path / "gen.json"
+        code = cli.main(["gen", "--kind", kind, "--n", "3", "--count", str(least - 1), "--seed", "0",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"projqp: error: count must be an integer >= {least} for {kind}, got {least - 1}"]
+        assert captured.out == "" and not out.exists()
+
+    def test_gen_reports_the_sets_written(self, tmp_path, capsys):
+        # infeasible-balls writes two balls whatever the count
+        out = tmp_path / "gen.json"
+        assert cli.main(["gen", "--kind", "infeasible-balls", "--n", "3", "--count", "7", "--seed", "0",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (infeasible-balls, n=3, count=2, seed=0)\n"
+        assert len(json.loads(out.read_text())["sets"]) == 2
 
     def test_solve_infeasible_exit_code(self, tmp_path):
         problem = tmp_path / "gap.json"

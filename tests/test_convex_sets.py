@@ -17,6 +17,7 @@ from projqp.convex_sets import (
     project_set,
     save_problem,
 )
+from projqp.bench import GENERATOR_KINDS, generate_problem
 from projqp.solvers import SolverOptions, solve_bap
 
 ALL_SETS = [
@@ -190,6 +191,35 @@ class TestJsonSchema:
         assert doc["sets"][1]["lower"][0] == "-inf"
         assert doc["sets"][2]["lower"] == "-inf"
 
+    @staticmethod
+    def strict_loads(text: str):
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_every_bound_roundtrips_as_strict_json(self, tmp_path):
+        sets = [
+            Ball(np.array([0.0, 1.0]), np.inf),
+            Halfspace(np.array([0.0, 1.0]), -np.inf),
+            Box(np.array([-np.inf, 0.0]), np.array([1.0, np.inf])),
+            Hyperslab(np.array([1.0, 1.0]), -np.inf, np.inf),
+            Polyhedron(np.eye(2), np.array([0.0, 0.0])),
+        ]
+        path = tmp_path / "problem.json"
+        save_problem(path, sets, np.array([0.5, -0.5]))
+        doc = self.strict_loads(path.read_text())
+        assert [d.get("radius", d.get("b")) for d in doc["sets"][:2]] == ["inf", "-inf"]
+        loaded, _, _ = problem_from_dict(doc)
+        for k, k2 in zip(sets, loaded):
+            assert type(k2) is type(k)
+            for name, value in vars(k).items():
+                assert np.array_equal(getattr(k2, name), value), name
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generated_documents_are_strict_json(self, kind):
+        doc = generate_problem(kind, 3, 4, 0)
+        assert self.strict_loads(json.dumps(doc)) == doc
+
     def test_dict_roundtrip(self):
         doc = problem_to_dict([Ball(np.zeros(2), 1.0)], np.array([3.0, 4.0]), kind="demo")
         sets, x0, extras = problem_from_dict(doc)
@@ -231,6 +261,13 @@ class TestJsonSchema:
         # x >= 1 and -x >= -1 leave one point, which the projection returns
         k = Polyhedron(np.array([[1.0, -1.0]]), np.array([1.0, -1.0]))
         np.testing.assert_allclose(project_set(k, np.array([5.0])), [1.0])
+
+
+class TestWrongLengthPoint:
+    @pytest.mark.parametrize("k", ALL_SETS, ids=lambda k: type(k).__name__)
+    def test_project_set_names_both_dimensions(self, k):
+        with pytest.raises(ValueError, match="^x has dimension 3, but the set has dimension 2$"):
+            project_set(k, np.zeros(3))
 
 
 class TestConstruction:

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import solve_triangular
 
+from projqp.art import HyperslabSystem
+from projqp.box_qp import BoxQp
+from projqp.convex_sets import Box
 from projqp.linalg import (
     REFRESH_EVERY,
     SMALL_SIZE,
@@ -11,6 +16,7 @@ from projqp.linalg import (
     RankDeficient,
     _givens,
     _maybe_refresh,
+    as_bounds,
     as_matrix,
     as_vector,
     qr_append_column,
@@ -398,6 +404,50 @@ class TestValidation:
     def test_non_numeric_named(self, bad):
         with pytest.raises(ValueError, match="^witness: float"):
             as_vector(bad, "witness")
+
+
+def system_text(lower, upper) -> str:
+    return "2 2\n1 0\n0 1\n" + " ".join(map(str, lower)) + "\n" + " ".join(map(str, upper)) + "\n"
+
+
+class TestBoundsRule:
+    """Boxes, slab systems (built or read from text) and the box QP check
+    their bounds with ``as_bounds``: each rule gives each its own message."""
+
+    MAKERS = {
+        "box": Box,
+        "hyperslab system": lambda lo, up: HyperslabSystem(np.eye(2), lo, up),
+        "text system": lambda lo, up: HyperslabSystem.from_text(system_text(lo, up)),
+        "box QP": lambda lo, up: BoxQp(np.zeros(2), lo, up, np.ones(2), 1.0),
+    }
+    # (lower, upper, the message after "<what> ")
+    FAULTS = {
+        "nan": ([0.0, np.nan], [1.0, 1.0], "bounds must not be NaN"),
+        "lower-above-upper": ([0.0, 2.0], [1.0, 1.0], "requires lower <= upper"),
+        "lower-inf": ([0.0, np.inf], [1.0, np.inf], "requires lower < inf and upper > -inf"),
+        "upper-minus-inf": ([-np.inf, 0.0], [-np.inf, 1.0], "requires lower < inf and upper > -inf"),
+        "wrong-shape": ([0.0, 0.0], [1.0, 1.0, 1.0], "bounds must have shape (2,), got (2,) and (3,)"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    def test_each_rule_has_its_message(self, maker, fault):
+        lower, upper, rule = self.FAULTS[fault]
+        if maker == "text system" and fault == "wrong-shape":
+            message = "the upper-bound line has 3 entries, expected 2"
+        else:
+            message = f"{maker.replace('text system', 'hyperslab system')} {rule}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.MAKERS[maker](np.array(lower), np.array(upper))
+
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    def test_unbounded_sides_accepted(self, maker):
+        self.MAKERS[maker](np.array([-np.inf, 0.0]), np.array([0.0, np.inf]))
+
+    def test_returns_float_arrays(self):
+        lo, up = as_bounds([0, -1], (1, np.inf), (2,), "box")
+        assert lo.dtype == up.dtype == float
+        assert lo.tolist() == [0.0, -1.0] and up.tolist() == [1.0, np.inf]
 
 
 class TestSolveUpper:
