@@ -16,13 +16,12 @@ or restart from x_plus (P_plus, the inner step from an empty active set,
 the reflection-like move).  Restart steps are the ones that advance the
 underlying Fejer-monotone subsequence.
 
-Most visits of either sweep change nothing.  ``HyperslabSystem._screened``
-proves a row clean with one gemv and ``linalg._RowScreen``'s rounding
-slack.  A row it clears satisfies L_j <= float(a_j @ x) <= U_j, the exact
-per-row test that ``art3_update`` and ``_case`` make.  Both sweeps
-count a cleared row as a clean (case 1) visit without calling them, and
-give every other row the exact test, so outputs are bit-identical to
-visiting every row.
+Most visits of either sweep change nothing.  ``linalg._RowScreen`` gives
+each row a radius from one gemv, and a positive radius at x clears the
+row: it satisfies L_j <= float(a_j @ x) <= U_j, the exact per-row test
+that ``art3_update`` and ``_case`` make.  Both sweeps count a cleared row
+as a clean (case 1) visit without calling them, and give every other row
+the exact test, so outputs are bit-identical to visiting every row.
 """
 
 from __future__ import annotations
@@ -96,15 +95,15 @@ class HyperslabSystem:
     def _screened(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         """(cleared, inside) at a float array x.
 
-        ``cleared[j]`` is True for each row that ``_RowScreen`` proves x
-        inside by a margin its rounding bound covers, so L_j <= float(a_j @ x)
-        <= U_j holds for it bit for bit as the update and classification
-        rules compute it; no row is cleared where the screen decides
-        nothing.  ``inside`` is exact membership: every row not cleared gets
-        that per-row test.
+        ``cleared[j]`` is True for each row whose ``_RowScreen`` radius at
+        x is positive, so L_j <= float(a_j @ x) <= U_j holds for it bit for
+        bit as the update and classification rules compute it; no row is
+        cleared where the screen decides nothing.  ``inside`` is exact
+        membership: every row not cleared gets that per-row test.
         """
-        cleared = self._screen.inside(x)
-        if cleared is not None:
+        rho = self._screen.radii(x)
+        if rho is not None:
+            cleared = rho > 0.0
             rows = (~cleared).nonzero()[0].tolist()
         else:
             cleared = np.zeros(self.m, dtype=bool)
@@ -246,7 +245,8 @@ def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveRe
             if changed:
                 cleared = None
             elif cleared is None:
-                cleared = system._screened(x)[0]
+                rho = system._screen.radii(x)  # None: the screen decides nothing
+                cleared = np.zeros(m, dtype=bool) if rho is None else rho > 0.0
         clean = 0 if changed else clean + 1
         i += 1
         j = (j + 1) % m

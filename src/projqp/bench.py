@@ -188,7 +188,7 @@ def hyperslab_system_from_sets(sets) -> HyperslabSystem:
     if len(slabs) != len(sets):
         raise ValueError("ART methods need a pure hyperslab problem")
     return HyperslabSystem(
-        np.vstack([k.a for k in slabs]),
+        np.array([k.a for k in slabs]),
         np.array([k.lower for k in slabs]),
         np.array([k.upper for k in slabs]),
     )

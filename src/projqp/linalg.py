@@ -163,21 +163,33 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 class _RowScreen:
-    """Which rows x provably satisfies, L_j <= float(a_j @ x) <= U_j, from one gemv.
+    """For each row, a radius around x_r within which every x satisfies
+    L_j <= float(a_j @ x) <= U_j, the exact per-row test, from one gemv.
 
-    The per-row dot ``float(a_j @ x)`` is the exact test; a gemv may sum a
-    row in another order.  Every order obeys |fl(a.x) - a.x| <= gamma_n
-    |a|.|x| <= gamma_n ||a||_1 max|x|, with gamma_n = n u / (1 - n u) and
-    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 3.1), plus n half-subnormals when products underflow; the gemv
-    value and the per-row dot differ by at most twice that.  slack = c
-    ||a_j||_1 max|x| + t, with c = 4 (n + 2) eps and t = 4 (n + 2) times the
-    smallest subnormal, covers it with room for the rounding of the row
-    norms, of the slack and of the margins, so a row whose gemv margin
-    min(ax - L, U - ax) is at least slack is inside by the per-row dot too.
-    The bound fails when |x| is so large that a partial sum could overflow;
-    there, and for a non-finite x, the screen decides nothing.  Only row
-    norms are kept: a copy of |A| would double the rows' memory.
+    A dot in any summation order obeys |fl(a.x) - a.x| <= gamma_n |a|.|x|
+    <= gamma_n ||a||_1 max|x|, with gamma_n = n u / (1 - n u) and u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+    plus n half-subnormals when products underflow.  Let big = max|x_r|,
+    g = fl(A x_r), and D = ||x - x_r|| <= big, so max|x| <= 2 big.  Then
+    the per-row dot at x differs from g_j by at most that bound at big (the
+    gemv) and at 2 big (the dot), plus ||a_j||_2 D (Cauchy-Schwarz).  The
+    slack s_j = c ||a_j||_1 big + t, with c = 4 (n + 2) eps and t = 4 (n + 2)
+    times the smallest subnormal, covers the rounding terms with room for
+    the rounding of ||a_j||_1 and of s_j.  The margin m_j = min(g_j - L_j,
+    U_j - g_j) is rounded by at most u of itself, so row j holds at x if
+    ||a_j||_2 D < (m_j - s_j)(1 - 5 u).
+
+    ``radii(x)`` returns rho_j = (m_j - s_j) / ||a_j||_2 at x_r = x: the row
+    norm adds t to its sum of squares, which covers their underflow, and
+    is at most ||a_j||_1, where that sum overflows; rho_j is shrunk by
+    4 (n + 3) eps, which covers the factor 1 - 5 u and the rounding of the
+    norm, the difference and the quotient.  ``distance`` rounds D up the
+    same way, and returns inf where D > big.  So D < rho_j proves row j at
+    x, and at x_r (D = 0) rho_j > 0 does.  An overflowed margin exceeds every other
+    term (each at most 2**1021); a NaN proves nothing.  Where a partial sum
+    at 2 big could overflow, and for a non-finite x_r, the screen decides
+    nothing.  Only row norms are kept: a copy of |A| would double the rows'
+    memory.
     """
 
     def __init__(self, a_mat: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -189,18 +201,29 @@ class _RowScreen:
         self._slack_rows = (4.0 * (n + 2) * _EPS) * row_l1
         self._slack_t = 4.0 * (n + 2) * _TINY
         self._row_l1_max = float(row_l1.max())
+        row_l2 = np.minimum(np.sqrt(np.einsum("ij,ij->i", a_mat, a_mat) + self._slack_t), row_l1)
+        self._scale = (1.0 - 4.0 * (n + 3) * _EPS) / row_l2
+        self._d_up = 1.0 + 4.0 * (n + 3) * _EPS
 
-    def inside(self, x: np.ndarray) -> np.ndarray | None:
-        """Mask of the rows x is provably inside, or None where the screen
-        decides nothing (x non-finite or too large for the bound)."""
+    def radii(self, x: np.ndarray) -> np.ndarray | None:
+        """rho at x_r = x, or None where the screen decides nothing (x
+        non-finite or too large for the bound)."""
         big = float(np.abs(x).max())
         if not big * self._row_l1_max <= _SCREEN_LIMIT:  # NaN and inf fail too
             return None
         ax = self.a_mat @ x
         slack = self._slack_rows * big
         slack += self._slack_t
-        # a NaN margin (a NaN bound) compares false: never provably inside
-        return np.minimum(ax - self.lower, self.upper - ax) >= slack
+        rho = np.minimum(ax - self.lower, self.upper - ax)
+        rho -= slack
+        rho *= self._scale
+        return rho
+
+    def distance(self, x: np.ndarray, x_r: np.ndarray, big: float) -> float:
+        """||x - x_r|| rounded up, or inf where it exceeds big = max|x_r|."""
+        diff = x - x_r
+        d = math.sqrt(float(diff.dot(diff)) + self._slack_t) * self._d_up
+        return d if d <= big else math.inf
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ full cycle instead, so it keeps its own loop.  Both take that bound from
 A visit to a hyperslab or halfspace that x is inside costs one exact dot
 (``_linear_project``) in both loops: no copy of x and no distance.
 ``_cyclic`` also counts a run of sets that one gemv screen proves clean
-in one step; Dykstra reads a set this way only while its correction is
-zero.
+in one step, and keeps the screen while x moves within its radii;
+Dykstra reads a set this way only while its correction is zero.
 """
 
 from __future__ import annotations
@@ -396,11 +396,12 @@ def _compact_sip(store: HalfspaceStore, s: STuple, max_store: int, events: list[
 class _LinearScreen:
     """One ``_RowScreen`` over the hyperslab and halfspace sets of a solve.
 
-    ``flags(x)`` lists, per set, whether x is provably inside it: then
-    ``project_set`` would return x itself, so the visit's distance is 0.
-    Other sets read False.  The list runs over the sets twice and ends
-    with one False, so ``flags.index(False, l)`` ends the run of cleared
-    sets from a cursor l < r, across the end of a pass too.
+    ``refresh(x)`` takes each set's radius at x_r = x (-inf where the
+    screen does not decide).  ``run(l, x)`` measures D, x's ``distance``
+    from x_r, once per iterate (no step writes into an iterate) and
+    counts the sets from a cursor l < r whose radius exceeds D: x is
+    inside them, so the visit's distance would be 0.  The radii run over
+    the sets twice and end with -inf, so a run crosses the end of a pass.
     """
 
     def __init__(self, sets: Sequence[ConvexSet]):
@@ -418,26 +419,35 @@ class _LinearScreen:
             rows.append(a)
             lower.append(lo)
             upper.append(up)
-        self.screen = _RowScreen(np.vstack(rows), np.array(lower), np.array(upper)) if rows else None
+        self.screen = _RowScreen(np.array(rows), np.array(lower), np.array(upper)) if rows else None
 
-    def flags(self, x: np.ndarray) -> list[bool] | None:
-        inside = None if self.screen is None else self.screen.inside(x)
-        if inside is None:
-            return None
-        if len(self.pos) < self.r:
-            full = np.zeros(self.r, dtype=bool)
-            full[self.pos] = inside
-            inside = full
-        out = inside.tolist() * 2
-        out.append(False)
-        return out
+    def refresh(self, x: np.ndarray) -> None:
+        rho = None if self.screen is None else self.screen.radii(x)
+        full = np.full(self.r, -math.inf)  # also where the screen decides nothing
+        if rho is not None:
+            full[self.pos] = rho
+        self.rho = full.tolist() * 2 + [-math.inf]
+        self.x_r = None if rho is None else x.copy()
+        self.big = float(np.abs(x).max())
+        self.x, self.d = x, 0.0
+
+    def run(self, l: int, x: np.ndarray) -> int:
+        if x is not self.x:
+            self.x = x
+            self.d = math.inf if self.x_r is None else self.screen.distance(x, self.x_r, self.big)
+        rho, d = self.rho, self.d
+        k = l
+        while rho[k] > d:
+            k += 1
+        return k - l
 
 
 def _screen_due(run: int, exact_clean: int, r: int) -> bool:
-    """Whether an exact clean visit refreshes the screen: at the second in a
-    row since x moved, once the solve has made r of them.  Short clean
-    runs, and solves that end within one pass, would not repay the gemv or
-    the stacking of the rows."""
+    """Whether an exact clean visit refreshes the screen: at the second
+    since x last moved (x has left the radius of two sets it is inside),
+    once the solve has made r of them.  Short clean runs, and solves that
+    end within one pass, would not repay the gemv or the stacking of the
+    rows."""
     return run == 2 and exact_clean >= r
 
 
@@ -469,11 +479,11 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
 
     Visits skip the projection onto a hyperslab or halfspace that
     ``_LinearScreen`` shows x to be inside: its distance would be 0, and
-    the exact visit that refreshed the screen at this x passed, so the
-    bound is a number >= 0 and the visit is clean, with the same counts.
-    A run of such sets from the cursor is taken in one step, up to the
-    end of the clean pass and the visit cap.  ``_screen_due`` says when to
-    refresh.
+    the bound of x was computed (a NaN raises) before the screen is read,
+    so the visit is clean, with the same counts.  A run of such sets from
+    the cursor is taken in one step, up to the end of the clean pass and
+    the visit cap.  The screen is kept when x moves; ``_screen_due`` says
+    when to refresh it.
     """
     r = len(sets)
     linear = [isinstance(k, (Halfspace, Hyperslab)) for k in sets]
@@ -485,8 +495,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
     proof = None
     screen = None
     exact_clean = 0  # exact clean visits so far
-    run = 0  # exact clean visits in a row since x last moved
-    inside = None  # per-set flags at the current x
+    run = 0  # exact clean visits since x last moved
     bound = None  # feas_tol * (1 + ||x||), computed at the first visit from x
     while clean < r:
         if visits >= opts.max_outer_iters:
@@ -495,8 +504,9 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
             bound = _stop_bound(x, opts.feas_tol)
             if math.isnan(bound):
                 raise ValueError("x has non-finite entries")
-        if inside is not None and inside[l]:
-            cleared = min(inside.index(False, l) - l, r - clean, opts.max_outer_iters - visits)
+        cleared = 0 if screen is None else screen.run(l, x)
+        if cleared:
+            cleared = min(cleared, r - clean, opts.max_outer_iters - visits)
             visits += cleared
             counts["projections"] += cleared
             clean += cleared
@@ -517,7 +527,6 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
                 if moved is not None:
                     clean = 0
                     run = 0
-                    inside = None
                     x, events, proof = moved
                     bound = None
                     rows.append(_trace_row(len(rows), x, events, opts))
@@ -531,7 +540,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
         if _screen_due(run, exact_clean, r):
             if screen is None:
                 screen = _LinearScreen(sets)
-            inside = screen.flags(x)
+            screen.refresh(x)
     else:
         status = "solved"
     certificate, cert_system = proof or (None, None)

@@ -339,6 +339,25 @@ class TestScreenedMembership:
                 assert system.contains(x) == contains_loop(system, x)
                 assert art._tight_slabs(system, x) == tight_slabs_loop(system, x)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 8), (10, 40), (50, 200)])
+    def test_each_radius_holds_to_its_edge(self, n, m):
+        """A point D < rho_j from the screened point, moved straight at row
+        j's faces, still passes row j's exact one-dot test."""
+        rng = np.random.default_rng(n * 1000 + m + 1)
+        proved = 0
+        for _ in range(20):
+            for system, x in edge_cases(rng, n, m):
+                rho = system._screen.radii(x)
+                big = float(np.abs(x).max())
+                for j in np.flatnonzero(rho > 0.0):
+                    a_j = system.a_mat[j]
+                    for sign in (-1.0, 1.0):
+                        y = x + (sign * min(rho[j], big) * (1.0 - 1e-12) / np.linalg.norm(a_j)) * a_j
+                        if system._screen.distance(y, x, big) < rho[j]:
+                            assert system.lower[j] <= float(a_j @ y) <= system.upper[j]
+                            proved += 1
+        assert proved > 4 * m
+
     def test_tight_slabs_at_the_tolerance_edge(self, monkeypatch):
         # powers of two make |ax - bound| == tol (1 + |ax|) exact at k = 0
         tol = 2.0**-30
@@ -369,7 +388,7 @@ class TestScreenedMembership:
                 half = 0.5 * np.abs(s)
                 fin = np.isfinite(s)  # every row well inside
                 system = HyperslabSystem(a, np.where(fin, s - half, -np.inf), np.where(fin, s + half, np.inf))
-                assert system._screen.inside(x) is None
+                assert system._screen.radii(x) is None
                 expected = contains_loop(system, x)
                 rows = []
                 object.__setattr__(system, "a_mat", system.a_mat.view(RowSpy))
@@ -388,7 +407,7 @@ class TestScreenedMembership:
             system, x0, witness = generated_system(n, slabs, 500 + seed)
             fast = extended_art_solve(x0, system, witness=witness)
             with monkeypatch.context() as mp:
-                mp.setattr(art._RowScreen, "inside", lambda self, x: None)  # no row is cleared
+                mp.setattr(art._RowScreen, "radii", lambda self, x: None)  # no row is cleared
                 mp.setattr(HyperslabSystem, "contains", contains_loop)
                 mp.setattr(art, "_tight_slabs", tight_slabs_loop)
                 slow = extended_art_solve(x0, system, witness=witness)
@@ -451,6 +470,26 @@ class TestScreenedArt3:
             assert rep.status == ("solved" if cap >= total else "iteration_limit")
             same_as_loop(rep, art3_loop(x0, system, max_iters=cap))
         assert screened_last > total // 2
+
+    def test_screens_without_the_membership_test(self, monkeypatch):
+        """ART3 reads the screen's radii alone; where the screen decides
+        nothing it clears no row and screens no more often."""
+        system, x0, _ = generated_system(10, 40, 3)
+        screened, masks = [], []
+        membership = HyperslabSystem._screened
+        monkeypatch.setattr(HyperslabSystem, "_screened",
+                            lambda self, x: screened.append(1) or membership(self, x))
+        radii = art._RowScreen.radii
+        monkeypatch.setattr(art._RowScreen, "radii", lambda self, x: masks.append(1) or radii(self, x))
+        rep = art3_solve(x0, system)
+        assert screened == [1]  # the final membership test
+        calls = len(masks) - 1
+        masks.clear()
+        monkeypatch.setattr(art._RowScreen, "radii", lambda self, x: masks.append(1) and None)
+        blind = art3_solve(x0, system)
+        assert len(masks) - 1 == calls > 1
+        same_as_loop(rep, art3_loop(x0, system))
+        same_as_loop(blind, art3_loop(x0, system))
 
     def test_row_inside_by_less_than_the_slack_takes_the_exact_test(self, monkeypatch):
         # row 2 holds x by one ulp of a_2 x, far below the screen's slack;

@@ -1147,29 +1147,28 @@ class TestLinearScreen:
 
     @staticmethod
     def _off(mp):
-        mp.setattr(solvers._LinearScreen, "flags", lambda self, x: None)
+        mp.setattr(solvers._LinearScreen, "run", lambda self, l, x: 0)
 
     @staticmethod
-    def _eager(mp, checked):
-        """Refresh at every exact clean visit, and check every flag there
-        against the exact projection."""
-        init, flags = solvers._LinearScreen.__init__, solvers._LinearScreen.flags
+    def _checked_runs(mp, checked):
+        """Check every set that ``run(l, x)`` counts clean against the exact
+        projection at x, and record the screen's D for each."""
+        init, run = solvers._LinearScreen.__init__, solvers._LinearScreen.run
 
         def spy_init(self, sets):
             init(self, sets)
             self.sets = list(sets)
 
-        def spy_flags(self, x):
-            out = flags(self, x)
-            for k, inside in zip(self.sets, out or ()):
-                if inside:
-                    assert project_set(k, x).tobytes() == x.tobytes()
-                    checked.append(k)
+        def spy_run(self, l, x):
+            out = run(self, l, x)
+            for i in range(l, l + out):
+                k = self.sets[i % self.r]
+                assert project_set(k, x).tobytes() == x.tobytes()
+                checked.append(self.d)
             return out
 
-        mp.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
         mp.setattr(solvers._LinearScreen, "__init__", spy_init)
-        mp.setattr(solvers._LinearScreen, "flags", spy_flags)
+        mp.setattr(solvers._LinearScreen, "run", spy_run)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1183,7 +1182,10 @@ class TestLinearScreen:
             lazy = _outcome(method, x0, sets, opts)
             checked = []
             with monkeypatch.context() as mp:
-                self._eager(mp, checked)
+                self._checked_runs(mp, checked)
+                assert _outcome(method, x0, sets, opts) == lazy
+                # refresh at every exact clean visit
+                mp.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
                 eager = _outcome(method, x0, sets, opts)
             with monkeypatch.context() as mp:
                 self._off(mp)
@@ -1192,6 +1194,8 @@ class TestLinearScreen:
         assert eager == exact
         if case.startswith(("slabs", "mixed")) and options == "default":
             assert checked  # the screen skipped visits here
+        if case in ("slabs10", "slabs50", "mixed", "mixed-box"):
+            assert max(checked) > 0.0  # and away from the point it screened at
 
     @staticmethod
     def _spy(monkeypatch):
@@ -1211,14 +1215,64 @@ class TestLinearScreen:
 
     def test_large_x_is_left_to_the_exact_path(self, monkeypatch):
         seen = []
-        inside = _RowScreen.inside
-        monkeypatch.setattr(_RowScreen, "inside", lambda self, x: seen.append(inside(self, x)) or seen[-1])
+        radii = _RowScreen.radii
+        monkeypatch.setattr(_RowScreen, "radii", lambda self, x: seen.append(radii(self, x)) or seen[-1])
         monkeypatch.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = solve_map(np.zeros(2), _HUGE, SolverOptions())
         assert rep.status == "solved"
         assert seen and all(s is None for s in seen)
         assert np.abs(rep.x).max() > 2.0**1019  # ||a||_1 = 1 or 2
+
+    def test_a_move_beyond_big_clears_nothing(self, monkeypatch):
+        """Screened at x_r with max|x_r| = 0.5, the wide slabs have radii
+        near 100; x then moves by 50, past max|x_r|, where the proof does
+        not reach, so the screen clears nothing until it is taken again."""
+        sets = [Hyperslab(np.eye(4)[i], -100.0, 100.0) for i in range(4)] + [Halfspace(np.eye(4)[0], 50.0)]
+        x0 = np.array([0.0, 0.5, 0.5, 0.5])
+        checked, distances = [], []
+        monkeypatch.setattr(solvers, "_screen_due", lambda run, exact_clean, r: True)
+        self._checked_runs(monkeypatch, checked)
+        run = solvers._LinearScreen.run
+
+        def spy_run(self, l, x):
+            out = run(self, l, x)
+            distances.append(self.d)
+            return out
+
+        monkeypatch.setattr(solvers._LinearScreen, "run", spy_run)
+        calls = self._spy(monkeypatch)
+        opts = SolverOptions(record_iterates=True)
+        ours = _outcome("map", x0, sets, opts)
+        # slab 0 and the halfspace exactly, slabs 1-3 cleared at x0; after the
+        # move D is inf, so slab 0 takes the exact test, and the screen taken
+        # there clears slabs 1-3 again
+        assert calls == [sets[0], sets[4], sets[0], sets[4]]
+        assert ours[0][0] == "solved" and checked == [0.0] * 6
+        assert math.inf in distances  # the D <= big guard fired
+        screen = _RowScreen(np.eye(2), np.full(2, -100.0), np.full(2, 100.0))
+        assert screen.radii(np.array([0.5, 0.0])).min() > 99.0
+        assert screen.distance(np.array([3.0, 4.0]), np.array([0.5, 0.0]), 0.5) == math.inf
+        assert 0.5 <= screen.distance(np.array([0.3, 0.4]), np.zeros(2), 1.0) < 0.5 * (1 + 1e-13)
+        monkeypatch.undo()
+        monkeypatch.setattr(solvers, "_cyclic", cyclic_loop)
+        assert _outcome("map", x0, sets, opts) == ours
+
+    def test_screen_outlives_most_moves(self, monkeypatch):
+        """MAP keeps the screen across moves: it refreshes far less often
+        than x moves, and its outputs are the one-visit loop's."""
+        sets, x0 = _slab_file(50, 200, 5)
+        refreshes = []
+        refresh = solvers._LinearScreen.refresh
+        opts = SolverOptions(max_outer_iters=100_000, record_iterates=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers._LinearScreen, "refresh", lambda self, x: refreshes.append(1) or refresh(self, x))
+            ours = _outcome("map", x0, sets, opts)
+        moves = len(ours[0][3]) - 1
+        assert ours[0][0] == "solved" and moves > 20
+        assert 0 < 4 * len(refreshes) < moves
+        monkeypatch.setattr(solvers, "_cyclic", cyclic_loop)
+        assert _outcome("map", x0, sets, opts) == ours
 
     @pytest.mark.parametrize("method", METHODS)
     def test_cap_inside_a_screened_run(self, monkeypatch, method):
