@@ -19,6 +19,8 @@ finite.  A square of 0 rejects the normal as zero, as its root
 rejected too.  Only a square that is not finite falls back to
 ``as_vector``, which tells an overflowed square (accepted; vdot, unlike
 dot, raises no overflow warning) from a NaN or inf entry (rejected).
+The projection onto such a set steps along the normal divided by its
+largest entry (``_linear_project``), so it still lands on the set's face.
 
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
@@ -105,7 +107,7 @@ class Halfspace:
 
     @cached_property
     def _c_sq(self) -> float:
-        return float(self.c @ self.c)
+        return float(np.vdot(self.c, self.c))  # inf, with no warning, where it overflows
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class Hyperslab:
 
     @cached_property
     def _a_sq(self) -> float:
-        return float(self.a @ self.a)
+        return float(np.vdot(self.a, self.a))  # inf, with no warning, where it overflows
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,20 @@ def _linear_project(k: Halfspace | Hyperslab, x: np.ndarray) -> np.ndarray | Non
     if isinstance(k, Hyperslab):
         s = float(k.a.dot(x))
         target = min(max(s, k.lower), k.upper)
-        return None if target == s else x + ((target - s) / k._a_sq) * k.a
-    gap = k.b - float(k.c.dot(x))
-    return None if gap <= 0.0 else x + (gap / k._c_sq) * k.c
+        if target == s:
+            return None
+        t, a, a_sq = target - s, k.a, k._a_sq
+    else:
+        t = k.b - float(k.c.dot(x))
+        if t <= 0.0:
+            return None
+        a, a_sq = k.c, k._c_sq
+    if a_sq < math.inf:
+        return x + (t / a_sq) * a
+    # a.a overflowed: step along y = a / max|a|, whose square is finite
+    big = float(np.abs(a).max())
+    y = a / big
+    return x + ((t / big) / np.vdot(y, y)) * y
 
 
 # ---------------------------------------------------------------------------

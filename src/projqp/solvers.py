@@ -185,7 +185,9 @@ class SolverOptions:
         ))
 
 
-@dataclass
+# slotted: a trace keeps one row per visit, so each row stores its
+# fields inline with no per-instance dict
+@dataclass(slots=True)
 class TraceRow:
     iteration: int
     dist: float | None
@@ -195,7 +197,7 @@ class TraceRow:
     x: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     status: str  # "solved" | "infeasible" | "iteration_limit"
     x: np.ndarray

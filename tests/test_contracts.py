@@ -9,6 +9,7 @@ too, so a change that adds a knob has to edit this file in plain view.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 from projqp import activeset_qp, art, bench, box_qp, cli, convex_sets, linalg, solvers  # noqa: F401
 from projqp.bench import generate_problem, hyperslab_system_from_sets, two_circles_sets
 from projqp.convex_sets import Ball, Box, problem_from_dict
-from projqp.solvers import _METHODS, SolverOptions, solve
+from projqp.solvers import _METHODS, SolveReport, SolverOptions, TraceRow, solve
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -114,6 +115,23 @@ def test_option_fields_are_pinned():
         "feas_tol", "max_outer_iters", "max_store", "record_iterates",
     ]
     assert art.STEP_BY_CASE == {2: "circ", 3: "plus", 4: "times", 5: "times"}
+
+
+@pytest.mark.parametrize("cls", [TraceRow, SolveReport])
+def test_reports_are_slotted(cls):
+    # a trace keeps one row per visit: each row stores its fields inline
+    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    rep = solve("map", np.array([0.0, 10.0]), two_circles_sets())
+    for obj in (rep, *rep.rows):
+        assert not hasattr(obj, "__dict__")
+
+
+def test_trace_row_fields_are_pinned():
+    # the JSON and CSV writers and run_two_circles read these, in this order
+    fields = [(f.name, f.default) for f in dataclasses.fields(TraceRow)]
+    assert fields == [("iteration", dataclasses.MISSING), ("dist", dataclasses.MISSING),
+                      ("measure1", dataclasses.MISSING), ("measure2", dataclasses.MISSING),
+                      ("events", ()), ("x", None)]
 
 
 PINNED_PARAMETERS = [

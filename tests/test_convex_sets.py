@@ -10,6 +10,7 @@ from projqp.convex_sets import (
     Halfspace,
     Hyperslab,
     Polyhedron,
+    _linear_project,
     _project,
     load_problem,
     problem_from_dict,
@@ -122,6 +123,54 @@ class TestTrustedProjection:
         assert "_a_sq" not in vars(h)  # computed at the first projection, not at construction
         project_set(h, np.array([2.0, 2.0]))
         assert vars(h)["_a_sq"] == 25.0
+
+
+class TestOverflowedNormal:
+    """A normal whose square overflows (accepted at construction) still
+    projects onto the set's face: the step runs along the normal divided by
+    its largest entry, with no overflow warning."""
+
+    # each set's projection of x, exact at this scale
+    CASES = [
+        (Hyperslab([1e200, 0.0], 0.0, 1e200), [3.0, -2.0], [1.0, -2.0]),  # upper face
+        (Hyperslab([1e200, 0.0], 0.0, 1e200), [-3.0, -2.0], [0.0, -2.0]),  # lower face
+        (Halfspace([1e200, 0.0], 1e200), [0.0, 0.0], [1.0, 0.0]),
+        (Halfspace([0.0, -1e200], -2e200), [5.0, 7.0], [5.0, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("k, x, p", CASES)
+    def test_lands_on_the_face(self, k, x, p):
+        assert project_set(k, x).tolist() == p
+        assert _linear_project(k, np.array(x)).tolist() == p
+        assert _linear_project(k, np.array(p)) is None
+
+    # 2**700 scales exactly, and its square overflows
+    SCALE = 2.0 ** 700
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["halfspace", "hyperslab"])
+    def test_matches_the_unit_scale_projection(self, kind, seed):
+        """With max|u| = 1, the scaled set's step is the unit set's step
+        bit for bit, on both faces of a slab."""
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=6)
+        u /= np.abs(u).max()
+        make = {
+            "halfspace": lambda v, f: Halfspace(v, 0.5 * f),
+            "hyperslab": lambda v, f: Hyperslab(v, -0.5 * f, 0.75 * f),
+        }[kind]
+        unit, scaled = make(u, 1.0), make(u * self.SCALE, self.SCALE)
+        assert (scaled._a_sq if kind == "hyperslab" else scaled._c_sq) == math.inf
+        faces = set()
+        for x in rng.normal(scale=3.0, size=(40, 6)):
+            p = _linear_project(unit, x)
+            q = _linear_project(scaled, x)
+            assert (p is None) == (q is None)
+            if p is not None:
+                assert q.tobytes() == p.tobytes()
+                assert project_set(scaled, x).tobytes() == p.tobytes()
+                faces.add("upper" if float(u @ x) > 0.75 else "lower")
+        assert faces == ({"upper", "lower"} if kind == "hyperslab" else {"lower"})
 
 
 class TestSupportingCut:

@@ -967,6 +967,45 @@ class TestOverflowedNorm:
                 assert math.isnan(bound(np.array([1.0, bad]), tol))
 
 
+# sets whose normals' squares overflow, each with its start: the visits
+# step along the normal divided by its largest entry
+OVERFLOWED_NORMAL = {
+    "halfspace-ball": ([Halfspace(np.array([1e200, 0.0]), 1e200), Ball(np.zeros(2), 5.0)], [0.0, 0.0]),
+    "slab-halfspace-ball": ([Hyperslab(np.array([1e200, 0.0]), 0.0, 1e200),
+                             Halfspace(np.array([0.0, 1e200]), 1e200),
+                             Ball(np.zeros(2), 5.0)], [3.0, -2.0]),
+    "four-linear": ([Hyperslab(np.array([1e200, 0.0]), 0.0, 1e200),
+                     Halfspace(np.array([0.0, 1e200]), 1e200),
+                     Hyperslab(np.array([1e200, 1e200]), 0.0, 3e200),
+                     Halfspace(np.array([-1e200, 1e200]), -5e199)], [3.0, -2.0]),
+}
+
+
+def _holds(k, x) -> bool:
+    """Exact membership, from each set's definition."""
+    if isinstance(k, Ball):
+        d = x - k.center
+        return math.sqrt(float(d @ d)) <= k.radius
+    if isinstance(k, Halfspace):
+        return float(np.vdot(k.c, x)) >= k.b
+    s = float(np.vdot(k.a, x))
+    return k.lower <= s <= k.upper
+
+
+class TestOverflowedNormal:
+    """A visit to a set whose normal's square overflows moves x onto the
+    set, so no method ends ``solved`` at a point outside it."""
+
+    @pytest.mark.parametrize("method", TestStartValidation.METHODS)
+    @pytest.mark.parametrize("case", sorted(OVERFLOWED_NORMAL))
+    def test_solved_inside_every_set(self, method, case):
+        sets, x0 = OVERFLOWED_NORMAL[case]
+        rep = solve(method, np.array(x0), sets)
+        assert rep.status == "solved"
+        assert all(_holds(k, rep.x) for k in sets), rep.x
+        assert not _holds(sets[0], np.array(x0))  # x0 itself is outside
+
+
 class TestOptionValidation:
     """Each field is checked on construction; a bad value names its field."""
 
