@@ -57,6 +57,7 @@ from .linalg import (
     _qr_append,
     as_matrix,
     as_vector,
+    norm,
     qr_delete_column,
     qr_factorize,
     solve_upper,
@@ -282,10 +283,6 @@ def _empty_s_tuple(x: np.ndarray) -> STuple:
     return STuple(x.copy(), (), _EMPTY_U, _empty_qr(x.shape[0]))
 
 
-def _nrm(v: np.ndarray) -> float:
-    return math.sqrt(float(v.dot(v)))
-
-
 _EYE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -311,7 +308,7 @@ def _invariant_residuals(s: STuple, qp: ConstraintView) -> tuple:
     n_t = n_mat.T
     cols = n_t.tolist()
     bad = [i for i, j in enumerate(s.j_set) if cols[i] != qp.column(j).tolist()]
-    kkt = _nrm((qp.x_star - s.x) + n_mat.dot(s.u))
+    kkt = norm((qp.x_star - s.x) + n_mat.dot(s.u))
     if not q:
         return bad, 0.0, INF, kkt, 0.0, 0.0
     ax = n_t.dot(s.x).tolist()
@@ -344,7 +341,7 @@ def _abs_max(a: np.ndarray) -> float:
 
 def _invariant_residuals_general(s: STuple, qp: ConstraintView) -> tuple:
     n_mat, q_mat = s.qr.mat, s.qr.q_mat
-    kkt = _nrm((qp.x_star - s.x) + n_mat @ s.u)
+    kkt = norm((qp.x_star - s.x) + n_mat @ s.u)
     if not s.q:
         return [], 0.0, INF, kkt, 0.0, 0.0
     # one exact compare for all columns: as in np.array_equal, a NaN
@@ -382,13 +379,13 @@ def check_s_tuple(
     # each scale factor below is >= 1, so the unscaled comparison settles
     # most calls without computing the norm; every test is written to fail
     # on a NaN residual or scale
-    if not tight <= FEAS_TOL and not tight <= FEAS_TOL * (1.0 + _nrm(s.x)):
+    if not tight <= FEAS_TOL and not tight <= FEAS_TOL * (1.0 + norm(s.x)):
         mon.fail(f"{where}: active residual {tight:.3e}")
         ok = False
     if not u_min >= -DUAL_TOL:
         mon.fail(f"{where}: negative multiplier {u_min:.3e}")
         ok = False
-    if not kkt <= FEAS_TOL and not kkt <= FEAS_TOL * (1.0 + _nrm(qp.x_star)):
+    if not kkt <= FEAS_TOL and not kkt <= FEAS_TOL * (1.0 + norm(qp.x_star)):
         mon.fail(f"{where}: KKT residual {kkt:.3e}")
         ok = False
     if not orth <= QR_DRIFT_TOL or (
@@ -420,7 +417,7 @@ def _violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> bool:
     A driver asks before it hands the steps a cut: at a distance within
     round-off of the set the computed residual can come out >= 0.
     """
-    nrm = _nrm(c_p)
+    nrm = norm(c_p)
     return nrm == 0.0 or not (float(c_p.dot(x)) - b_p) / nrm >= 0.0
 
 
@@ -431,7 +428,7 @@ def _require_violated(c_p: np.ndarray, b_p: float, x: np.ndarray) -> tuple[float
     Callers decide what counts as violated under their own feas_tol; the
     step itself only refuses constraints that are satisfied outright.
     """
-    nrm = _nrm(c_p)
+    nrm = norm(c_p)
     if nrm == 0.0:
         raise PreconditionViolated("constraint normal is zero")
     cx = float(c_p.dot(x))
@@ -518,7 +515,7 @@ def inner_gi_step(
             qtc, z = first
             r = solve_upper(qr.r_mat, qtc)
             r_list = r.tolist()
-            z_norm = _nrm(z)
+            z_norm = norm(z)
             t1, l = _ratio_test(u_plus, r_list)
         else:  # no active normals: z = c_p and no multiplier can block
             first = None
@@ -564,7 +561,10 @@ def inner_gi_step(
             s2 = STuple(x, tuple(j_work) + (p,), u_new, qr2)
             events += ["full", f"add:{p}"]
             check_s_tuple(s2, qp, "inner_gi_step", monitor)
-            _check_v_increase(v0, v_value(x, qp.x_star), "inner_gi_step", monitor)
+            v1 = v_value(x, qp.x_star)
+            if v1 == INF:  # compare the squares scaled by 2**-600, which is exact
+                v0, v1 = (v_value(y * 2.0**-600, qp.x_star * 2.0**-600) for y in (s.x, x))
+            _check_v_increase(v0, v1, "inner_gi_step", monitor)
             return Advanced(s2, tuple(events))
 
         # dual-only step when z = 0, otherwise partial step in both spaces;
@@ -599,7 +599,7 @@ def _refine_direction(
     skipped for the next.  No eligible candidate leaves the state as it is."""
     events: list[str] = []
     d = c_p - qr.mat @ r if r.size else c_p
-    enter_tol = ENTER_TOL * (1.0 + float(np.linalg.norm(c_p)))
+    enter_tol = ENTER_TOL * (1.0 + norm(c_p))
     for j_in in sorted(j for j in pool if float(-(qp.column(j) @ d)) > enter_tol):
         try:
             qr_plus = _qr_append(qr, qp.column(j_in))
@@ -691,7 +691,7 @@ def _pick_violated(ax: np.ndarray, b: np.ndarray, col_norms: np.ndarray, x: np.n
     if violated.size == 0:
         return -1
     p = int(violated[np.argmin(resid[violated])])
-    return p if float(resid[p]) < -FEAS_TOL * (1.0 + _nrm(x)) else -1
+    return p if float(resid[p]) < -FEAS_TOL * (1.0 + norm(x)) else -1
 
 
 def gi_solve(qp: QpProblem) -> Solution | Infeasible:
@@ -740,7 +740,7 @@ def verify_certificate(
     if lam.shape[0] != len(cert.j_prime) or np.any(lam < 0.0):
         return False
     scale = 1.0 + float(np.sum(lam))
-    if float(np.linalg.norm(cols @ lam)) > CERT_TOL * scale:
+    if norm(cols @ lam) > CERT_TOL * scale:
         return False
     return float(lam @ b_j) > CERT_TOL
 

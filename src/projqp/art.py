@@ -37,7 +37,8 @@ from .activeset_qp import (
     empty_s_tuple,
     inner_gi_step,
 )
-from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector
+from .convex_sets import _encode_value
+from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector, norm
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
@@ -118,17 +119,9 @@ class HyperslabSystem:
         return cleared, True
 
     def to_text(self) -> str:
-        def enc(v):
-            if np.isposinf(v):
-                return "inf"
-            if np.isneginf(v):
-                return "-inf"
-            return repr(float(v))
-
         lines = [f"{self.m} {self.n}"]
         lines += [" ".join(repr(float(v)) for v in row) for row in self.a_mat]
-        lines.append(" ".join(enc(v) for v in self.lower))
-        lines.append(" ".join(enc(v) for v in self.upper))
+        lines += [" ".join(str(_encode_value(v)) for v in bounds) for bounds in (self.lower, self.upper)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -363,7 +356,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
     rows: list[TraceRow] = [TraceRow(0, None, None, None, ())]
     fejer_max_increase = 0.0
     fejer_events = 0
-    wit_dist = None if wit is None else float(np.linalg.norm(x_circ - wit))
+    wit_dist = None if wit is None else norm(x_circ - wit)
     forbidden_times = 0  # P_times steps in cases 2/3; must stay zero
     consecutive_circ = 0
     status = "iteration_limit"
@@ -377,7 +370,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
         anchor = x_circ = point
         if wit is None:
             return
-        d = float(np.linalg.norm(point - wit))
+        d = norm(point - wit)
         fejer_events += 1
         if d > wit_dist:
             fejer_max_increase = max(fejer_max_increase, d - wit_dist)
@@ -410,7 +403,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
             v = vp if choice == "plus" else vt  # a_j^T of the engine's feed
             if case != 5 and max(lo - v, v - up) <= NUDGE_TOL * (1.0 + abs(v)):
                 choice = "plus" if max(lo - vp, vp - up) > NUDGE_TOL else "nudge"
-            na = float(np.linalg.norm(a_j))
+            na = norm(a_j)
             # P_circ needs x_times outside the slab; reflect instead when
             # x_times is nearly inside it, or when the slide refinement has
             # run too long

@@ -31,7 +31,7 @@ from .activeset_qp import (
 from .art import HyperslabSystem, art3_solve, extended_art_solve
 from .box_qp import BoxQp, solve_box_qp
 from .convex_sets import Ball, Box, Hyperslab, problem_from_dict, problem_to_dict
-from .linalg import qr_factorize
+from .linalg import norm, qr_factorize
 from .oracles import cone_project_enum, project_polyhedron_enum
 from .solvers import SolveReport, SolverOptions, TraceRow, _is_count, fill_measures, solve, trace_csv
 
@@ -88,8 +88,7 @@ def run_two_circles(method: str, max_iter: int | None = None) -> tuple[SolveRepo
     opts = SolverOptions(feas_tol=TWO_CIRCLES_FEAS_TOL, max_outer_iters=cap, record_iterates=True)
     report = solve(method, TWO_CIRCLES_X0, two_circles_sets(), opts)
     for r in report.rows:
-        d = r.x - TWO_CIRCLES_XBAR
-        r.dist = math.sqrt(float(d.dot(d)))
+        r.dist = norm(r.x - TWO_CIRCLES_XBAR)
     fill_measures(report.rows)
     return report, list(takewhile(lambda r: r.dist != 0.0, report.rows))
 
@@ -132,8 +131,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         sets = []
         for _ in range(count):
             center = w + rng.uniform(-1.5, 1.5, n)
-            d = center - w
-            radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.8))
+            radius = norm(center - w) + float(rng.uniform(0.1, 0.8))
             sets.append(Ball(center, radius))
         x0 = w + _random_direction(rng, n) * float(rng.uniform(2.0, 5.0))
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
@@ -144,8 +142,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         sets: list = [Box(lower, upper)]
         for _ in range(count - 1):
             center = w + rng.uniform(-1.0, 1.0, n)
-            d = center - w
-            radius = math.sqrt(d.dot(d)) + float(rng.uniform(0.1, 0.6))
+            radius = norm(center - w) + float(rng.uniform(0.1, 0.6))
             sets.append(Ball(center, radius))
         x0 = w + _random_direction(rng, n) * float(rng.uniform(1.5, 4.0))
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
@@ -155,7 +152,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         for _ in range(count):
             a = _random_direction(rng, n) * float(rng.uniform(0.5, 2.0))
             mid = float(a.dot(w))
-            na = math.sqrt(a.dot(a))
+            na = norm(a)
             # margin is measured as slack in a^T x, scaled so the euclidean
             # margin of the witness is at least 0.1
             lo = mid - 0.1 * na - float(rng.uniform(0.0, 1.0))
@@ -178,7 +175,7 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
 def _random_direction(rng, n: int) -> np.ndarray:
     while True:
         v = rng.normal(size=n)
-        nv = math.sqrt(v.dot(v))
+        nv = norm(v)
         if nv > 1e-6:
             return v / nv
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_bounds, as_vector
+from .linalg import as_bounds, as_vector, norm
 
 FEAS_TOL = 1e-9
 
@@ -91,8 +91,8 @@ def solve_box_qp(p: BoxQp) -> BoxQpResult:
         if passes > cap:
             raise RuntimeError("box solver exceeded its finite pass bound")
         d = box_step_direction(x, p.c_p, p.lower, p.upper)
-        nd = float(np.linalg.norm(d))
-        if nd <= FEAS_TOL * (1.0 + float(np.linalg.norm(p.c_p))):
+        nd = norm(d)
+        if nd <= FEAS_TOL * (1.0 + norm(p.c_p)):
             return BoxQpResult(False, None, tuple(trace))
         t2 = (p.b_hat - float(p.c_p @ x)) / float(p.c_p @ d)
         y = x + t2 * d

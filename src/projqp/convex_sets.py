@@ -56,7 +56,7 @@ from typing import Union
 import numpy as np
 
 from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
-from .linalg import as_1d, as_bounds, as_matrix, as_vector
+from .linalg import as_1d, as_bounds, as_matrix, as_vector, norm
 
 
 def _as_normal(x, name: str, kind: str) -> np.ndarray:
@@ -183,6 +183,8 @@ class Polyhedron:
 ConvexSet = Union[Ball, Halfspace, Box, Hyperslab, Polyhedron]
 
 
+# a far x's squared norm may overflow; ``norm`` measures it scaled
+@np.errstate(over="ignore")
 def project_set(k: ConvexSet, x) -> np.ndarray:
     """Projection of x onto k; idempotent and nonexpansive."""
     x = as_vector(x, "x")
@@ -195,7 +197,7 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
     """``project_set`` for an x already validated: a finite 1-d float array."""
     if isinstance(k, Ball):
         d = x - k.center
-        nd = math.sqrt(float(d.dot(d)))
+        nd = norm(d)
         if nd <= k.radius:
             return x.copy()
         return k.center + (k.radius / nd) * d

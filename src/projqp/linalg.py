@@ -102,6 +102,24 @@ def _sum_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
+def norm(v: np.ndarray) -> float:
+    """||v|| for a float vector: the one length rule of the program.
+
+    While v.v is finite this is sqrt(v.v), bit for bit ``np.linalg.norm``.
+    Past about 1.3e154 v.v overflows, and ||v|| is big * sqrt(y.y) with
+    big = max|v| and y = v / big (Blue, ACM TOMS 4, 1978).  The result is
+    inf only where ||v|| exceeds the largest float or v has an inf entry,
+    and NaN where v has a NaN entry.  The overflow warning of v.v is the
+    caller's to silence.
+    """
+    sq = float(v.dot(v))
+    if sq < math.inf:
+        return math.sqrt(sq)
+    big = float(np.abs(v).max())  # NaN where v has a NaN entry
+    # v / big has entries of at most 1, so its square is finite
+    return big * norm(v / big) if big < math.inf else big
+
+
 def as_1d(x, name: str = "vector") -> np.ndarray:
     """x as a one-dimensional float array, its entries unchecked."""
     try:
@@ -301,11 +319,11 @@ def _qr_append(
     form (stored halfspace normals, columns of a validated problem), so it
     calls this directly and skips the checks.  A step that has already
     formed ``_project_out(f.q_mat, v)`` passes it as ``first``, the first
-    of the two orthogonalization passes, and one that has formed ``||v||``
-    as ``math.sqrt(float(v.dot(v)))`` passes it as ``v_norm``.
+    of the two orthogonalization passes, and one that has formed
+    ``norm(v)`` passes it as ``v_norm``.
     """
     if v_norm is None:
-        v_norm = math.sqrt(float(v.dot(v)))
+        v_norm = norm(v)
     qn = f.ncols
     if qn == 0:
         # nothing to orthogonalize against: v is its own residual
@@ -317,7 +335,7 @@ def _qr_append(
     # one re-orthogonalization pass keeps Q orthonormal to working precision
     w2, v_perp = _project_out(f.q_mat, v_perp)
     w = w + w2
-    rho = math.sqrt(float(v_perp.dot(v_perp)))
+    rho = norm(v_perp)
     if rho <= RANK_TOL * (1.0 + v_norm):
         raise DependentColumn(f"residual norm {rho:.3e}")
     q_new = _append_col(f.q_mat, v_perp / rho)

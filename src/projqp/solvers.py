@@ -50,7 +50,7 @@ from .activeset_qp import (
 )
 from .box_qp import BoxQp, box_infeasibility_system, solve_box_qp
 from .convex_sets import Box, ConvexSet, Halfspace, Hyperslab, _linear_project, _project
-from .linalg import _qr_append, _RowScreen, as_start, qr_delete_column
+from .linalg import _qr_append, _RowScreen, as_start, norm, qr_delete_column
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +297,25 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _stop_bound(x: np.ndarray, tol: float) -> float:
-    """The stopping tests' bound tol * (1 + ||x||), with ||x|| = sqrt(x.x) as
-    ``np.linalg.norm`` computes it.
+    """The stopping tests' bound tol * (1 + ||x||), with ||x|| = ``norm(x)``.
 
-    Past about 1.3e154 x.x overflows to inf, which would make every test
-    pass; there ||x|| is computed scaled, big * sqrt(y.y) with y = x / big
-    and big = max|x|.  Where that product overflows too, the bound is
-    (tol * sqrt(y.y)) * big, capped at the largest float: it stays finite,
-    so a distance that overflows fails it.  The result is NaN exactly when
-    x has a non-finite entry.
+    Where ||x|| exceeds the largest float the bound is (tol * ||y||) * big,
+    with big = max|x| and y = x / big, capped at the largest float: it
+    stays finite, so a distance that overflows fails it.  The result is NaN
+    exactly when x has a non-finite entry.
     """
-    sq = float(x.dot(x))
-    if sq == math.inf:
-        big = float(np.abs(x).max())
-        if big == math.inf:
-            return math.nan
-        y = x / big
-        s = math.sqrt(float(y.dot(y)))
-        norm = big * s
-        if norm == math.inf:
-            return min(tol * s * big, _FLOAT_MAX)
-        return tol * (1.0 + norm)
-    return tol * (1.0 + math.sqrt(sq))
+    nx = norm(x)
+    if not nx == math.inf:  # NaN included
+        return tol * (1.0 + nx)
+    big = float(np.abs(x).max())
+    if big == math.inf:
+        return math.nan
+    return min(tol * norm(x / big) * big, _FLOAT_MAX)
 
 
 def _solved_status(x: np.ndarray, sets, bound: float) -> bool:
     """Whether a finite x is within ``bound`` of every set."""
-    return all(float(np.linalg.norm(x - _project(k, x))) <= bound for k in sets)
+    return all(norm(x - _project(k, x)) <= bound for k in sets)
 
 
 def _cut(x: np.ndarray, p: np.ndarray, dist: float) -> tuple[np.ndarray, float]:
@@ -350,11 +342,11 @@ def _aggregate(store: HalfspaceStore, s: STuple, x0: np.ndarray, cold: float,
     halfspaces.  It contains their intersection, hence the sets, and
     (x, (0,), [wn]) with the QR of [c] is a valid s-tuple for it: x0 - x =
     -c wn.  Where wn <= ``cold`` there is no such halfspace to keep, and the
-    store empties to the s-tuple at x0.  A wn that overflows raises
-    ``NumericalError``: its c would be a zero column.
+    store empties to the s-tuple at x0.  A wn above the largest float
+    raises ``NumericalError``: its c would be a zero column.
     """
     w = x0 - s.x
-    wn = math.sqrt(float(w.dot(w)))
+    wn = norm(w)
     if not wn < math.inf:
         raise NumericalError("||x0 - x|| overflows: no aggregate halfspace")
     store.clear()
@@ -520,8 +512,7 @@ def _cyclic(x0, x, sets, opts: SolverOptions, counts: dict, step) -> SolveReport
         p = _linear_project(sets[index], x) if linear[index] else _project(sets[index], x)
         counts["projections"] += 1
         if p is not None:
-            diff = x - p
-            dist = math.sqrt(float(diff.dot(diff)))
+            dist = norm(x - p)
             if not dist <= bound:  # NaN included
                 if not dist < math.inf and not np.isfinite(p).all():
                     raise ValueError(f"the projection onto set {index} has non-finite entries")
@@ -577,7 +568,7 @@ def _bap(x0, sets: Sequence[ConvexSet], opts: SolverOptions, max_store: int | No
     """The body of ``solve_bap`` and ``solve_haugazeau``, with the store cap
     ``max_store``: the report, the store and the last s-tuple."""
     x0 = _start(x0, sets)
-    cold = opts.feas_tol * (1.0 + math.sqrt(float(x0.dot(x0))))
+    cold = _stop_bound(x0, opts.feas_tol)
     store = HalfspaceStore()
     store.x_star = x0
     s = _empty_s_tuple(x0)
@@ -743,8 +734,7 @@ def solve_dykstra(x0, sets: Sequence[ConvexSet], options: SolverOptions | None =
         if p is not None:
             c = z - p
             corrections[i] = None if linear[i] and not c.any() else c
-            d = x - p
-            moved = max(moved, math.sqrt(float(d.dot(d))))
+            moved = max(moved, norm(x - p))
             x = p
         rows.append(_trace_row(len(rows), x, ("project",), opts))
         if i == r - 1:

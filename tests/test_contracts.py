@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -150,3 +151,16 @@ PINNED_PARAMETERS = [
 @pytest.mark.parametrize("fn, params", PINNED_PARAMETERS, ids=[fn.__name__ for fn, _ in PINNED_PARAMETERS])
 def test_entry_point_parameters_are_pinned(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+# every vector length of these modules is ``linalg.norm``; column norms
+# (``axis=``) are another rule, and the suites in ``bench`` and ``oracles``
+# are independent references that measure their own
+LENGTH_MODULES = [activeset_qp, art, box_qp, convex_sets, solvers]
+
+
+@pytest.mark.parametrize("module", LENGTH_MODULES, ids=[m.__name__ for m in LENGTH_MODULES])
+def test_vector_lengths_go_through_linalg_norm(module):
+    hand = [line.strip() for line in inspect.getsource(module).splitlines()
+            if "np.linalg.norm(" in line and "axis=" not in line or re.search(r"sqrt\(.*\.dot\(", line)]
+    assert hand == []

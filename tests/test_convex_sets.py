@@ -125,6 +125,18 @@ class TestTrustedProjection:
         assert vars(h)["_a_sq"] == 25.0
 
 
+class TestFarPoint:
+    """A point whose squared distance from a ball's centre overflows still
+    projects onto its sphere, with no overflow warning."""
+
+    @pytest.mark.parametrize("x, p", [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([0.0, -1e300], [0.0, -1.0]),
+    ])
+    def test_lands_on_the_sphere(self, x, p):
+        assert project_set(Ball(np.zeros(2), 1.0), x).tolist() == p
+
+
 class TestOverflowedNormal:
     """A normal whose square overflows (accepted at construction) still
     projects onto the set's face: the step runs along the normal divided by

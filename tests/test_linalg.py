@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from projqp.linalg import (
     as_bounds,
     as_matrix,
     as_vector,
+    norm,
     qr_append_column,
     qr_delete_column,
     qr_factorize,
@@ -34,6 +36,42 @@ def orthogonality_error(f):
     if f.ncols == 0:
         return 0.0
     return float(np.max(np.abs(f.q_mat.T @ f.q_mat - np.eye(f.ncols))))
+
+
+class TestNorm:
+    """``norm`` is sqrt(v.v) while that square is finite, and measures v
+    scaled by max|v| past it."""
+
+    def test_matches_numpy_where_the_square_is_finite(self):
+        rng = np.random.default_rng(0)
+        for i in range(4000):
+            v = rng.normal(size=(1, 2, 3, 10, 50)[i % 5]) * 10.0 ** rng.uniform(-100.0, 100.0)
+            assert norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scales_past_the_overflowed_square(self, seed):
+        # with max|u| = 1 and a power of two scale, y = u exactly
+        u = np.random.default_rng(seed).normal(size=7)
+        u /= np.abs(u).max()
+        scale = 2.0 ** 700
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((u * scale).dot(u * scale))
+            assert norm(u * scale) == norm(u) * scale
+            assert norm(np.array([1.3e154, 1.3e154])) == pytest.approx(math.sqrt(2.0) * 1.3e154, rel=1e-15)
+
+    @pytest.mark.parametrize("v, expected", [
+        ([1.5e308, 1.5e308], math.inf),  # ||v|| is above the largest float
+        ([math.inf, 1.0], math.inf),
+        ([-math.inf, 1e200], math.inf),
+        ([math.nan, 1.0], math.nan),
+        ([1e200, math.nan], math.nan),
+        ([math.inf, math.nan], math.nan),
+        ([], 0.0),
+    ])
+    def test_non_finite(self, v, expected):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = norm(np.array(v))
+        assert got == expected or math.isnan(got) and math.isnan(expected)
 
 
 class TestFactorize:

@@ -10,7 +10,6 @@ from projqp.activeset_qp import (
     Infeasible,
     InvariantMonitor,
     NumericalError,
-    PreconditionViolated,
     QpProblem,
     STuple,
     _pick_violated,
@@ -499,29 +498,41 @@ class TestHaugazeauWarmStart:
             assert (mon.checks, mon.violations) == (5, 0)
 
     @pytest.mark.parametrize("x0, x", [
-        ([1e200, 1e200], [-1e200, 0.0]),  # ||x0 - x||^2 overflows
+        ([1e200, 1e200], [-1e200, 0.0]),  # ||x0 - x||^2 overflows, ||x0 - x|| does not
         ([1.5e308, 0.0], [-1.5e308, 0.0]),  # x0 - x overflows
     ])
     def test_overflowed_distance_raises(self, x0, x):
-        store = HalfspaceStore()
-        store.add(np.array([1.0, 0.0]), 0.0)
-        events = []
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflows"):
-            solvers._aggregate(store, empty_s_tuple(np.array(x)), np.array(x0), 0.0, events)
+        x0, x = np.array(x0), np.array(x)
+        with np.errstate(over="ignore"):
+            if np.isfinite(x0 - x).all():
+                # ||x0 - x|| is measured scaled: the aggregate has a unit normal
+                store, start, events = collapsed(x0, x)
+                assert events == ["agg"] and store.m == 1 and start.j_set == (0,)
+                assert abs(np.hypot(*store.column(0)) - 1.0) <= 1e-15
+                mon = InvariantMonitor()
+                assert check_s_tuple(start, store, "far", mon)
+                assert (mon.checks, mon.violations) == (5, 0)
+                return
+            store = HalfspaceStore()
+            store.add(np.array([1.0, 0.0]), 0.0)
+            events = []
+            with pytest.raises(NumericalError, match="overflows"):
+                solvers._aggregate(store, empty_s_tuple(x), x0, 0.0, events)
         assert store.m == 1 and events == []
 
-    # each step moves 1e154, but the second lands at (1e154, 1e154), whose
+    # each step moves 1e154, and the second lands at (1e154, 1e154), whose
     # squared distance from x0 overflows
     OVERFLOW_SETS = [Halfspace(np.array([1.0, 0.0]), 1e154), Halfspace(np.array([0.0, 1.0]), 1e154)]
 
     @pytest.mark.parametrize("method", ["haugazeau", "bap-gi"])
     def test_overflowed_distance_ends_the_solve(self, method):
-        with pytest.raises(NumericalError, match="overflows"):
-            solve(method, np.zeros(2), self.OVERFLOW_SETS, SolverOptions(max_store=1))
+        rep = solve(method, np.array([-1e154, 0.0]), self.OVERFLOW_SETS, SolverOptions(max_store=1))
+        assert rep.status == "solved" and rep.x.tolist() == [1e154, 1e154]
 
     def test_overflowed_distance_exits_four(self, tmp_path, capsys):
+        # ||x0 - x|| ~ 2.26e308 is no float, so no aggregate has a length
         problem = tmp_path / "p.json"
-        save_problem(problem, self.OVERFLOW_SETS, np.zeros(2))
+        save_problem(problem, OVERFLOW_DOC, np.zeros(2))
         assert cli.main(["solve", "--problem", str(problem), "--method", "haugazeau"]) == cli.EXIT_BREAKDOWN
         assert capsys.readouterr().err.splitlines() == [
             "projqp: error: numerical breakdown: ||x0 - x|| overflows: no aggregate halfspace"]
@@ -839,10 +850,6 @@ class TestStartValidation:
         opts = SolverOptions(max_outer_iters=2000)
         try:
             rep = solve(method, np.array(x0), sets, opts)
-        except PreconditionViolated:
-            # the active-set methods reject the zero normals these sets give
-            assert case in self.FAR_SETS and method in ("bap-gi", "sip-gi", "haugazeau")
-            return
         except ValueError as exc:
             assert "too large" in str(exc)
             return
@@ -851,6 +858,34 @@ class TestStartValidation:
             tol = opts.feas_tol * (1.0 + math.hypot(*rep.x))
             for k in sets:
                 assert float(np.linalg.norm(rep.x - project_set(k, rep.x))) <= tol
+
+
+class TestFarCuts:
+    """A cut from an x whose distance to its set has an overflowing square
+    gets a finite length (``linalg.norm``), so the active-set methods step
+    there as MAP and Dykstra do."""
+
+    @pytest.mark.parametrize("method", TestStartValidation.METHODS)
+    @pytest.mark.parametrize("x0", [[-1e154, 0.0], [1.0, -1e154]])
+    def test_far_halfspaces_solve(self, method, x0):
+        rep = solve(method, np.array(x0), TestHaugazeauWarmStart.OVERFLOW_SETS)
+        assert rep.status == "solved" and rep.x.tolist() == [1e154, 1e154]
+
+    @pytest.mark.parametrize("method", ["bap-gi", "sip-gi"])
+    def test_overflow_document_is_infeasible(self, method):
+        rep = solve(method, np.zeros(2), OVERFLOW_DOC)
+        assert rep.status == "infeasible"
+        assert verify_certificate(rep.certificate, *rep.cert_system)
+
+    def test_step_between_overflowed_objectives(self):
+        # v = ||x - x*||^2 / 2 overflows before and after the second step
+        qp = QpProblem(np.zeros(2), np.eye(2), np.full(2, 1e308))
+        mon = InvariantMonitor()
+        with np.errstate(over="ignore"):
+            first = inner_gi_step(empty_s_tuple(qp.x_star), 0, qp, mon)
+            second = inner_gi_step(first.s_tuple, 1, qp, mon)
+        assert second.s_tuple.x.tolist() == [1e308, 1e308]
+        assert (mon.checks, mon.violations) == (12, 0)
 
 
 class TestNonFiniteIterates:
@@ -1154,6 +1189,10 @@ def _mixed(seed, box=False):
     return sets, x0
 
 
+# CI's overflow document: the slab and x1 >= 1.6e308 do not meet
+OVERFLOW_DOC = [Hyperslab(np.array([1.0, 0.0]), 0.0, 1.0), Halfspace(np.array([1.0, 0.0]), 1.6e308),
+                Halfspace(np.array([0.0, 1.0]), 1.6e308)]
+
 # sets near |x| = 1.5e308, where the iterates' norm overflows: with unit
 # rows max|x| ||a||_1 is above 2**1020 and the screen decides nothing; with
 # rows of norm 1e-10 it is below, so the screen runs
@@ -1352,8 +1391,7 @@ def cyclic_loop(x0, x, sets, opts, counts, step):
         index, l = l, (l + 1) % r
         p = convex_sets._project(sets[index], x)
         counts["projections"] += 1
-        diff = x - p
-        dist = math.sqrt(float(diff.dot(diff)))
+        dist = linalg.norm(x - p)
         if not dist <= bound:
             if not dist < math.inf and not np.isfinite(p).all():
                 raise ValueError(f"the projection onto set {index} has non-finite entries")
@@ -1407,7 +1445,7 @@ class TestCyclicReference:
             mp.setattr(solvers, "_linear_project", spy(_linear_project))
             try:
                 solve(method, x0, sets, opts)
-            except ValueError:  # a raise ends the visits too
+            except (ValueError, NumericalError):  # a raise ends the visits too
                 pass
         return exact, state["counts"]["projections"]
 
