@@ -38,7 +38,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .convex_sets import _encode_value
-from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector, norm
+from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector, norm, step_along
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
@@ -70,8 +70,9 @@ class HyperslabSystem:
     def __post_init__(self):
         a = as_matrix(self.a_mat, "a_mat")
         lo, up = as_bounds(self.lower, self.upper, a.shape[:1], "hyperslab system")
-        norms = np.linalg.norm(a, axis=1)
-        if np.any(norms == 0.0):
+        # a row is zero when its square is, as ``Hyperslab`` tests its normal:
+        # a sum of squares is 0 in any order only when every square is
+        if 0.0 in np.einsum("ij,ij->i", a, a).tolist():  # inf, with no warning, where it overflows
             raise ValueError("rows must be nonzero")
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "lower", lo)
@@ -180,24 +181,26 @@ def art3_update(x, a_j, lower: float, upper: float) -> np.ndarray:
     Inside [L, U] the point is unchanged; within half a slab width of the
     violated face it is reflected across that face; farther away it moves
     to the midplane.  Rows with an infinite or zero width fall back to the
-    plain projection (no reflection band).
+    plain projection (no reflection band).  Each move is
+    ``linalg.step_along``, so a row whose square overflows still moves a.x
+    where the rule sends it.
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a_j, dtype=float)
     s = float(a @ x)
     if lower <= s <= upper:
         return x.copy()
-    aa = float(a @ a)
+    aa = float(np.vdot(a, a))  # inf, with no warning, where it overflows
     finite = math.isfinite(lower) and math.isfinite(upper)
     w = (upper - lower) if finite else math.inf
     if not finite or w == 0.0:
         target = lower if s < lower else upper
-        return x + ((target - s) / aa) * a
+        return step_along(x, a, target - s, aa)
     if lower - 0.5 * w <= s < lower:
-        return x + (2.0 * (lower - s) / aa) * a
+        return step_along(x, a, 2.0 * (lower - s), aa)
     if upper < s <= upper + 0.5 * w:
-        return x + (2.0 * (upper - s) / aa) * a
-    return x + ((0.5 * (lower + upper) - s) / aa) * a
+        return step_along(x, a, 2.0 * (upper - s), aa)
+    return step_along(x, a, 0.5 * (lower + upper) - s, aa)
 
 
 def _check_max_iters(max_iters) -> None:
@@ -313,9 +316,12 @@ def _inset_projection(x: np.ndarray, a: np.ndarray, s_val: float, lo: float, up:
         target = lo + eta
     else:
         target = up - eta
-    return x + ((target - s_val) / float(a @ a)) * a
+    return step_along(x, a, target - s_val, float(np.vdot(a, a)))
 
 
+# a row's square may overflow; ``norm`` measures the row scaled there, so
+# the warning says nothing new (as in ``solvers._cyclic``)
+@np.errstate(over="ignore")
 def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, witness=None) -> SolveReport:
     """Extended ART with QP-assisted steps; terminates when x_plus lands in S.
 

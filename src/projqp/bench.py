@@ -30,7 +30,7 @@ from .activeset_qp import (
 )
 from .art import HyperslabSystem, art3_solve, extended_art_solve
 from .box_qp import BoxQp, solve_box_qp
-from .convex_sets import Ball, Box, Hyperslab, problem_from_dict, problem_to_dict
+from .convex_sets import Ball, Box, Hyperslab, problem_document, problem_from_dict, problem_to_dict, sets_to_dicts
 from .linalg import norm, qr_factorize
 from .oracles import cone_project_enum, project_polyhedron_enum
 from .solvers import SolveReport, SolverOptions, TraceRow, _is_count, fill_measures, solve, trace_csv
@@ -118,6 +118,14 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
     ``balls-with-common-point`` and ``hyperslabs-with-interior``, 2 for
     ``box-plus-ball`` (a box and at least one ball) and for
     ``infeasible-balls``, which writes two balls for any larger count too.
+
+    A hyperslab document draws the witness w, then per slab the normal
+    draw of ``_random_direction`` and one ``random(3)``: u0 scales the row
+    by 0.5 + 1.5 u0, u1 and u2 widen its bounds.  numpy draws
+    ``uniform(lo, hi)`` as lo + (hi - lo) * random(), so these are the
+    stream and the values of the three scalar ``uniform`` calls each slab
+    once made, and every document keeps its bytes.  x0 is drawn last.  The
+    rows fill one array, checked once as a ``HyperslabSystem``.
     """
     if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -148,18 +156,24 @@ def generate_problem(kind: str, n: int, count: int, seed: int) -> dict:
         return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
     if kind == "hyperslabs-with-interior":
         w = rng.uniform(-1.0, 1.0, n)
-        sets = []
-        for _ in range(count):
-            a = _random_direction(rng, n) * float(rng.uniform(0.5, 2.0))
+        a_mat = np.empty((count, n))
+        lower, upper = [], []
+        for a in a_mat:
+            d = _random_direction(rng, n)
+            # uniform(0.5, 2.0) and two uniform(0, 1), as numpy draws them
+            u0, u1, u2 = rng.random(3).tolist()
+            np.multiply(d, 0.5 + (2.0 - 0.5) * u0, out=a)
             mid = float(a.dot(w))
             na = norm(a)
             # margin is measured as slack in a^T x, scaled so the euclidean
             # margin of the witness is at least 0.1
-            lo = mid - 0.1 * na - float(rng.uniform(0.0, 1.0))
-            up = mid + 0.1 * na + float(rng.uniform(0.0, 1.0))
-            sets.append(Hyperslab(a, lo, up))
+            lower.append(mid - 0.1 * na - u1)
+            upper.append(mid + 0.1 * na + u2)
+        # raises where a row or bound breaks the loader's rules for a slab
+        system = HyperslabSystem(a_mat, lower, upper)
+        slabs = sets_to_dicts("hyperslab", {"a": system.a_mat, "lower": system.lower, "upper": system.upper})
         x0 = w + _random_direction(rng, n) * float(rng.uniform(2.0, 6.0))
-        return problem_to_dict(sets, x0, witness=w, kind=kind, seed=seed)
+        return problem_document(slabs, x0, witness=w, kind=kind, seed=seed)
     # infeasible-balls
     direction = _random_direction(rng, n)
     r1 = float(rng.uniform(0.5, 1.5))

@@ -20,7 +20,8 @@ rejected too.  Only a square that is not finite falls back to
 ``as_vector``, which tells an overflowed square (accepted; vdot, unlike
 dot, raises no overflow warning) from a NaN or inf entry (rejected).
 The projection onto such a set steps along the normal divided by its
-largest entry (``_linear_project``), so it still lands on the set's face.
+largest entry (``linalg.step_along``, which ART's updates take too), so
+it still lands on the set's face.
 
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
@@ -39,7 +40,9 @@ The JSON problem schema is::
 
 One table, ``_SCHEMA``, gives each set type's class and its fields in
 document order, each with a writer and a reader: an array, one bound, or
-an array of bounds.  ``set_to_dict`` and ``set_from_dict`` both read it.
+an array of bounds.  ``set_to_dict`` and ``set_from_dict`` both read it,
+and so does ``sets_to_dicts``, which writes many sets of one type from
+their fields stacked column-wise, each field in one call.
 Every bound (a ball's radius, a halfspace's b, a box's or hyperslab's
 lower and upper) is written with infinities as the strings "inf"/"-inf",
 so every document is strict JSON.  Everything here is finite dimensional.
@@ -51,12 +54,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Union
 
 import numpy as np
 
 from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
-from .linalg import as_1d, as_bounds, as_matrix, as_vector, norm
+from .linalg import as_1d, as_bounds, as_matrix, as_vector, norm, step_along
 
 
 def _as_normal(x, name: str, kind: str) -> np.ndarray:
@@ -236,12 +240,7 @@ def _linear_project(k: Halfspace | Hyperslab, x: np.ndarray) -> np.ndarray | Non
         if t <= 0.0:
             return None
         a, a_sq = k.c, k._c_sq
-    if a_sq < math.inf:
-        return x + (t / a_sq) * a
-    # a.a overflowed: step along y = a / max|a|, whose square is finite
-    big = float(np.abs(a).max())
-    y = a / big
-    return x + ((t / big) / np.vdot(y, y)) * y
+    return step_along(x, a, t, a_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +255,18 @@ def _encode_value(v: float):
     return float(v)
 
 
-# a field's (writer, reader): an array, one bound, or an array of bounds;
-# ``float`` reads "inf" and "-inf" as the infinities
-_ARRAY = (np.ndarray.tolist, partial(np.asarray, dtype=float))
-_BOUND = (_encode_value, float)
-_BOUNDS = (lambda a: [_encode_value(v) for v in a.tolist()], lambda v: np.array([float(u) for u in v]))
+def _encode_bounds(a: np.ndarray) -> list:
+    return [_encode_value(v) for v in a.tolist()]
+
+
+# a field's (writer, reader, column writer): an array, one bound, or an array
+# of bounds.  The column writer writes the field of many sets, their values
+# stacked along a new first axis, as a list of what the writer writes for
+# each; ``float`` reads "inf" and "-inf" as the infinities
+_ARRAY = (np.ndarray.tolist, partial(np.asarray, dtype=float), np.ndarray.tolist)
+_BOUND = (_encode_value, float, _encode_bounds)
+_BOUNDS = (_encode_bounds, lambda v: np.array([float(u) for u in v]),
+           lambda col: [_encode_bounds(row) for row in col])
 
 # each set type's class and fields, in document order
 _SCHEMA = {
@@ -278,9 +284,19 @@ def set_to_dict(k: ConvexSet) -> dict:
     if name is None:
         raise TypeError(f"unknown set descriptor {type(k)!r}")
     doc = {"type": name}
-    for key, (write, _) in _SCHEMA[name][1]:
+    for key, (write, _, _) in _SCHEMA[name][1]:
         doc[key] = write(getattr(k, key))
     return doc
+
+
+def sets_to_dicts(name: str, columns: dict) -> list[dict]:
+    """``set_to_dict`` of each of several sets of type ``name``, given by
+    their fields stacked column-wise: ``columns[key][i]`` is field ``key``
+    of set i.  The sets are not checked; the caller checks the columns."""
+    fields = _SCHEMA[name][1]
+    keys = ("type",) + tuple(key for key, _ in fields)
+    values = [write_column(columns[key]) for key, (_, _, write_column) in fields]
+    return [dict(zip(keys, row)) for row in zip(repeat(name), *values)]
 
 
 def set_from_dict(d: dict) -> ConvexSet:
@@ -288,11 +304,16 @@ def set_from_dict(d: dict) -> ConvexSet:
     if not (isinstance(kind, str) and kind in _SCHEMA):
         raise ValueError(f"unknown set type {kind!r}")
     cls, fields = _SCHEMA[kind]
-    return cls(*[read(d[key]) for key, (_, read) in fields])
+    return cls(*[read(d[key]) for key, (_, read, _) in fields])
 
 
 def problem_to_dict(sets, x0, **extras) -> dict:
-    doc = {"sets": [set_to_dict(k) for k in sets], "x0": np.asarray(x0, dtype=float).tolist()}
+    return problem_document([set_to_dict(k) for k in sets], x0, **extras)
+
+
+def problem_document(set_dicts: list[dict], x0, **extras) -> dict:
+    """``problem_to_dict`` of sets already written as dicts."""
+    doc = {"sets": set_dicts, "x0": np.asarray(x0, dtype=float).tolist()}
     for key, value in extras.items():
         if value is None:
             doc[key] = None

@@ -120,6 +120,21 @@ def norm(v: np.ndarray) -> float:
     return big * norm(v / big) if big < math.inf else big
 
 
+def step_along(x: np.ndarray, a: np.ndarray, t: float, a_sq: float) -> np.ndarray:
+    """x + (t / a.a) a, the point on the line through x along a whose dot
+    with a exceeds a.x by t; ``a_sq`` is a.a, inf where it overflows.
+
+    There the step goes along y = a / big with big = max|a| instead, as
+    x + ((t / big) / y.y) y: y.y lies in [1, n], so the step stays finite
+    and still lands where the dot with a exceeds a.x by t.
+    """
+    if a_sq < math.inf:
+        return x + (t / a_sq) * a
+    big = float(np.abs(a).max())
+    y = a / big
+    return x + ((t / big) / np.vdot(y, y)) * y
+
+
 def as_1d(x, name: str = "vector") -> np.ndarray:
     """x as a one-dimensional float array, its entries unchecked."""
     try:

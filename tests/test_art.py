@@ -15,7 +15,7 @@ from projqp.art import (
     tilde_bounds,
 )
 from projqp.bench import generate_problem, hyperslab_system_from_sets
-from projqp.convex_sets import problem_from_dict
+from projqp.convex_sets import Hyperslab, problem_from_dict
 
 
 def slab(a, lo, up):
@@ -509,6 +509,71 @@ class TestScreenedArt3:
         assert rep.status == "solved" and rep.counts["iterations"] == 6
         assert [r.tobytes() for r in rows] == [a[0].tobytes(), a[2].tobytes()]
         same_as_loop(rep, art3_loop(x0, system))
+
+
+class TestSlabRules:
+    """The generator checks its slabs as one system; the loader, one slab
+    at a time.  Both take the same rows and bounds, and neither warns."""
+
+    # each row or bound pair, and whether a slab takes it; a row is zero
+    # when its square is, so [1e-200, 0] is, and [1e200, 0] is not
+    ROWS = [([1.0, 0.0], True), ([0.0, 0.0], False), ([1e-200, 0.0], False), ([5e-324, 0.0], False),
+            ([1e-160, 1e-160], True), ([1e200, 0.0], True), ([1e200, -1e200], True),
+            ([math.nan, 1.0], False), ([math.inf, 0.0], False), ([1e200, -math.inf], False)]
+    BOUNDS = [((0.0, 1.0), True), ((1.0, 1.0), True), ((-math.inf, math.inf), True), ((-math.inf, 0.0), True),
+              ((0.0, math.inf), True), ((2.0, 1.0), False), ((math.inf, math.inf), False),
+              ((-math.inf, -math.inf), False), ((math.nan, 1.0), False), ((0.0, math.nan), False)]
+
+    @pytest.mark.parametrize("row, row_ok", ROWS)
+    @pytest.mark.parametrize("bounds, bounds_ok", BOUNDS)
+    def test_slab_and_system_take_the_same_rows(self, row, row_ok, bounds, bounds_ok):
+        def accepts(build) -> bool:
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        lo, up = bounds
+        slab_ok = accepts(lambda: Hyperslab(np.array(row), lo, up))
+        system_ok = accepts(lambda: HyperslabSystem(np.array([[0.0, 1.0], row]), np.array([0.0, lo]),
+                                                    np.array([1.0, up])))
+        assert slab_ok == system_ok == (row_ok and bounds_ok)
+
+
+class TestOverflowedRowSquare:
+    """A row whose square overflows moves x along a / max|a|, as the
+    projection onto such a slab does, and nothing warns."""
+
+    @staticmethod
+    def system() -> HyperslabSystem:
+        return HyperslabSystem(np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([0.0, 0.0]), np.array([1e200, 1.0]))
+
+    # art3 moves x1 = 3 (a.x = 3e200, beyond the band edge 1.5e200) to the
+    # midplane a.x = 5e199; the extended ART projects it onto the face
+    @pytest.mark.parametrize("solver, x", [(art3_solve, [0.5, 0.5]), (extended_art_solve, [1.0, 0.5])])
+    def test_solved_inside_every_row(self, solver, x):
+        system = self.system()
+        rep = solver(np.array([3.0, -2.0]), system)
+        assert rep.status == "solved" and rep.extras["membership"]
+        assert rep.x.tolist() == x
+        assert contains_loop(system, rep.x)
+
+    @pytest.mark.parametrize("x1, lo, up, expected", [
+        (1.2, 0.0, 1e200, 0.8),  # reflected across the upper face
+        (-5.0, 0.0, 1e200, 0.5),  # far out: to the midplane
+        (3.0, 0.0, math.inf, 3.0),  # inside
+        (-3.0, 0.0, math.inf, 0.0),  # infinite width: projected
+        (3.0, 2e200, 2e200, 2.0),  # zero width: projected
+    ])
+    def test_update_moves_to_the_rule_s_dot(self, x1, lo, up, expected):
+        x = art3_update(np.array([x1, 7.0]), np.array([1e200, 0.0]), lo, up)
+        assert x[0] == pytest.approx(expected, rel=1e-15) and x[1] == 7.0
+
+    def test_inset_projection_lands_inside(self):
+        a = np.array([1e200, 1e200])
+        x = art._inset_projection(np.array([-1e-3, 0.0]), a, -1e197, 0.0, 1e200)
+        assert 0.0 < float(np.vdot(a, x)) <= 1e200
 
 
 class TestEntryPoints:

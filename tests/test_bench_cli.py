@@ -15,6 +15,7 @@ from projqp.bench import (
     GENERATOR_KINDS,
     TWO_CIRCLES_X0,
     NonPositiveDistance,
+    _random_direction,
     compute_measures,
     generate_problem,
     hyperslab_system_from_sets,
@@ -30,6 +31,7 @@ from projqp.convex_sets import (
     project_set,
     save_problem,
 )
+from projqp.linalg import norm
 from projqp.solvers import _METHODS, SolveReport
 
 from test_solvers import OVERFLOWED_NORM, disjoint_on_axis
@@ -149,6 +151,32 @@ class TestGenerate:
         doc = generate_problem(kind, n, count, seed)
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == self.DIGESTS[kind, seed, n, count]
+
+    @staticmethod
+    def reference_slabs(n, count, seed):
+        """The hyperslab document drawn with four generator calls per slab,
+        one ``Hyperslab`` at a time, as ``generate_problem`` first drew it."""
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1.0, 1.0, n)
+        sets = []
+        for _ in range(count):
+            a = _random_direction(rng, n) * float(rng.uniform(0.5, 2.0))
+            mid = float(a.dot(w))
+            na = norm(a)
+            lo = mid - 0.1 * na - float(rng.uniform(0.0, 1.0))
+            up = mid + 0.1 * na + float(rng.uniform(0.0, 1.0))
+            sets.append(Hyperslab(a, lo, up))
+        x0 = w + _random_direction(rng, n) * float(rng.uniform(2.0, 6.0))
+        return problem_to_dict(sets, x0, witness=w, kind="hyperslabs-with-interior", seed=seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("count", [1, 2, 8, 40, 200])
+    def test_slabs_match_the_reference(self, n, count):
+        for seed in range(12):
+            doc = generate_problem("hyperslabs-with-interior", n, count, seed)
+            # one flag, so a failure names the seed without diffing two long texts
+            same = json.dumps(doc) == json.dumps(self.reference_slabs(n, count, seed))
+            assert same, f"seed {seed}"
 
     def test_deterministic(self):
         a = generate_problem("balls-with-common-point", 3, 2, 99)

@@ -6,6 +6,8 @@ report; the CLI offers the registered methods.  These tests keep a rename
 or a dropped count key from passing tier-1 unnoticed.  The settable values
 of the options objects and of the engine and ART entry points are pinned
 too, so a change that adds a knob has to edit this file in plain view.
+The generator's documents rely on numpy drawing uniform(lo, hi) as
+lo + (hi - lo) * random(); a numpy that draws otherwise fails here by name.
 """
 
 import argparse
@@ -164,3 +166,12 @@ def test_vector_lengths_go_through_linalg_norm(module):
     hand = [line.strip() for line in inspect.getsource(module).splitlines()
             if "np.linalg.norm(" in line and "axis=" not in line or re.search(r"sqrt\(.*\.dot\(", line)]
     assert hand == []
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (0.0, 1.0)])
+def test_uniform_is_the_affine_map_of_random(lo, hi):
+    # ``generate_problem`` draws a slab's three uniforms with one random(3)
+    # and maps them as numpy maps uniform(lo, hi), keeping every document
+    drawn, mapped = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20_000):
+        assert float(drawn.uniform(lo, hi)) == lo + (hi - lo) * float(mapped.random())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,8 @@ from projqp.convex_sets import (
     problem_to_dict,
     project_set,
     save_problem,
+    set_to_dict,
+    sets_to_dicts,
 )
 from projqp.bench import GENERATOR_KINDS, generate_problem
 from projqp.solvers import SolverOptions, solve_bap
@@ -280,6 +283,27 @@ class TestJsonSchema:
     def test_generated_documents_are_strict_json(self, kind):
         doc = generate_problem(kind, 3, 4, 0)
         assert self.strict_loads(json.dumps(doc)) == doc
+
+    # three sets of each type, with infinite bounds where the type allows them
+    COLUMN_SETS = {
+        "ball": [Ball(np.array([0.0, 1.0]), 2.0), Ball(np.array([-1.0, 3.0]), 0.5), Ball(np.zeros(2), np.inf)],
+        "halfspace": [Halfspace(np.array([0.0, 1.0]), 0.25), Halfspace(np.array([2.0, -1.0]), -np.inf),
+                      Halfspace(np.array([1e200, 0.0]), 1e200)],
+        "box": [Box(np.array([-np.inf, 0.0]), np.array([1.0, np.inf])), Box(np.zeros(2), np.ones(2)),
+                Box(np.array([-2.0, -np.inf]), np.array([-1.0, np.inf]))],
+        "hyperslab": [Hyperslab(np.array([1.0, 1.0]), -np.inf, 3.0), Hyperslab(np.array([0.5, -2.0]), -1.0, 1.0),
+                      Hyperslab(np.array([3.0, 0.0]), 0.0, np.inf)],
+        "polyhedron": [Polyhedron(np.eye(2), np.array([0.0, 0.0])), Polyhedron(-np.eye(2), np.array([-1.0, -2.0])),
+                       Polyhedron(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.0]))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SETS))
+    def test_column_writer_writes_each_set_as_set_to_dict(self, name):
+        sets = self.COLUMN_SETS[name]
+        columns = {f.name: np.array([getattr(k, f.name) for k in sets]) for f in dataclasses.fields(sets[0])}
+        docs = sets_to_dicts(name, columns)
+        expected = [set_to_dict(k) for k in sets]
+        assert json.dumps(docs) == json.dumps(expected)
 
     def test_dict_roundtrip(self):
         doc = problem_to_dict([Ball(np.zeros(2), 1.0)], np.array([3.0, 4.0]), kind="demo")

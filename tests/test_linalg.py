@@ -25,6 +25,7 @@ from projqp.linalg import (
     qr_delete_column,
     qr_factorize,
     solve_upper,
+    step_along,
 )
 
 
@@ -72,6 +73,33 @@ class TestNorm:
         with np.errstate(over="ignore", invalid="ignore"):
             got = norm(np.array(v))
         assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+class TestStepAlong:
+    """The step that moves a.x by t: the plain one while a.a is finite,
+    along a / max|a| past it."""
+
+    def test_plain_step_where_the_square_is_finite(self):
+        rng = np.random.default_rng(3)
+        for i in range(1000):
+            a = rng.normal(size=(1, 2, 10, 50)[i % 4]) * 10.0 ** rng.uniform(-100.0, 100.0)
+            x, t = rng.normal(size=a.shape), float(rng.normal())
+            a_sq = float(np.vdot(a, a))
+            assert np.array_equal(step_along(x, a, t, a_sq), x + (t / a_sq) * a)
+
+    @pytest.mark.parametrize("a", [[1e200, 0.0], [1e200, -3e199, 5.0], [-1.3e154, 1.3e154]])
+    def test_scaled_step_where_the_square_overflows(self, a):
+        a = np.array(a)
+        x = np.linspace(-1.0, 2.0, a.size)
+        t = -0.75 * float(np.abs(a).max())
+        a_sq = float(np.vdot(a, a))
+        assert a_sq == math.inf
+        y = step_along(x, a, t, a_sq)
+        # y - x lies along a, and a.y exceeds a.x by t up to rounding
+        assert np.all(np.isfinite(y))
+        assert float(np.vdot(a, y)) - float(np.vdot(a, x)) == pytest.approx(t, rel=1e-14)
+        d = (y - x) / np.abs(y - x).max()
+        np.testing.assert_allclose(d, -a / np.abs(a).max(), rtol=1e-14, atol=1e-15)
 
 
 class TestFactorize:
