@@ -106,10 +106,6 @@ class PreconditionViolated(ValueError):
 class IterationLimitError(RuntimeError):
     """Step or solve budget exhausted; distinct from an infeasibility verdict."""
 
-    def __init__(self, message: str, x: np.ndarray | None = None):
-        super().__init__(message)
-        self.x = x
-
 
 class NumericalError(RuntimeError):
     """Internal consistency failure that indicates numerical breakdown."""
@@ -137,11 +133,6 @@ class InvariantMonitor:
         self.violations += 1
         if len(self.messages) < 64:
             self.messages.append(message)
-
-    def reset(self) -> None:
-        self.checks = 0
-        self.violations = 0
-        self.messages.clear()
 
 
 MONITOR = InvariantMonitor()
@@ -582,7 +573,7 @@ def inner_gi_step(
         del j_work[l]
         qr = qr_delete_column(qr, l)
 
-    raise IterationLimitError("anti-cycling cap exceeded in inner GI step", x)
+    raise IterationLimitError("anti-cycling cap exceeded in inner GI step")
 
 
 def _refine_direction(
@@ -714,7 +705,7 @@ def gi_solve(qp: QpProblem) -> Solution | Infeasible:
         if p < 0:
             return Solution(s.x, s.j_set, s.u, s, inner)
         if inner >= cap:
-            raise IterationLimitError(f"inner step budget {cap} exhausted", s.x)
+            raise IterationLimitError(f"inner step budget {cap} exhausted")
         outcome = inner_gi_step(s, p, qp)
         inner += 1
         if isinstance(outcome, Infeasible):

@@ -38,7 +38,7 @@ from .activeset_qp import (
     inner_gi_step,
 )
 from .convex_sets import _encode_value
-from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector, norm, step_along
+from .linalg import _RowScreen, as_1d, as_bounds, as_matrix, as_start, as_vector, norm, step_along, unit_row
 from .solvers import HalfspaceStore, SolveReport, TraceRow, _is_count
 
 # P_circ turns into P_plus in case 2 when x_times violates its face by less
@@ -190,6 +190,10 @@ def art3_update(x, a_j, lower: float, upper: float) -> np.ndarray:
     s = float(a @ x)
     if lower <= s <= upper:
         return x.copy()
+    if not math.isfinite(s):  # a.x overflowed: the same rule on the row over max|a|
+        a, lower, upper, s = unit_row(a, lower, upper, x)
+        if lower <= s <= upper:
+            return x.copy()
     aa = float(np.vdot(a, a))  # inf, with no warning, where it overflows
     finite = math.isfinite(lower) and math.isfinite(upper)
     w = (upper - lower) if finite else math.inf
@@ -208,6 +212,8 @@ def _check_max_iters(max_iters) -> None:
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
+# a far x's dot with a large row may overflow; art3_update rescales the row
+@np.errstate(over="ignore")
 def art3_solve(x0, system: HyperslabSystem, max_iters: int = 100_000) -> SolveReport:
     """Cyclic ART3 sweep; stops after a full pass without movement.
 

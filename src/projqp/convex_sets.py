@@ -25,9 +25,11 @@ it still lands on the set's face.
 
 ``project_set`` validates x and calls ``_project``, which trusts it; the
 outer solvers validate their start once and call ``_project`` on the
-iterates they build themselves.  ``_linear_project`` holds the projection
-rule of halfspaces and hyperslabs, exact membership test included, for
-``_project`` and for the solvers that skip a visit x does not need.
+iterates they build themselves.  ``_linear_project`` holds the one rule
+of hyperslabs and halfspaces (a halfspace reads as the slab b <= c^T x <=
+inf), exact membership test included, for ``_project`` and for the
+solvers that skip a visit x does not need.  Where a^T x overflows, it
+runs on the row over max|a| (``linalg.unit_row``, as ART3's update does).
 
 The JSON problem schema is::
 
@@ -60,7 +62,7 @@ from typing import Union
 import numpy as np
 
 from .activeset_qp import Infeasible, QpProblem, gi_solve, project_polyhedron_reduced
-from .linalg import as_1d, as_bounds, as_matrix, as_vector, norm, step_along
+from .linalg import as_1d, as_bounds, as_matrix, as_vector, norm, step_along, unit_row
 
 
 def _as_normal(x, name: str, kind: str) -> np.ndarray:
@@ -91,12 +93,27 @@ class Ball:
         return self.center.shape[0]
 
 
+class _LinearSet:
+    """A set lower <= a^T x <= upper, the one form that ``_linear_project``
+    and the solvers' screen read: a hyperslab, or a halfspace as a slab."""
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    @cached_property
+    def _a_sq(self) -> float:
+        return float(np.vdot(self.a, self.a))  # inf, with no warning, where it overflows
+
+
 @dataclass(frozen=True)
-class Halfspace:
-    """{x : c^T x >= b}"""
+class Halfspace(_LinearSet):
+    """{x : c^T x >= b}, read as the slab b <= c^T x <= inf: ``a`` is c
+    and ``lower`` is b (attributes, not fields), and ``upper`` is inf"""
 
     c: np.ndarray
     b: float
+    upper = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_normal(self.c, "c", "halfspace"))
@@ -104,14 +121,8 @@ class Halfspace:
         if not b < math.inf:
             raise ValueError(f"halfspace requires b < inf, got {b}")
         object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
-
-    @cached_property
-    def _c_sq(self) -> float:
-        return float(np.vdot(self.c, self.c))  # inf, with no warning, where it overflows
+        object.__setattr__(self, "a", self.c)
+        object.__setattr__(self, "lower", b)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Hyperslab:
+class Hyperslab(_LinearSet):
     """{x : lower <= a^T x <= upper}"""
 
     a: np.ndarray
@@ -147,14 +158,6 @@ class Hyperslab:
             raise ValueError("hyperslab requires lower < inf and upper > -inf")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @cached_property
-    def _a_sq(self) -> float:
-        return float(np.vdot(self.a, self.a))  # inf, with no warning, where it overflows
 
 
 @dataclass(frozen=True)
@@ -222,25 +225,22 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
 
 
 def _linear_project(k: Halfspace | Hyperslab, x: np.ndarray) -> np.ndarray | None:
-    """The projection of x onto the halfspace or hyperslab k, or None when
-    x is inside k and ``_project`` returns a copy of x.
+    """The projection of x onto the slab lower <= a.x <= upper k, or None
+    when x is inside k and ``_project`` returns a copy of x.
 
-    The test is exact: x is inside when ``b - c.x <= 0``, or when clamping
-    ``s = a.x`` to the slab's bounds leaves s unchanged.  A NaN dot is
-    never inside, and its projection is NaN.
+    The test is exact: x is inside when lower <= s <= upper, s = a.x;
+    else the step moves s to the bound it violates.  Where s is not
+    finite, the rule runs on the row and bounds over max|a|
+    (``linalg.unit_row``); where that dot is still not finite and outside
+    the bounds, the projection is not finite.
     """
-    if isinstance(k, Hyperslab):
-        s = float(k.a.dot(x))
-        target = min(max(s, k.lower), k.upper)
-        if target == s:
-            return None
-        t, a, a_sq = target - s, k.a, k._a_sq
-    else:
-        t = k.b - float(k.c.dot(x))
-        if t <= 0.0:
-            return None
-        a, a_sq = k.c, k._c_sq
-    return step_along(x, a, t, a_sq)
+    s = float(k.a.dot(x))
+    if k.lower <= s <= k.upper:
+        return None
+    if math.isfinite(s):
+        return step_along(x, k.a, (k.lower if s < k.lower else k.upper) - s, k._a_sq)
+    a, lo, up, s = unit_row(k.a, k.lower, k.upper, x)
+    return None if lo <= s <= up else step_along(x, a, (lo if s < lo else up) - s, float(np.vdot(a, a)))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,14 @@ def step_along(x: np.ndarray, a: np.ndarray, t: float, a_sq: float) -> np.ndarra
     return x + ((t / big) / np.vdot(y, y)) * y
 
 
+def unit_row(a: np.ndarray, lower: float, upper: float, x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """The slab lower <= a.x <= upper divided by max|a|, the same set, and
+    the new row's dot with x: finite where a.x overflows, unless x is huge."""
+    big = float(np.abs(a).max())
+    y = a / big
+    return y, lower / big, upper / big, float(y @ x)
+
+
 def as_1d(x, name: str = "vector") -> np.ndarray:
     """x as a one-dimensional float array, its entries unchecked."""
     try:

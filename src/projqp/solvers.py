@@ -400,20 +400,10 @@ class _LinearScreen:
 
     def __init__(self, sets: Sequence[ConvexSet]):
         self.r = len(sets)
-        self.pos: list[int] = []
-        rows, lower, upper = [], [], []
-        for i, k in enumerate(sets):
-            if isinstance(k, Hyperslab):
-                a, lo, up = k.a, k.lower, k.upper
-            elif isinstance(k, Halfspace):
-                a, lo, up = k.c, k.b, math.inf
-            else:
-                continue
-            self.pos.append(i)
-            rows.append(a)
-            lower.append(lo)
-            upper.append(up)
-        self.screen = _RowScreen(np.array(rows), np.array(lower), np.array(upper)) if rows else None
+        self.pos = [i for i, k in enumerate(sets) if isinstance(k, (Halfspace, Hyperslab))]
+        rows = [sets[i] for i in self.pos]  # a halfspace reads as the slab b <= c.x <= inf
+        self.screen = _RowScreen(np.array([k.a for k in rows]), np.array([k.lower for k in rows]),
+                                 np.array([k.upper for k in rows])) if rows else None
 
     def refresh(self, x: np.ndarray) -> None:
         rho = None if self.screen is None else self.screen.radii(x)

@@ -570,6 +570,19 @@ class TestOverflowedRowSquare:
         x = art3_update(np.array([x1, 7.0]), np.array([1e200, 0.0]), lo, up)
         assert x[0] == pytest.approx(expected, rel=1e-15) and x[1] == 7.0
 
+    # a.x = -1e310 overflows: the update runs on the row over max|a|, whose
+    # bounds are [0, 1], and sends x1 far out to the midplane 0.5 (absorbed)
+    def test_update_with_an_overflowed_dot(self):
+        with np.errstate(over="ignore"):
+            x = art3_update(np.array([-1e110, 7.0]), np.array([1e200, 0.0]), 0.0, 1e200)
+        assert x.tolist() == [0.0, 7.0]
+
+    @pytest.mark.parametrize("solver, iterations", [(art3_solve, 3), (extended_art_solve, 1)])
+    def test_far_start_is_solved(self, solver, iterations):
+        rep = solver(np.array([-1e110, 0.0]), self.system())
+        assert rep.status == "solved" and rep.extras["membership"]
+        assert rep.x.tolist() == [0.0, 0.0] and rep.counts["iterations"] == iterations
+
     def test_inset_projection_lands_inside(self):
         a = np.array([1e200, 1e200])
         x = art._inset_projection(np.array([-1e-3, 0.0]), a, -1e197, 0.0, 1e200)

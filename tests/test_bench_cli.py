@@ -477,6 +477,23 @@ class TestCli:
         assert code == cli.EXIT_USAGE
         assert "non-finite entries" in capsys.readouterr().err
 
+    # x0's dot with the first row overflows (-1e310); the visit projects onto
+    # the row divided by max|a|, so each method ends at the origin
+    FAR_START = {"sets": [{"type": "hyperslab", "a": [1e200, 0], "lower": 0, "upper": 1e200},
+                          {"type": "ball", "center": [0, 0], "radius": 5}], "x0": [-1e110, 0]}
+    FAR_SLABS = {"sets": [FAR_START["sets"][0], {"type": "hyperslab", "a": [0, 1], "lower": 0, "upper": 1}],
+                 "x0": [-1e110, 0]}
+
+    @pytest.mark.parametrize("doc, method", [*(("far-start", m) for m in sorted(_METHODS)),
+                                             ("far-slabs", "art3"), ("far-slabs", "ext-art")])
+    def test_solve_far_start_whose_dot_overflows(self, tmp_path, capsys, doc, method):
+        path, report = tmp_path / "p.json", tmp_path / "r.json"
+        path.write_text(json.dumps(self.FAR_START if doc == "far-start" else self.FAR_SLABS))
+        code = cli.main(["solve", "--problem", str(path), "--method", method, "--json", str(report)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "solved" and rep["x"] == [0.0, 0.0]
+
     def test_usage_error_exit_one(self):
         assert cli.main(["two-circles", "--method", "bogus"]) == 1
         assert cli.main(["nonsense"]) == 1

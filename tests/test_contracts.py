@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import importlib.util
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import pytest
 # the tracer resolves its names in these modules, so each must be imported
 from projqp import activeset_qp, art, bench, box_qp, cli, convex_sets, linalg, solvers  # noqa: F401
 from projqp.bench import generate_problem, hyperslab_system_from_sets, two_circles_sets
-from projqp.convex_sets import Ball, Box, problem_from_dict
+from projqp.convex_sets import Ball, Box, Halfspace, problem_from_dict, set_to_dict
 from projqp.solvers import _METHODS, SolveReport, SolverOptions, TraceRow, solve
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -118,6 +119,20 @@ def test_option_fields_are_pinned():
         "feas_tol", "max_outer_iters", "max_store", "record_iterates",
     ]
     assert art.STEP_BY_CASE == {2: "circ", 3: "plus", 4: "times", 5: "times"}
+
+
+def test_halfspace_keeps_its_fields_and_document():
+    # the projection and the screen read a halfspace as the slab b <= c.x <= inf
+    # through attributes that are not fields; its fields, document and
+    # messages stay its own
+    assert [f.name for f in dataclasses.fields(Halfspace)] == ["c", "b"]
+    h = Halfspace([1.0, -2.0], -math.inf)
+    assert (h.a is h.c, h.lower, h.upper) == (True, -math.inf, math.inf)
+    assert set_to_dict(h) == {"type": "halfspace", "c": [1.0, -2.0], "b": "-inf"}
+    with pytest.raises(ValueError, match="halfspace requires b < inf, got inf"):
+        Halfspace([1.0, 0.0], math.inf)
+    with pytest.raises(ValueError, match="halfspace normal must be nonzero"):
+        Halfspace([0.0, 0.0], 0.0)
 
 
 @pytest.mark.parametrize("cls", [TraceRow, SolveReport])

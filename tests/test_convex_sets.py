@@ -22,7 +22,8 @@ from projqp.convex_sets import (
     sets_to_dicts,
 )
 from projqp.bench import GENERATOR_KINDS, generate_problem
-from projqp.solvers import SolverOptions, solve_bap
+from projqp.linalg import step_along
+from projqp.solvers import SolverOptions, _LinearScreen, solve_bap
 
 ALL_SETS = [
     Ball(np.array([0.5, -0.25]), 1.25),
@@ -175,7 +176,7 @@ class TestOverflowedNormal:
             "hyperslab": lambda v, f: Hyperslab(v, -0.5 * f, 0.75 * f),
         }[kind]
         unit, scaled = make(u, 1.0), make(u * self.SCALE, self.SCALE)
-        assert (scaled._a_sq if kind == "hyperslab" else scaled._c_sq) == math.inf
+        assert scaled._a_sq == math.inf
         faces = set()
         for x in rng.normal(scale=3.0, size=(40, 6)):
             p = _linear_project(unit, x)
@@ -186,6 +187,98 @@ class TestOverflowedNormal:
                 assert project_set(scaled, x).tobytes() == p.tobytes()
                 faces.add("upper" if float(u @ x) > 0.75 else "lower")
         assert faces == ({"upper", "lower"} if kind == "hyperslab" else {"lower"})
+
+
+class TestOverflowedDot:
+    """Where a.x is not finite, the projection is that of the slab divided
+    by max|a|: the same set, whose dot with x is finite."""
+
+    @pytest.mark.parametrize("k, x, p", [
+        (Hyperslab([1e200, 0.0], 0.0, 1e200), [-1e110, 0.0], [0.0, 0.0]),
+        (Halfspace([1e200, 0.0], 0.0), [-1e110, 0.0], [0.0, 0.0]),
+        (Halfspace([1e200, 0.0], -math.inf), [-1e110, 0.0], None),  # the whole space
+        (Hyperslab([1e200, 0.0], -math.inf, math.inf), [-1e110, 0.0], None),
+        (Hyperslab([1e200, 1e200], 0.0, 1.0), [1e154, -1e154], None),  # a.x is 0, its float is not
+    ])
+    def test_projects_the_rescaled_row(self, k, x, p):
+        with np.errstate(over="ignore"):
+            q = _linear_project(k, np.array(x))
+            assert project_set(k, x).tolist() == (x if p is None else p)
+        assert (q is None) if p is None else (q.tolist() == p)
+
+    def test_dot_still_not_finite_is_not_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _linear_project(Hyperslab([1e200, 1e200], -1e200, 1e200), np.array([1.5e308, 1.5e308]))
+        assert not np.isfinite(p).all()
+
+
+class TestOneRowRule:
+    """A halfspace is the slab b <= c.x <= inf: its projection and the
+    solvers' screen radii are the slab's, bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            c = rng.normal(size=n) * 10.0 ** rng.choice([0, 0, 200])
+            x = rng.normal(size=n) * 10.0 ** rng.choice([0, 0, 110, 150, 307])
+            x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            with np.errstate(over="ignore"):
+                s = float(c @ x)
+            b = float(rng.choice([-math.inf, 0.0, -0.0, s, float(rng.normal()) * 10.0 ** rng.choice([0, 200])]))
+            yield c, (b if b < math.inf else 0.0), x  # an overflowed or NaN dot is no b
+
+    @staticmethod
+    def halfspace_rule(c, b, x):
+        """The halfspace's own rule, the reference where c.x is finite:
+        x is inside when t = b - c.x <= 0, and else steps by t along c."""
+        t = b - float(c @ x)
+        return None if t <= 0.0 else step_along(x, c, t, float(np.vdot(c, c)))
+
+    def test_projection_is_the_slab_s(self):
+        finite = 0
+        for c, b, x in self.cases():
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = _linear_project(Halfspace(c, b), x)
+                q = _linear_project(Hyperslab(c, b, math.inf), x)
+                dot_finite = math.isfinite(float(c @ x))
+                ref = self.halfspace_rule(c, b, x) if dot_finite else p
+            finite += dot_finite
+            for r in (q, ref):
+                assert (p is None) == (r is None), (c, b, x)
+                if p is not None:
+                    assert p.tobytes() == r.tobytes(), (c, b, x)
+        assert finite > 300
+
+    def test_slab_projection_is_the_clamp_rule(self):
+        """Where a.x is finite, a slab's projection is the clamp rule's:
+        inside when clamping s = a.x to the bounds leaves it, else the step
+        to the clamp."""
+        rng = np.random.default_rng(32)
+        for c, b, x in self.cases():
+            with np.errstate(over="ignore"):
+                s = float(c @ x)
+            if not math.isfinite(s):
+                continue
+            up = float(rng.choice([s, 0.0, -0.0, math.inf, max(b, s) + 1.0]))
+            lo = b if b <= up else up
+            target = min(max(s, lo), up)
+            ref = None if target == s else step_along(x, c, target - s, float(np.vdot(c, c)))
+            p = _linear_project(Hyperslab(c, lo, up), x)
+            assert (p is None) == (ref is None), (c, lo, up, x)
+            if p is not None:
+                assert p.tobytes() == ref.tobytes(), (c, lo, up, x)
+
+    def test_screen_radii_are_the_slab_s(self):
+        for c, b, x in self.cases():
+            radii = []
+            for k in (Halfspace(c, b), Hyperslab(c, b, math.inf)):
+                screen = _LinearScreen([k])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    screen.refresh(x)
+                radii.append(np.array(screen.rho).tobytes())
+            assert radii[0] == radii[1], (c, b, x)
 
 
 class TestSupportingCut:

@@ -1041,6 +1041,30 @@ class TestOverflowedNormal:
         assert not _holds(sets[0], np.array(x0))  # x0 itself is outside
 
 
+class TestOverflowedDot:
+    """A start whose dot with a slab's or halfspace's normal overflows: the
+    visit projects onto the row divided by max|a|, so every method ends
+    ``solved`` inside every set, with no warning."""
+
+    FAR = [-1e110, 0.0]
+    CASES = {  # the sets, x0, and the answer x where it is exact
+        "slab": ([Hyperslab(np.array([1e200, 0.0]), 0.0, 1e200), Ball(np.zeros(2), 5.0)], FAR, [0.0, 0.0]),
+        "halfspace": ([Halfspace(np.array([1e200, 0.0]), 0.0), Ball(np.zeros(2), 5.0)], FAR, [0.0, 0.0]),
+        # x0 close enough that the engine's step onto the ball's cut is exact
+        "open-halfspace": ([Halfspace(np.array([1e300, 0.0]), -math.inf), Ball(np.zeros(2), 5.0)],
+                           [-1e10, 0.0], None),
+    }
+
+    @pytest.mark.parametrize("method", TestStartValidation.METHODS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solved_inside_every_set(self, method, case):
+        sets, x0, x = self.CASES[case]
+        rep = solve(method, np.array(x0), sets)
+        assert rep.status == "solved"
+        assert all(_holds(k, rep.x) for k in sets), rep.x
+        assert x is None or rep.x.tolist() == x
+
+
 class TestOptionValidation:
     """Each field is checked on construction; a bad value names its field."""
 
