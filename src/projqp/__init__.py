@@ -24,7 +24,7 @@ from .activeset_qp import (
     project_polyhedron_reduced,
     verify_certificate,
 )
-from .art import ArtTriple, HyperslabSystem, art3_solve, extended_art_solve
+from .art import HyperslabSystem, art3_solve, extended_art_solve
 from .box_qp import BoxQp, BoxQpResult, solve_box_qp
 from .convex_sets import (
     Ball,

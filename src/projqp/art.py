@@ -4,7 +4,8 @@
 happens, within half a width of a face the point is reflected across it,
 and farther out it moves to the slab midplane; with a nonempty interior
 the sweep terminates finitely.  ``extended_art_solve`` keeps the triple
-(x_circ, x_times, x_plus): x_times is the projection of x_circ onto the
+(x_circ, x_times, x_plus): x_circ is the last restart point and the engine
+anchor of P_circ steps, x_times is the projection of x_circ onto the
 collected active slab faces (maintained as an s-tuple so the QP engine can
 slide along them), and x_plus extrapolates that projection into the active
 slabs.  Each slab visit reads a_j^T x_plus and a_j^T x_times once, and
@@ -14,7 +15,8 @@ place (P_circ, an inner GI step from x_circ), restart from x_times
 (P_times, the inner step from zero multipliers on the kept active faces),
 or restart from x_plus (P_plus, the inner step from an empty active set,
 the reflection-like move).  Restart steps are the ones that advance the
-underlying Fejer-monotone subsequence.
+underlying Fejer-monotone subsequence.  The report holds x_plus and data,
+not the triple.
 
 Most visits of either sweep change nothing.  ``linalg._RowScreen`` gives
 each row a radius from one gemv, and a positive radius at x clears the
@@ -154,15 +156,6 @@ class HyperslabSystem:
 def load_system(path) -> HyperslabSystem:
     with open(path) as fh:
         return HyperslabSystem.from_text(fh.read())
-
-
-@dataclass(frozen=True)
-class ArtTriple:
-    x_circ: np.ndarray
-    x_times: np.ndarray
-    x_plus: np.ndarray
-    active_slabs: tuple[int, ...]
-    s_tuple: STuple | None = None
 
 
 def tilde_bounds(lower: float, upper: float) -> tuple[float, float]:
@@ -340,9 +333,12 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
     inside the slab or the slide refinement has run too long.  When case 5
     offers P_times but x_times already satisfies the slab, the step
     re-anchors the triple at x_times and collapses the extrapolation; there
-    is nothing to feed the QP there.  The report tracks the restart
-    subsequence and, given a ``witness`` inside S, its worst
-    Fejer-monotonicity violation.
+    is nothing to feed the QP there.  x_circ, the last restart point, is
+    the engine anchor of P_circ steps.  The report's x is x_plus, and its
+    extras are data, not the triple: membership of x_plus, the
+    ``forbidden_p_times`` count and, given a ``witness`` inside S, the
+    length of the restart subsequence and its worst Fejer-monotonicity
+    violation.
 
     A visit reads slab j once: vp = a_j^T x_plus and vt = a_j^T x_times
     give the case (``_case``), the round-off and P_circ fallbacks and the
@@ -361,8 +357,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
 
     store = HalfspaceStore()
     s = empty_s_tuple(x0)
-    x_circ = x_times = x_plus = s.x
-    anchor = x0  # the engine anchor of P_circ steps: the last restart point
+    x_circ = x_times = x_plus = s.x  # x_circ is the engine anchor of P_circ steps
 
     counts = {"iterations": 0, "p_circ": 0, "p_times": 0, "p_plus": 0, "inner_steps": 0, "reanchor": 0}
     rows: list[TraceRow] = [TraceRow(0, None, None, None, ())]
@@ -377,9 +372,9 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
     def restart(point: np.ndarray) -> None:
         """Restart the triple from ``point``, the next member of the
         Fejer-monotone restart subsequence."""
-        nonlocal consecutive_circ, anchor, x_circ, wit_dist, fejer_max_increase, fejer_events
+        nonlocal consecutive_circ, x_circ, wit_dist, fejer_max_increase, fejer_events
         consecutive_circ = 0
-        anchor = x_circ = point
+        x_circ = point
         if wit is None:
             return
         d = norm(point - wit)
@@ -432,7 +427,7 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
             if choice == "circ":
                 counts["p_circ"] += 1
                 consecutive_circ += 1
-                start, anchor_pt, v = s, anchor, vt
+                start, anchor_pt, v = s, x_circ, vt
             elif choice == "times":
                 counts["p_times"] += 1
                 start, anchor_pt, v = STuple(s.x, s.j_set, np.zeros(s.q), s.qr), x_times, vt
@@ -463,27 +458,19 @@ def extended_art_solve(x0, system: HyperslabSystem, max_iters: int = 100_000, wi
             x_times = s.x
             x_plus = extrapolate_plus(x_circ, x_times, system, _tight_slabs(system, x_times))
         i += 1
-        counts["iterations"] = i
         j = (j + 1) % system.m
         if events:
             rows.append(TraceRow(len(rows), None, None, None, tuple(events)))
 
+    counts["iterations"] = i
     certificate = cert_system = None
     if outcome is not None:
         status = "infeasible"
         certificate, cert_system = outcome.certificate, (store.matrix(), store.rhs_vector())
-    triple = ArtTriple(
-        x_circ=x_circ.copy(),
-        x_times=x_times.copy(),
-        x_plus=x_plus.copy(),
-        active_slabs=_tight_slabs(system, x_times),
-        s_tuple=s,
-    )
     extras = {
         "membership": in_s if x_plus is tested else system.contains(x_plus),
         "fejer_events": fejer_events,
         "fejer_max_increase": fejer_max_increase,
         "forbidden_p_times": forbidden_times,
-        "triple": triple,
     }
     return SolveReport(status, x_plus, rows, counts, certificate, cert_system, extras)

@@ -2,8 +2,8 @@
 
 Each descriptor is an immutable dataclass with a cheap exact projection,
 except ``Polyhedron`` which delegates to the active-set engine (through the
-dimension reduction when the constraint count is small relative to the
-ambient dimension).  Projecting an outside point yields a supporting
+dimension reduction ``project_polyhedron_reduced`` whenever C has full
+column rank).  Projecting an outside point yields a supporting
 halfspace {y : c^T y >= b} that contains the set but not the point; the
 outer solvers (``projqp.solvers``) accumulate those halfspaces.
 
@@ -214,13 +214,7 @@ def _project(k: ConvexSet, x: np.ndarray) -> np.ndarray:
     if isinstance(k, Box):
         return np.clip(x, k.lower, k.upper)
     if isinstance(k, Polyhedron):
-        n, cols = k.c_mat.shape
-        if cols < n / 2:
-            return project_polyhedron_reduced(x, k.c_mat, k.b)
-        res = gi_solve(QpProblem(x, k.c_mat, k.b))
-        if isinstance(res, Infeasible):
-            raise ValueError("polyhedron is empty")
-        return res.x
+        return project_polyhedron_reduced(x, k.c_mat, k.b)
     raise TypeError(f"unknown set descriptor {type(k)!r}")
 
 

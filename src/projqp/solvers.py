@@ -122,6 +122,8 @@ class HalfspaceStore:
 
     def remove(self, j: int) -> None:
         m = self.m
+        if not 0 <= j < m:  # a negative j would shift the rows and the sources apart
+            raise IndexError(f"column index {j} out of range for {m} columns")
         self._c[j:m - 1] = self._c[j + 1:m]
         self._b[j:m - 1] = self._b[j + 1:m]
         del self.source[j]
@@ -233,9 +235,8 @@ class SolveReport:
                 doc[key] = value.tolist()
             elif isinstance(value, tuple):
                 doc[key] = list(value)
-            elif value is None or isinstance(value, (str, int, float, bool, list, dict)):
+            else:
                 doc[key] = value
-            # non-serializable extras (solver state objects) stay out of the JSON
         return doc
 
     def to_json(self) -> str:

@@ -417,10 +417,6 @@ class TestScreenedMembership:
             assert fast.rows == slow.rows
             for key in ("membership", "fejer_events", "fejer_max_increase", "forbidden_p_times"):
                 assert fast.extras[key] == slow.extras[key]
-            ft, st = fast.extras["triple"], slow.extras["triple"]
-            assert ft.active_slabs == st.active_slabs
-            for f in ("x_circ", "x_times", "x_plus"):
-                assert getattr(ft, f).tobytes() == getattr(st, f).tobytes()
 
     def test_cleared_rows_skip_the_classification(self, monkeypatch):
         system, x0, witness = generated_system(10, 40, 77)

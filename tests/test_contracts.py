@@ -14,8 +14,10 @@ import argparse
 import dataclasses
 import importlib.util
 import inspect
+import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,38 @@ def test_art_count_keys():
     assert list(art.art3_solve(x0, system).counts) == ["iterations"]
     rep = art.extended_art_solve(x0, system, witness=extras["witness"])
     assert list(rep.counts) == ["iterations", "p_circ", "p_times", "p_plus", "inner_steps", "reanchor"]
+
+
+TWO_BALLS = [Ball(np.array([3.0, 0.0]), 1.0), Ball(np.array([-3.0, 0.0]), 1.0)]
+
+
+def art_report(solver):
+    sets, x0, extras = problem_from_dict(generate_problem("hyperslabs-with-interior", 3, 5, 2))
+    system = hyperslab_system_from_sets(sets)
+    return solver(x0, system) if solver is art.art3_solve else solver(x0, system, witness=extras["witness"])
+
+
+# one report of each method and path, each with the extras it writes
+JSON_REPORTS = {
+    **{method: partial(solve, method, np.array([0.0, 10.0]), two_circles_sets(), SolverOptions(max_outer_iters=50))
+       for method in _METHODS},
+    "sip-gi box": partial(solve, "sip-gi", np.array([3.0, -1.0]),
+                          [Box(np.zeros(2), np.ones(2)), Ball(np.array([1.5, 1.5]), 1.0)]),
+    "art3": partial(art_report, art.art3_solve),
+    "ext-art": partial(art_report, art.extended_art_solve),
+    **{f"{method} infeasible": partial(solve, method, np.zeros(2), TWO_BALLS, SolverOptions(max_outer_iters=200))
+       for method in ("bap-gi", "sip-gi", "haugazeau")},
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_REPORTS))
+def test_json_writes_every_extra(name):
+    # an extra json cannot write fails in json.dumps rather than vanishing
+    rep = JSON_REPORTS[name]()
+    assert (rep.status == "infeasible") == name.endswith("infeasible")
+    doc = rep.to_json_dict()
+    assert set(rep.extras) <= set(doc)
+    assert json.loads(rep.to_json()) == doc
 
 
 def method_choices(command: str) -> list[str]:

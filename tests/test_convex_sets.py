@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from projqp.activeset_qp import QpProblem, gi_solve
 from projqp.convex_sets import (
     Ball,
     Box,
@@ -70,6 +71,24 @@ class TestProjections:
     def test_polyhedron_uses_engine(self):
         k = Polyhedron(np.eye(2), np.zeros(2))
         np.testing.assert_allclose(project_set(k, np.array([-1.0, -2.0])), [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("span", ["below n/2", "n/2 to n", "above n"])
+    def test_polyhedron_matches_the_direct_solve(self, span):
+        # the projection reduces by the QR of C when C has full column rank
+        # and falls back to gi_solve otherwise; both agree with gi_solve on x
+        rng = np.random.default_rng(len(span))
+        for n in range(2, 12):
+            lo, hi = {"below n/2": (1, (n + 1) // 2 - 1), "n/2 to n": ((n + 1) // 2, n),
+                      "above n": (n + 1, 2 * n)}[span]
+            for cols in range(lo, hi + 1):
+                c_mat = rng.normal(size=(n, cols))
+                if cols >= 2 and cols % 2:
+                    c_mat[:, -1] = 2.0 * c_mat[:, 0]  # rank deficient
+                b = c_mat.T @ rng.normal(size=n) - rng.uniform(0.0, 1.0, cols)
+                x = 3.0 * rng.normal(size=n)
+                direct = gi_solve(QpProblem(x, c_mat, b)).x
+                p = project_set(Polyhedron(c_mat, b), x)
+                assert np.linalg.norm(p - direct) <= 1e-12 * max(1.0, np.linalg.norm(direct))
 
     @pytest.mark.parametrize("k", ALL_SETS)
     def test_idempotent(self, k):

@@ -738,6 +738,18 @@ class TestHalfspaceStore:
             self.agrees(store, ref)
         assert store.column(6).tobytes() == ref[6][0].tobytes()
 
+    def test_remove_takes_only_a_column_in_range(self):
+        # the row shift slices the buffer, so only j in [0, m) names one column
+        for j in range(-4, 4):
+            store, ref = self.filled(3)
+            if 0 <= j < 3:
+                store.remove(j)
+                del ref[j]
+            else:
+                with pytest.raises(IndexError, match=f"column index {j} out of range for 3 columns"):
+                    store.remove(j)
+            self.agrees(store, ref)
+
     def test_indices_past_the_last_column_raise(self):
         store, ref = self.filled(3)  # capacity 8
         assert store.column(-1).tobytes() == ref[-1][0].tobytes() and store.rhs(-1) == ref[-1][1]
